@@ -75,13 +75,11 @@ def main():
 
 @main.command()
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", default=1e-9, show_default=True,
-              help="quadrature tolerance for the classifier")
-def classify(config, tol):
+def classify(config):
     """Classify the measure: Strict, TrueMartingale, or Inconclusive."""
     spec = _load_spec(config)
     try:
-        cls = riccati.classify(spec, tol=tol)
+        cls = riccati.classify(spec)
     except JumplmError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

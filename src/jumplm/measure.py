@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy import integrate, interpolate, special
@@ -35,7 +34,6 @@ __all__ = [
     "gamma2_residual",
     "tail_intensity",
     "small_jump_mean",
-    "sample_jump",
     "make_jump_sampler",
     "untilted_spec",
     "tilted_spec",
@@ -156,12 +154,10 @@ class LevyMeasureSpec:
 
 @dataclass(frozen=True)
 class MeasureMoments:
-    """Scalar moments of a validated measure plus truncation functionals."""
+    """Scalar moments of a validated measure."""
 
     m1: float
     b: float
-    lambda_eps: Callable[[float], float] = field(compare=False)
-    m_eps: Callable[[float], float] = field(compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +303,7 @@ def validate(spec: LevyMeasureSpec) -> MeasureMoments:
         raise InvalidParameter(f"mean jump size m1={m1} is not positive finite")
     if not (b > 0 and math.isfinite(b)):
         raise InvalidParameter(f"drift coefficient b={b} is not positive finite")
-    return MeasureMoments(
-        m1=m1, b=b,
-        lambda_eps=lambda eps: tail_intensity(spec, eps),
-        m_eps=lambda eps: small_jump_mean(spec, eps),
-    )
+    return MeasureMoments(m1=m1, b=b)
 
 
 def r_function(spec: LevyMeasureSpec, u: float, method: str = "auto") -> float:
@@ -407,47 +399,52 @@ class _RejectionSampler:
     """Pareto-proposal rejection sampler for tilted power tails.
 
     Proposal xi = eps * U**(-1/(alpha-1)), accepted with probability
-    exp(-beta*(xi-eps)).  If the acceptance rate over a 1000-draw window
-    drops below 1%, switches permanently to the table sampler.
+    exp(-beta*(xi-eps)); at beta = 0 every proposal is accepted without
+    drawing the acceptance uniform.
     """
 
     def __init__(self, spec: LevyMeasureSpec, eps: float):
-        self.spec = spec
         self.eps = eps
         self._inv_pow = -1.0 / (spec.alpha - 1.0)
         self._beta = spec.beta
-        self._window = 0
-        self._accepted = 0
-        self._fallback = None
 
     def sample(self, next_u) -> float:
-        if self._fallback is not None:
-            return self._fallback.sample(next_u)
         eps, beta, p = self.eps, self._beta, self._inv_pow
         while True:
-            xi = eps * next_u() ** p
-            self._window += 1
+            try:
+                xi = eps * next_u() ** p
+            except (OverflowError, ZeroDivisionError):
+                # u ** p past the float range, or u == 0: an infinite
+                # proposal, rejected when beta > 0 and an explosion otherwise
+                xi = math.inf
             if beta == 0.0 or next_u() < math.exp(-beta * (xi - eps)):
-                self._accepted += 1
-                if self._window >= 1000:
-                    self._window = self._accepted = 0
                 return xi
-            if self._window >= 1000:
-                if self._accepted < 10:
-                    self._fallback = _TableSampler(self.spec, eps)
-                    return self._fallback.sample(next_u)
-                self._window = self._accepted = 0
+
+
+# below 1% acceptance rejection spends over 100 proposals on each jump
+_MIN_ACCEPTANCE = 0.01
 
 
 def make_jump_sampler(spec: LevyMeasureSpec, eps: float):
     """Sampler for the normalized restriction of the measure to [eps, inf).
 
     The returned object has sample(next_u) where next_u() yields uniforms.
+    The choice is made once per (spec, eps): a tilted power with alpha > 1
+    gets Pareto rejection when its mean acceptance
+    exp(beta*eps) * Lambda_beta(eps) / Lambda_0(eps) is at least 1%, where
+    Lambda_0 is the tail intensity of the untilted power; every other
+    measure gets the cached inverse-CDF table.
     """
     if not (eps > 0):
         raise DomainError(f"eps must be positive, got {eps}")
     if spec.kind == "tilted_power" and spec.alpha > 1.0:
-        return _RejectionSampler(spec, eps)
+        a = spec.alpha
+        lambda_0 = spec.c * eps ** (1.0 - a) / (a - 1.0)
+        # exp(-beta*eps) on the right underflows to 0 where exp(beta*eps)
+        # on the left would overflow
+        if (tail_intensity(spec, eps) >= _MIN_ACCEPTANCE
+                * math.exp(-spec.beta * eps) * lambda_0):
+            return _RejectionSampler(spec, eps)
     return _cached_table_sampler(spec, eps)
 
 
@@ -455,12 +452,6 @@ def make_jump_sampler(spec: LevyMeasureSpec, eps: float):
 def _cached_table_sampler(spec: LevyMeasureSpec, eps: float) -> _TableSampler:
     # table construction is expensive; the sampler is read-only once built
     return _TableSampler(spec, eps)
-
-
-def sample_jump(spec: LevyMeasureSpec, eps: float, rng: np.random.Generator) -> float:
-    """Draw one jump size >= eps from the restricted, renormalized measure."""
-    sampler = make_jump_sampler(spec, eps)
-    return sampler.sample(lambda: rng.random())
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,10 @@ STRICT = "Strict"
 TRUE_MARTINGALE = "TrueMartingale"
 INCONCLUSIVE = "Inconclusive"
 
+# half-width of the band around exponent 1 that classify leaves to the
+# slope test at 1 instead of the fitted exponent
+_MARGIN = 0.05
+
 
 @dataclass(frozen=True)
 class RiccatiSolution:
@@ -188,8 +192,7 @@ def _osgood_integral(rz, lower=0.5):
 
 
 @lru_cache(maxsize=128)
-def classify(spec: LevyMeasureSpec, tol: float = 1e-9,
-             margin: float = 0.05) -> Classification:
+def classify(spec: LevyMeasureSpec) -> Classification:
     """Decide Strict vs TrueMartingale from the local exponent of R at 1.
 
     |R(1-z)| ~ C z^p: p < 1 (with margin) and a convergent reciprocal
@@ -200,12 +203,12 @@ def classify(spec: LevyMeasureSpec, tol: float = 1e-9,
     measure.validate(spec)
     r = _r_callable(spec)
     p, stderr, _ = _fit_exponent(r)
-    if p < 1.0 - margin:
+    if p < 1.0 - _MARGIN:
         osgood = _osgood_integral(_rz_callable(spec))
         if math.isfinite(osgood):
             return Classification(STRICT, osgood, p, stderr)
         return Classification(INCONCLUSIVE, math.inf, p, stderr)
-    if p >= 1.0 + margin:
+    if p >= 1.0 + _MARGIN:
         return Classification(TRUE_MARTINGALE, math.inf, p, stderr)
     # p ~ 1: true martingale iff R'(1-) settles to a finite nonzero slope
     ratios = [-r(1.0 - z) / z for z in (1e-4, 1e-5, 1e-6)]
@@ -228,9 +231,16 @@ def time_map(spec: LevyMeasureSpec, x: float) -> float:
     return _osgood_integral(_rz_callable(spec), lower=x)
 
 
-def _minimal_solution_impl(spec: LevyMeasureSpec, t: float,
-                           cls: Classification) -> float:
-    if t == 0.0:
+def minimal_solution(spec: LevyMeasureSpec, t: float) -> float:
+    """The non-constant branch g_-(t, 1) through the initial value 1.
+
+    Computed by monotone inversion of the time map, which is well posed
+    even though direct integration from 1 would stick to the constant
+    branch.  For true-martingale measures returns 1.0 (the only branch).
+    """
+    if t < 0:
+        raise DomainError(f"t must be nonnegative, got {t}")
+    if classify(spec).verdict != STRICT or t == 0.0:
         return 1.0
     rz = _rz_callable(spec)
 
@@ -245,21 +255,6 @@ def _minimal_solution_impl(spec: LevyMeasureSpec, t: float,
         if lo < 1e-300:
             raise DomainError(f"minimal solution underflows at t={t}")
     return float(optimize.brentq(shifted, lo, 1.0 - 1e-13, xtol=1e-13, rtol=1e-14))
-
-
-def minimal_solution(spec: LevyMeasureSpec, t: float) -> float:
-    """The non-constant branch g_-(t, 1) through the initial value 1.
-
-    Computed by monotone inversion of the time map, which is well posed
-    even though direct integration from 1 would stick to the constant
-    branch.  For true-martingale measures returns 1.0 (the only branch).
-    """
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
-    cls = classify(spec)
-    if cls.verdict != STRICT:
-        return 1.0
-    return _minimal_solution_impl(spec, t, cls)
 
 
 def expected_value(spec: LevyMeasureSpec, x0: float, t: float, u: float) -> float:

@@ -9,11 +9,15 @@ drift, which is exact to first order for these finite-variation measures.
 Two engines share the loop: the conservative process (compensated jumps,
 decay rate b + tail mean) and the explosive one (uncompensated jumps,
 unit decay minus the small-jump mean), which can hit +infinity in finite
-time and is flagged exploded once it crosses the configured cap.
+time and is flagged exploded once it crosses the configured cap.  Jump
+sizes come from measure.make_jump_sampler, which picks the sampler once
+per (spec, eps).  Path i of seed s draws its uniforms, in order, from
+Philox(key=[s, i]), so every path is reproducible on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -48,7 +52,12 @@ EXPLODED = ExplodedMarker()
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Simulation controls: truncation, seeding, and runaway guards."""
+    """Simulation controls: truncation, seeding, and runaway guards.
+
+    Both engines stop a path when its jump count reaches max_events: the
+    conservative engine raises MaxEventsExceeded, the explosive engine
+    marks the path exploded at that jump.
+    """
 
     eps: float
     seed: int = 0
@@ -78,28 +87,14 @@ class Path:
     terminal: Optional[float] = None
 
 
-class _Uniforms:
-    """Blocked uniform stream over one path's counter-based generator."""
-
-    __slots__ = ("_gen", "_block", "_i")
-
-    def __init__(self, seed: int, index: int):
-        self._gen = np.random.Generator(np.random.Philox(key=[seed, index]))
-        self._block = self._gen.random(256)
-        self._i = 0
-
-    def __call__(self) -> float:
-        i = self._i
-        block = self._block
-        if i >= block.shape[0]:
-            self._block = block = self._gen.random(1024)
-            i = 0
-        self._i = i + 1
-        return block[i]
-
-
-def _path_uniforms(config: EngineConfig, path_index: int) -> _Uniforms:
-    return _Uniforms(config.seed, path_index)
+def _uniforms(seed: int, index: int):
+    """next() over one path's uniforms: Philox(key=[seed, index]), drawn
+    256 at a time first and 1024 at a time after that."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, index]))
+    first = gen.random(256).tolist()
+    blocks = iter(lambda: gen.random(1024).tolist(), None)
+    return itertools.chain(
+        first, itertools.chain.from_iterable(blocks)).__next__
 
 
 def _run_engine(spec, x0, t_end, config, path_index, record,
@@ -107,24 +102,14 @@ def _run_engine(spec, x0, t_end, config, path_index, record,
     """Shared event loop for both engines.
 
     Returns (events, t_last, x_last, n_events, exploded, explosion_time).
-    The tilted-power rejection sampler is inlined for speed; exploding
-    paths can generate thousands of events each, so per-event overhead
-    dominates the Monte Carlo budget.
+    Each event draws one uniform for its waiting time, then the jump size
+    from the sampler measure.make_jump_sampler picked for (spec, eps).
     """
-    uni = _path_uniforms(config, path_index)
-    eps = config.eps
+    uni = _uniforms(config.seed, path_index)
+    sampler = measure.make_jump_sampler(spec, config.eps)
     cap = config.cap
     max_events = config.max_events
     log, exp, isfinite = math.log, math.exp, math.isfinite
-    inline = spec.kind == "tilted_power" and spec.alpha > 1.0
-    if inline:
-        inv_pow = -1.0 / (spec.alpha - 1.0)
-        beta = spec.beta
-        sampler = None
-    else:
-        sampler = measure.make_jump_sampler(spec, eps)
-    # rejection bookkeeping for the inline path (mirrors _RejectionSampler)
-    window = accepted = 0
 
     t, x = 0.0, x0
     events: List[Tuple[float, float]] = []
@@ -139,26 +124,7 @@ def _run_engine(spec, x0, t_end, config, path_index, record,
         dt = -log(1.0 - e_draw * delta / (x * lam)) / delta
         t += dt
         x *= exp(-delta * dt)
-        if inline:
-            while True:
-                xi = eps * uni() ** inv_pow
-                window += 1
-                if beta == 0.0 or uni() < exp(-beta * (xi - eps)):
-                    accepted += 1
-                    if window >= 1000:
-                        window = accepted = 0
-                    break
-                if window >= 1000:
-                    if accepted < 10:
-                        # acceptance collapsed: hand the path over to the
-                        # cached inverse-CDF sampler for its remaining jumps
-                        inline = False
-                        sampler = measure._TableSampler(spec, eps)
-                        xi = sampler.sample(uni)
-                        break
-                    window = accepted = 0
-        else:
-            xi = sampler.sample(uni)
+        xi = sampler.sample(uni)
         x += xi
         n += 1
         if record:
@@ -168,9 +134,9 @@ def _run_engine(spec, x0, t_end, config, path_index, record,
                 exploded = True
                 explosion_time = t
                 break
-        elif n > max_events:
+        elif n >= max_events:
             raise MaxEventsExceeded(
-                f"conservative path exceeded {max_events} events")
+                f"conservative path reached {max_events} events")
     return events, t, x, n, exploded, explosion_time
 
 

@@ -240,3 +240,51 @@ def test_r_closed_vs_quad_property(u, alpha):
 def test_spec_round_trip_property(c, alpha, beta):
     spec = measure.LevyMeasureSpec.tilted_power(c, alpha, beta)
     assert measure.spec_from_json(measure.spec_to_json(spec)) == spec
+
+
+def test_jump_sampler_decision(ref_spec):
+    assert isinstance(measure.make_jump_sampler(ref_spec, 1e-3),
+                      measure._RejectionSampler)
+    # mean acceptance exp(beta*eps) * Lambda_beta(eps) / Lambda_0(eps) is
+    # 4.4% here although Lambda_beta / Lambda_0 alone is 2e-6
+    moderate = measure.LevyMeasureSpec.tilted_power(1.0, 1.5, 200.0)
+    assert isinstance(measure.make_jump_sampler(moderate, 0.05),
+                      measure._RejectionSampler)
+    low = measure.LevyMeasureSpec.tilted_power(1.0, 1.05, 200.0)  # 0.46%
+    assert (measure.make_jump_sampler(low, 0.05)
+            is measure._cached_table_sampler(low, 0.05))
+
+
+def test_low_acceptance_table_distribution():
+    spec = measure.LevyMeasureSpec.tilted_power(1.0, 1.05, 200.0)
+    eps = 0.05
+    lam = measure.tail_intensity(spec, eps)
+
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        flat = np.array([
+            1.0 - measure.tail_intensity(spec, max(v, eps)) / lam
+            for v in x.ravel()])
+        return flat.reshape(x.shape)
+
+    rng = np.random.Generator(np.random.Philox(key=[3, 1]))
+    sampler = measure.make_jump_sampler(spec, eps)
+    draws = np.array([sampler.sample(rng.random) for _ in range(5000)])
+    assert draws.min() >= eps
+    res = stats.kstest(draws, cdf)
+    assert res.pvalue > 0.01
+
+
+def test_rejection_sampler_infinite_proposals():
+    # alpha = 1.01 at eps = 1e-2: u ** -100 leaves the float range below
+    # u ~ 8e-4, and 0.0 ** -100 has no float value at all
+    untilted = measure.LevyMeasureSpec.tilted_power(1.0, 1.01, 0.0)
+    sampler = measure.make_jump_sampler(untilted, 1e-2)
+    assert sampler.sample(iter([0.0]).__next__) == math.inf
+    assert sampler.sample(iter([1e-5]).__next__) == math.inf
+    tilted = measure.LevyMeasureSpec.tilted_power(1.0, 1.01, 1.0)
+    sampler = measure.make_jump_sampler(tilted, 1e-2)
+    assert isinstance(sampler, measure._RejectionSampler)
+    # both infinite proposals are rejected, even with acceptance uniform 0
+    next_u = iter([0.0, 0.5, 1e-5, 0.0, 0.999, 0.0]).__next__
+    assert sampler.sample(next_u) == 1e-2 * 0.999 ** -100

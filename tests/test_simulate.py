@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -168,3 +169,104 @@ def test_export_csv_explosion_header():
             assert "# explosion_time=" in text
             return
     pytest.fail("no exploding path found")
+
+
+def test_golden_paths(ref_spec):
+    # 17-digit literals: any change to a path's uniform stream, or to the
+    # order in which the engine and the samplers consume it, moves them
+    cfg = simulate.EngineConfig(eps=1e-3, seed=20261018)
+    path = simulate.simulate_path(ref_spec, 1.0, 1.0, cfg, path_index=7)
+    assert path.terminal == 0.7021538841247988
+    assert len(path.events) == 16
+
+    untilted = measure.untilted_spec(ref_spec)
+    cfg = simulate.EngineConfig(eps=1e-2, seed=20261018, cap=1e5)
+    t_end = 2.0 * math.log(2.0)
+    path = simulate.simulate_explosive_path(untilted, 1.0, t_end, cfg, 25)
+    assert not path.exploded
+    assert path.terminal == 299.9572507525895
+    assert len(path.events) == 411
+    path = simulate.simulate_explosive_path(untilted, 1.0, t_end, cfg, 14)
+    assert path.exploded
+    assert path.explosion_time == 0.4569536432763088
+    assert len(path.events) == 518
+
+
+def test_uniform_stream_is_philox_per_path():
+    # 3000 draws cross the 256-draw first block and two 1024-draw blocks
+    next_u = simulate._uniforms(12, 34)
+    got = [next_u() for _ in range(3000)]
+    assert all(type(u) is float for u in got)
+    want = np.random.Generator(np.random.Philox(key=[12, 34])).random(3000)
+    assert np.array_equal(np.array(got), want)
+
+
+def _first_path_with_events(simulate_fn, spec, t_end, cfg):
+    for i in range(200):
+        path = simulate_fn(spec, 1.0, t_end, cfg, i)
+        if len(path.events) >= 3 and not path.exploded:
+            return i, path
+    pytest.fail("no path with at least 3 events found")
+
+
+def test_conservative_max_events_boundary(ref_spec):
+    cfg = simulate.EngineConfig(eps=1e-2, seed=9)
+    i, path = _first_path_with_events(simulate.simulate_path, ref_spec, 2.0,
+                                      cfg)
+    k = len(path.events)
+    with pytest.raises(MaxEventsExceeded):
+        simulate.simulate_path(ref_spec, 1.0, 2.0,
+                               dataclasses.replace(cfg, max_events=k), i)
+    again = simulate.simulate_path(ref_spec, 1.0, 2.0,
+                                   dataclasses.replace(cfg, max_events=k + 1), i)
+    assert again == path
+
+
+def test_explosive_max_events_boundary(ref_spec):
+    untilted = measure.untilted_spec(ref_spec)
+    cfg = simulate.EngineConfig(eps=1e-2, seed=9, cap=1e5)
+    t_end = 2.0 * math.log(2.0)
+    i, path = _first_path_with_events(simulate.simulate_explosive_path,
+                                      untilted, t_end, cfg)
+    k = len(path.events)
+    cut = simulate.simulate_explosive_path(
+        untilted, 1.0, t_end, dataclasses.replace(cfg, max_events=k), i)
+    assert cut.exploded and cut.terminal is None
+    assert cut.events == path.events
+    assert cut.explosion_time == path.events[-1][0]
+    again = simulate.simulate_explosive_path(
+        untilted, 1.0, t_end, dataclasses.replace(cfg, max_events=k + 1), i)
+    assert again == path
+
+
+def test_low_acceptance_paths_share_one_cached_table():
+    # mean Pareto acceptance 0.46% < 1%: every path draws from one table
+    spec = measure.LevyMeasureSpec.tilted_power(1.0, 1.05, 200.0)
+    cfg = simulate.EngineConfig(eps=0.05, seed=3)
+    measure._cached_table_sampler.cache_clear()
+    counts = [len(simulate.simulate_path(spec, 7e6, 1.0, cfg, i).events)
+              for i in range(20)]
+    info = measure._cached_table_sampler.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+    assert sum(counts) > 20 * 20
+
+
+def test_infinite_proposals_complete():
+    # alpha = 1.01 at eps = 1e-2: a proposal uniform below ~8e-4 gives an
+    # infinite Pareto proposal
+    tilted = measure.LevyMeasureSpec.tilted_power(1.0, 1.01, 1.0)
+    untilted = measure.untilted_spec(tilted)
+    cfg = simulate.EngineConfig(eps=1e-2, seed=0)
+    paths = {i: simulate.simulate_explosive_path(untilted, 1.0, 1.0, cfg, i)
+             for i in range(1100, 1400)}
+    infinite = {i for i, p in paths.items()
+                if any(xi == math.inf for _, xi in p.events)}
+    assert infinite == {1176, 1389}
+    assert all(paths[i].exploded and paths[i].terminal is None
+               for i in infinite)
+    assert paths[1176].explosion_time == 0.002266416242774056
+    # beta > 0 rejects them; this path meets at least one
+    cfg = simulate.EngineConfig(eps=1e-2, seed=1)
+    path = simulate.simulate_path(tilted, 1000.0, 1.0, cfg, 1)
+    assert path.terminal == 2.2079233543599667e-41
+    assert len(path.events) == 49
