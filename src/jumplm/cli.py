@@ -42,17 +42,6 @@ class RunManifest:
             fh.write("\n")
 
 
-def _load_spec(config_path):
-    try:
-        return measure.spec_from_json(config_path)
-    except JumplmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except (OSError, json.JSONDecodeError) as exc:
-        click.echo(f"error: cannot read spec {config_path}: {exc}", err=True)
-        sys.exit(1)
-
-
 def _spec_hash(spec) -> str:
     canon = json.dumps(measure.spec_to_json(spec), sort_keys=True,
                        separators=(",", ":"))
@@ -67,7 +56,18 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-@click.group()
+class _Group(click.Group):
+    """The one error boundary: a JumplmError from any command exits 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except JumplmError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Group)
 @click.version_option(VERSION, prog_name="jumplm")
 def main():
     """Strict local martingales from self-exciting jump processes."""
@@ -77,12 +77,7 @@ def main():
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
 def classify(config):
     """Classify the measure: Strict, TrueMartingale, or Inconclusive."""
-    spec = _load_spec(config)
-    try:
-        cls = riccati.classify(spec)
-    except JumplmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    cls = riccati.classify(measure.spec_from_json(config))
     out = {
         "verdict": cls.verdict,
         "osgood_value": cls.osgood_value if math.isfinite(cls.osgood_value) else None,
@@ -102,12 +97,7 @@ def classify(config):
               help="write CSV here instead of stdout")
 def riccati_cmd(config, u0, t_end, steps, out):
     """Solve dg/dt = R(g) and emit the curve as CSV (t, g)."""
-    spec = _load_spec(config)
-    try:
-        sol = riccati.solve(spec, u0, t_end)
-    except JumplmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    sol = riccati.solve(measure.spec_from_json(config), u0, t_end)
     grid = np.linspace(0.0, t_end, steps + 1)
     lines = ["t,g"]
     for t in grid:
@@ -128,21 +118,16 @@ def riccati_cmd(config, u0, t_end, steps, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def defect_curve(config, x0, t_max, steps, out):
     """CSV of (t, g_minus, expected_S, defect) for a Strict measure."""
-    spec = _load_spec(config)
-    try:
-        cls = riccati.classify(spec)
-        if cls.verdict != riccati.STRICT:
-            click.echo("defect identically zero", err=True)
-            sys.exit(2)
-        lines = ["t,g_minus,expected_S,defect"]
-        for t in np.linspace(0.0, t_max, steps + 1):
-            g = riccati.minimal_solution(spec, float(t))
-            es = math.exp(x0 * g) - 1.0
-            defect = (math.exp(x0) - 1.0) - es
-            lines.append(f"{_fmt(float(t))},{_fmt(g)},{_fmt(es)},{_fmt(defect)}")
-    except JumplmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    spec = measure.spec_from_json(config)
+    if riccati.classify(spec).verdict != riccati.STRICT:
+        click.echo("defect identically zero", err=True)
+        sys.exit(2)
+    lines = ["t,g_minus,expected_S,defect"]
+    for t in np.linspace(0.0, t_max, steps + 1):
+        g = riccati.minimal_solution(spec, float(t))
+        es = math.exp(x0 * g) - 1.0
+        defect = (math.exp(x0) - 1.0) - es
+        lines.append(f"{_fmt(float(t))},{_fmt(g)},{_fmt(es)},{_fmt(defect)}")
     text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w") as fh:
@@ -167,22 +152,18 @@ def simulate_cmd(config, x0, t_end, eps, seed, paths, explosive, cap, out_dir):
     """Write one CSV per simulated path plus a manifest."""
     import os
 
-    spec = _load_spec(config)
+    spec = measure.spec_from_json(config)
     seed = _resolve_seed(seed)
     started = time.monotonic()
-    try:
-        cfg = EngineConfig(eps=eps, seed=seed, cap=cap)
-        os.makedirs(out_dir, exist_ok=True)
-        for i in range(paths):
-            if explosive:
-                path = simulate.simulate_explosive_path(spec, x0, t_end, cfg, i)
-            else:
-                path = simulate.simulate_path(spec, x0, t_end, cfg, i)
-            with open(os.path.join(out_dir, f"path_{i:05d}.csv"), "w") as fh:
-                simulate.export_path_csv(path, fh)
-    except JumplmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    cfg = EngineConfig(eps=eps, seed=seed, cap=cap)
+    os.makedirs(out_dir, exist_ok=True)
+    for i in range(paths):
+        if explosive:
+            path = simulate.simulate_explosive_path(spec, x0, t_end, cfg, i)
+        else:
+            path = simulate.simulate_path(spec, x0, t_end, cfg, i)
+        with open(os.path.join(out_dir, f"path_{i:05d}.csv"), "w") as fh:
+            simulate.export_path_csv(path, fh)
     manifest = RunManifest(
         command="simulate",
         parameters={"x0": x0, "t_end": t_end, "eps": eps, "paths": paths,
@@ -228,34 +209,30 @@ def verify(subcommand, config, x0, t, t_grid, u, paths, eps, eps_list, cap,
     """Run one Monte Carlo verification experiment and report z-scores."""
     import os
 
-    spec = _load_spec(config)
+    spec = measure.spec_from_json(config)
     seed = _resolve_seed(seed)
     cfg = EngineConfig(eps=eps, seed=seed, cap=cap)
     started = time.monotonic()
-    try:
-        if subcommand == "mgf":
-            est = montecarlo.estimate_mgf(spec, x0, t, u, paths, cfg, workers)
-            report = _single_report("mgf", spec, cfg, t, u, est,
-                                    "riccati.expected_value")
-        elif subcommand == "mean":
-            est = montecarlo.estimate_mean(spec, x0, t, paths, cfg, workers)
-            report = _single_report("mean", spec, cfg, t, None, est,
-                                    "closed form x0*exp(-b*t)")
-        elif subcommand == "survival":
-            untilted = measure.untilted_spec(spec)
-            est = montecarlo.estimate_survival(untilted, x0, t, paths, cfg,
-                                               workers)
-            report = _single_report("survival", spec, cfg, t, 1.0, est,
-                                    "riccati.minimal_solution")
-        elif subcommand == "supermartingale":
-            report = montecarlo.supermartingale_sweep(
-                spec, x0, _parse_grid(t_grid), paths, cfg, workers)
-        else:
-            report = montecarlo.bias_sweep(
-                spec, x0, t, u, _parse_grid(eps_list), paths, cfg, workers)
-    except JumplmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    if subcommand == "mgf":
+        est = montecarlo.estimate_mgf(spec, x0, t, u, paths, cfg, workers)
+        report = _single_report("mgf", spec, cfg, t, u, est,
+                                "riccati.expected_value")
+    elif subcommand == "mean":
+        est = montecarlo.estimate_mean(spec, x0, t, paths, cfg, workers)
+        report = _single_report("mean", spec, cfg, t, None, est,
+                                "closed form x0*exp(-b*t)")
+    elif subcommand == "survival":
+        untilted = measure.untilted_spec(spec)
+        est = montecarlo.estimate_survival(untilted, x0, t, paths, cfg,
+                                           workers)
+        report = _single_report("survival", spec, cfg, t, 1.0, est,
+                                "riccati.minimal_solution")
+    elif subcommand == "supermartingale":
+        report = montecarlo.supermartingale_sweep(
+            spec, x0, _parse_grid(t_grid), paths, cfg, workers)
+    else:
+        report = montecarlo.bias_sweep(
+            spec, x0, t, u, _parse_grid(eps_list), paths, cfg, workers)
     click.echo(report.to_json())
     if out:
         os.makedirs(out, exist_ok=True)
@@ -299,16 +276,12 @@ def lemma_check(alpha_grid, u_grid, out):
         sys.exit(1)
     lines = ["alpha,u,gamma1_residual,gamma2_residual"]
     worst = 0.0
-    try:
-        for a in alphas:
-            g2 = measure.gamma2_residual(a)
-            for uu in us:
-                g1 = measure.lemma_a1_residual(a, uu)
-                worst = max(worst, g1, g2)
-                lines.append(f"{_fmt(a)},{_fmt(uu)},{_fmt(g1)},{_fmt(g2)}")
-    except JumplmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    for a in alphas:
+        g2 = measure.gamma2_residual(a)
+        for uu in us:
+            g1 = measure.lemma_a1_residual(a, uu)
+            worst = max(worst, g1, g2)
+            lines.append(f"{_fmt(a)},{_fmt(uu)},{_fmt(g1)},{_fmt(g2)}")
     text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w") as fh:

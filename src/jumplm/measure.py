@@ -30,6 +30,7 @@ __all__ = [
     "gamma_constant",
     "validate",
     "r_function",
+    "r_callables",
     "lemma_a1_residual",
     "gamma2_residual",
     "tail_intensity",
@@ -293,8 +294,13 @@ def validate(spec: LevyMeasureSpec) -> MeasureMoments:
         g2 = math.gamma(2.0 - a)
         m1 = c * bta ** (a - 2.0) * g2
         # b = c*Gamma(2-a) * [ (beta^(a-1) - (beta-1)^(a-1)) / (a-1) - beta^(a-2) ]
-        bm1 = (bta - 1.0) ** (a - 1.0) if bta > 1.0 else 0.0
-        b = c * g2 * ((bta ** (a - 1.0) - bm1) / (a - 1.0) - bta ** (a - 2.0))
+        if a == 1.0:
+            # the a -> 1 limit of the difference quotient; beta > 1 here
+            lead = math.log(bta / (bta - 1.0))
+        else:
+            bm1 = (bta - 1.0) ** (a - 1.0) if bta > 1.0 else 0.0
+            lead = (bta ** (a - 1.0) - bm1) / (a - 1.0)
+        b = c * g2 * (lead - bta ** (a - 2.0))
     else:
         m1 = integrate_against(spec, lambda xi: xi)
         b = integrate_against(spec, lambda xi: math.expm1(xi) - xi,
@@ -304,6 +310,25 @@ def validate(spec: LevyMeasureSpec) -> MeasureMoments:
     if not (b > 0 and math.isfinite(b)):
         raise InvalidParameter(f"drift coefficient b={b} is not positive finite")
     return MeasureMoments(m1=m1, b=b)
+
+
+def _closed_form_rz(spec: LevyMeasureSpec):
+    """z -> R(1 - z) in closed form, or None when the spec has none.
+
+    Only the tilted power at beta = 1, 1 < alpha < 2 has one:
+    R(1 - z) = (c/C(alpha)) * (z - z^(alpha-1)).  It is evaluated in z, since
+    forming 1 - z would corrupt the local power law for z below ~1e-9.
+    """
+    if not (spec.kind == "tilted_power" and spec.beta == 1.0
+            and 1.0 < spec.alpha < 2.0):
+        return None
+    scale = spec.c / gamma_constant(spec.alpha)
+    am1 = spec.alpha - 1.0
+
+    def rz(z):
+        return scale * (z - z ** am1)
+
+    return rz
 
 
 def r_function(spec: LevyMeasureSpec, u: float, method: str = "auto") -> float:
@@ -317,19 +342,32 @@ def r_function(spec: LevyMeasureSpec, u: float, method: str = "auto") -> float:
         raise DomainError(f"R(u) is only defined for u <= 1, got u={u}")
     if method not in ("auto", "closed", "quad"):
         raise InvalidParameter(f"unknown method {method!r}")
-    has_closed = (spec.kind == "tilted_power" and spec.beta == 1.0
-                  and 1.0 < spec.alpha < 2.0)
-    if method == "closed" and not has_closed:
+    rz = _closed_form_rz(spec)
+    if method == "closed" and rz is None:
         raise InvalidParameter("closed form available only for tilted power with beta=1")
-    if has_closed and method != "quad":
-        scale = spec.c / gamma_constant(spec.alpha)
-        z = 1.0 - u
-        return scale * (z - z ** (spec.alpha - 1.0))
+    if rz is not None and method != "quad":
+        return rz(1.0 - u)
     b = validate(spec).b
     integral = integrate_against(
         spec, lambda xi: math.expm1(u * xi) - u * xi,
         tail_terms=[(1.0, u), (lambda xi: -1.0 - u * xi, 0.0)])
     return integral - b * u
+
+
+def r_callables(spec: LevyMeasureSpec):
+    """R and z -> R(1 - z) as plain callables, for the Riccati layer.
+
+    With a closed form both evaluate it in z.  Otherwise every call of R
+    goes through r_function by quadrature, and R(1 - z) forms 1 - z.
+    """
+    rz = _closed_form_rz(spec)
+    if rz is not None:
+        return (lambda u: rz(1.0 - u)), rz
+
+    def r(u):
+        return r_function(spec, u)
+
+    return r, (lambda z: r(1.0 - z))
 
 
 @lru_cache(maxsize=1024)
@@ -343,8 +381,10 @@ def tail_intensity(spec: LevyMeasureSpec, eps: float) -> float:
             if a <= 1.0:
                 raise DomainError("untilted power tail diverges for alpha <= 1")
             return c * eps ** (1.0 - a) / (a - 1.0)
-        # Gamma(1-a, x) via the recurrence from Gamma(2-a, x), 2-a in (0, 1)
         x = bta * eps
+        if a == 1.0:
+            return c * special.exp1(x)
+        # Gamma(1-a, x) via the recurrence from Gamma(2-a, x), 2-a in (0, 1)
         g_upper = math.gamma(2.0 - a) * special.gammaincc(2.0 - a, x)
         g_1ma = (g_upper - x ** (1.0 - a) * math.exp(-x)) / (1.0 - a)
         return c * bta ** (a - 1.0) * g_1ma

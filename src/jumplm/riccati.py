@@ -37,6 +37,8 @@ INCONCLUSIVE = "Inconclusive"
 # half-width of the band around exponent 1 that classify leaves to the
 # slope test at 1 instead of the fitted exponent
 _MARGIN = 0.05
+# relative tolerance of the Runge-Kutta integration in solve
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,6 @@ class RiccatiSolution:
     """Solution record for one initial value u0 on [0, t_end]."""
 
     u0: float
-    t_grid: np.ndarray
-    g_values: np.ndarray
     max_residual: float
     steps_taken: int
     _dense: object = None
@@ -65,50 +65,7 @@ class Classification:
     exponent_stderr: float
 
 
-def _r_callable(spec: LevyMeasureSpec):
-    """R as a plain callable, cached per spec for quadrature-backed measures."""
-    if spec.kind == "tilted_power" and spec.beta == 1.0 and spec.alpha > 1.0:
-        scale = spec.c / measure.gamma_constant(spec.alpha)
-        am1 = spec.alpha - 1.0
-
-        def r(u):
-            z = 1.0 - u
-            return scale * (z - z ** am1)
-
-        return r
-
-    cache = {}
-
-    def r(u):
-        val = cache.get(u)
-        if val is None:
-            val = measure.r_function(spec, u)
-            cache[u] = val
-        return val
-
-    return r
-
-
-def _rz_callable(spec: LevyMeasureSpec):
-    """R(1 - z) as a function of z, exact in z near the singular endpoint.
-
-    For the closed-form family this avoids forming 1 - z, whose rounding
-    would corrupt the local power law for z below ~1e-9.
-    """
-    if spec.kind == "tilted_power" and spec.beta == 1.0 and spec.alpha > 1.0:
-        scale = spec.c / measure.gamma_constant(spec.alpha)
-        am1 = spec.alpha - 1.0
-
-        def rz(z):
-            return scale * (z - z ** am1)
-
-        return rz
-    r = _r_callable(spec)
-    return lambda z: r(1.0 - z)
-
-
-def solve(spec: LevyMeasureSpec, u0: float, t_end: float,
-          tol: float = 1e-10) -> RiccatiSolution:
+def solve(spec: LevyMeasureSpec, u0: float, t_end: float) -> RiccatiSolution:
     """Integrate dg/dt = R(g), g(0) = u0, over [0, t_end].
 
     Only u0 < 1 is accepted; that is the uniqueness regime.  Uses an
@@ -119,33 +76,30 @@ def solve(spec: LevyMeasureSpec, u0: float, t_end: float,
         raise DomainError(f"solve requires u0 < 1 strictly, got {u0}")
     if t_end < 0:
         raise DomainError(f"t_end must be nonnegative, got {t_end}")
-    r = _r_callable(spec)
     if t_end == 0.0:
-        grid = np.array([0.0])
-        vals = np.array([u0])
-        return RiccatiSolution(u0, grid, vals, 0.0, 0,
+        return RiccatiSolution(u0, 0.0, 0,
                                _dense=lambda t: np.full_like(np.asarray(t, float), u0))
+    r, _ = measure.r_callables(spec)
     sol = integrate.solve_ivp(
         lambda t, y: [r(y[0])], (0.0, t_end), [u0],
-        method="RK45", rtol=tol, atol=tol * 1e-2, dense_output=True)
+        method="RK45", rtol=_TOL, atol=_TOL * 1e-2, dense_output=True)
     if not sol.success:
         raise StepSizeUnderflow(f"ODE integration failed: {sol.message}")
     grid = np.linspace(0.0, t_end, 201)
     dense = sol.sol
-    vals = dense(grid)[0]
     # central-difference residual at interior midpoints
     h = min(1e-4, t_end / 1000.0)
     mids = 0.5 * (grid[:-1] + grid[1:])
     deriv = (dense(mids + h)[0] - dense(mids - h)[0]) / (2.0 * h)
     resid = float(np.max(np.abs(deriv - [r(g) for g in dense(mids)[0]])))
-    return RiccatiSolution(u0, grid, vals, resid, sol.t.size - 1,
+    return RiccatiSolution(u0, resid, sol.t.size - 1,
                            _dense=lambda t: dense(np.asarray(t, float))[0])
 
 
 def _fit_exponent(r):
     """Log-log fit of |R(1-z)| ~ C * z^p on z in [1e-6, 1e-2].
 
-    Returns (p, stderr, C).
+    Returns (p, stderr).
     """
     zs = np.geomspace(1e-6, 1e-2, 9)
     vals = np.array([-r(1.0 - z) for z in zs])
@@ -157,10 +111,9 @@ def _fit_exponent(r):
     xb, yb = x.mean(), y.mean()
     sxx = np.sum((x - xb) ** 2)
     p = float(np.sum((x - xb) * (y - yb)) / sxx)
-    c0 = float(math.exp(yb - p * xb))
     resid = y - (p * x + (yb - p * xb))
     stderr = float(math.sqrt(np.sum(resid ** 2) / max(n - 2, 1) / sxx))
-    return p, stderr, c0
+    return p, stderr
 
 
 def _osgood_integral(rz, lower=0.5):
@@ -198,17 +151,21 @@ def classify(spec: LevyMeasureSpec) -> Classification:
     |R(1-z)| ~ C z^p: p < 1 (with margin) and a convergent reciprocal
     integral means the exponential process is a strict local martingale;
     a finite nonzero left derivative of R at 1 (p ~ 1) means it is a true
-    martingale.  Anything inside the margin is reported Inconclusive.
+    martingale.  Inside the margin, and when the fit says p < 1 but the
+    local exponent at z ~ 1e-8 is ~1, the slope -R(1-z)/z at z = 1e-4..1e-6
+    decides: TrueMartingale when it settles, Inconclusive otherwise.
     """
     measure.validate(spec)
-    r = _r_callable(spec)
-    p, stderr, _ = _fit_exponent(r)
+    r, rz = measure.r_callables(spec)
+    p, stderr = _fit_exponent(r)
     if p < 1.0 - _MARGIN:
-        osgood = _osgood_integral(_rz_callable(spec))
-        if math.isfinite(osgood):
-            return Classification(STRICT, osgood, p, stderr)
-        return Classification(INCONCLUSIVE, math.inf, p, stderr)
-    if p >= 1.0 + _MARGIN:
+        try:
+            return Classification(STRICT, _osgood_integral(rz), p, stderr)
+        except DivergentIntegral:
+            # R turns linear below the fit grid, as for beta just above 1
+            # where the crossover sits near z ~ beta - 1
+            pass
+    elif p >= 1.0 + _MARGIN:
         return Classification(TRUE_MARTINGALE, math.inf, p, stderr)
     # p ~ 1: true martingale iff R'(1-) settles to a finite nonzero slope
     ratios = [-r(1.0 - z) / z for z in (1e-4, 1e-5, 1e-6)]
@@ -228,7 +185,7 @@ def time_map(spec: LevyMeasureSpec, x: float) -> float:
     if cls.verdict != STRICT:
         raise DivergentIntegral(
             f"time map diverges: measure classified {cls.verdict}")
-    return _osgood_integral(_rz_callable(spec), lower=x)
+    return _osgood_integral(measure.r_callables(spec)[1], lower=x)
 
 
 def minimal_solution(spec: LevyMeasureSpec, t: float) -> float:
@@ -242,11 +199,15 @@ def minimal_solution(spec: LevyMeasureSpec, t: float) -> float:
         raise DomainError(f"t must be nonnegative, got {t}")
     if classify(spec).verdict != STRICT or t == 0.0:
         return 1.0
-    rz = _rz_callable(spec)
+    _, rz = measure.r_callables(spec)
 
     def shifted(x):
         return _osgood_integral(rz, lower=x) - t
 
+    hi = 1.0 - 1e-13
+    if shifted(hi) >= 0.0:
+        # g_-(t) lies above the bracket, within 1 - hi (about 1e-13) of hi
+        return hi
     # T(x) -> inf as x -> 0 (R also vanishes there), so walk the lower
     # bracket down geometrically instead of starting near zero
     lo = 0.5
@@ -254,7 +215,7 @@ def minimal_solution(spec: LevyMeasureSpec, t: float) -> float:
         lo *= 0.5
         if lo < 1e-300:
             raise DomainError(f"minimal solution underflows at t={t}")
-    return float(optimize.brentq(shifted, lo, 1.0 - 1e-13, xtol=1e-13, rtol=1e-14))
+    return float(optimize.brentq(shifted, lo, hi, xtol=1e-13, rtol=1e-14))
 
 
 def expected_value(spec: LevyMeasureSpec, x0: float, t: float, u: float) -> float:

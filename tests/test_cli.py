@@ -89,6 +89,43 @@ def test_defect_curve(runner, ref_json):
     assert last[2] == pytest.approx(math.exp(0.75) - 1.0, abs=1e-8)
 
 
+def test_defect_curve_near_one(runner, tmp_path):
+    # alpha = 1.9 puts g_-(t) within 1e-13 of 1 for small t
+    spec = measure.LevyMeasureSpec.tilted_power(
+        measure.gamma_constant(1.9), 1.9, 1.0)
+    p = tmp_path / "a19.json"
+    p.write_text(json.dumps(measure.spec_to_json(spec)))
+    res = runner.invoke(main, ["defect-curve", str(p), "--t-max", "1",
+                               "--steps", "10"])
+    assert res.exit_code == 0
+    g = [float(line.split(",")[1]) for line in res.output.strip().splitlines()[1:]]
+    assert g[0] == 1.0 and all(b <= a for a, b in zip(g, g[1:])) and g[-1] < g[1]
+
+
+def test_alpha_one_commands(runner, tmp_path):
+    p = tmp_path / "a1.json"
+    p.write_text(json.dumps(measure.spec_to_json(
+        measure.LevyMeasureSpec.tilted_power(0.7, 1.0, 1.5))))
+    res = runner.invoke(main, ["classify", str(p)])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["verdict"] == "TrueMartingale"
+    q = tmp_path / "a1u.json"
+    q.write_text(json.dumps(measure.spec_to_json(
+        measure.LevyMeasureSpec.tilted_power(0.3, 1.0, 0.5))))
+    res = runner.invoke(main, ["simulate", str(q), "--explosive", "--eps", "1e-2",
+                               "--seed", "1", "--paths", "3",
+                               "--out-dir", str(tmp_path / "x")])
+    assert res.exit_code == 0
+    assert (tmp_path / "x" / "path_00002.csv").exists()
+
+
+def test_verify_invalid_config_is_an_error_line(runner, ref_json):
+    res = runner.invoke(main, ["verify", "mean", ref_json, "--eps", "-1",
+                               "--paths", "10"])
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ")
+
+
 def test_defect_curve_true_martingale_exits_2(runner, tab_json):
     res = runner.invoke(main, ["defect-curve", tab_json])
     assert res.exit_code == 2

@@ -46,6 +46,27 @@ def test_closed_form_b_matches_quadrature():
     assert mom.m1 == pytest.approx(quad_m1, rel=1e-9)
 
 
+def test_alpha_one_limits_match_quadrature():
+    # alpha = 1: m1 = c/beta, b = c*(ln(beta/(beta-1)) - 1/beta) and
+    # Lambda(eps) = c*E1(beta*eps), the limits of the alpha != 1 forms
+    for c, beta in ((0.7, 1.5), (0.3, 1.01)):
+        spec = measure.LevyMeasureSpec.tilted_power(c, 1.0, beta)
+        mom = measure.validate(spec)
+        assert mom.m1 == c / beta
+        quad_b = measure.integrate_against(
+            spec, lambda xi: math.expm1(xi) - xi,
+            tail_terms=[(1.0, 1.0), (lambda xi: -1.0 - xi, 0.0)])
+        assert mom.b == pytest.approx(quad_b, rel=1e-12)
+        assert mom.m1 == pytest.approx(
+            measure.integrate_against(spec, lambda xi: xi), rel=1e-12)
+    # the explosive side runs on beta < 1, where validate does not apply
+    for beta in (0.5, 1.5):
+        spec = measure.LevyMeasureSpec.tilted_power(0.3, 1.0, beta)
+        for eps in (1e-3, 0.1, 2.0):
+            quad = measure.integrate_against(spec, lambda xi: 1.0, lower=eps)
+            assert measure.tail_intensity(spec, eps) == pytest.approx(quad, rel=1e-12)
+
+
 def test_nonintegrable_tails_rejected():
     with pytest.raises(NonIntegrableTail):
         measure.validate(measure.LevyMeasureSpec.tilted_power(1.0, 1.5, 0.5))

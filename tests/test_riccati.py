@@ -63,6 +63,19 @@ def test_minimal_solution_special_values(ref_spec):
     assert riccati.minimal_solution(ref_spec, t) == pytest.approx(0.75, abs=1e-9)
 
 
+def test_minimal_solution_above_bracket():
+    # g_-(t) within 1e-13 of 1 lies above the bracket end 1 - 1e-13,
+    # which is then the answer to within its distance from 1
+    gap = 1.0 - (1.0 - 1e-13)
+    for alpha, ts in ((1.9, (0.1, 0.3)),
+                      (1.95, (0.3, 1.0, 2.0 * math.log(2.0), 3.0, 5.0))):
+        spec = measure.LevyMeasureSpec.tilted_power(
+            measure.gamma_constant(alpha), alpha, 1.0)
+        for t in ts:
+            got = riccati.minimal_solution(spec, t)
+            assert abs(got - closed_minimal(alpha, t)) <= gap
+
+
 def test_time_map_inverts_minimal(ref_spec):
     for t in (0.3, 1.0, 2.5):
         g = riccati.minimal_solution(ref_spec, t)
@@ -87,6 +100,21 @@ def test_classifier_true_martingale(tabulated_spec):
     cls = riccati.classify(tabulated_spec)
     assert cls.verdict == riccati.TRUE_MARTINGALE
     assert cls.exponent_estimate == pytest.approx(1.0, abs=0.02)
+
+
+def test_classifier_total_near_beta_one():
+    # just above beta = 1 the fit grid sees p < 1 but R is linear at 1:
+    # the slope test decides, and nothing raises
+    for alpha in (0.5, 1.0001, 1.2, 1.5, 1.9):
+        for beta in (1.0001, 1.001, 1.003):
+            spec = measure.LevyMeasureSpec.tilted_power(1.0, alpha, beta)
+            verdict = riccati.classify(spec).verdict
+            assert verdict in (riccati.TRUE_MARTINGALE, riccati.INCONCLUSIVE)
+            if beta == 1.003:
+                assert verdict == riccati.TRUE_MARTINGALE
+    for c, beta in ((0.7, 1.5), (0.3, 1.01)):
+        spec = measure.LevyMeasureSpec.tilted_power(c, 1.0, beta)
+        assert riccati.classify(spec).verdict == riccati.TRUE_MARTINGALE
 
 
 def test_minimal_branch_vs_near_one_initial(ref_spec):
@@ -130,3 +158,33 @@ def test_minimal_solution_monotone_property(t1, t2):
     lo, hi = sorted((t1, t2))
     if hi - lo > 1e-6:
         assert riccati.minimal_solution(spec, hi) < riccati.minimal_solution(spec, lo)
+
+
+# 17-digit outputs of the analytic layer, pinned exactly: a refactor of how
+# R is evaluated must not move a single bit
+GOLDEN_CLASSIFY = {
+    "ref": ("Strict", 2.455894354599031, 0.4905038896308364, 0.0021805482164464827),
+    "tab": ("TrueMartingale", math.inf, 0.9985019933371406, 0.0005541457486091136),
+}
+# solve(spec, 0.5, 1.0): g(1), g(1/4), max_residual, steps_taken
+GOLDEN_SOLVE = {
+    "ref": (0.32373836773305836, 0.45014417194686096, 4.151290866616364e-09, 12),
+    "tab": (0.41955714146735223, 0.47932112952251493, 8.39035674271571e-10, 5),
+}
+GOLDEN_MINIMAL = {0.5: 0.9510709064301762, 1.0: 0.8451818782538504,
+                  2.0 * math.log(2.0): 0.7499999999999997,
+                  3.0: 0.3964732519289957}
+
+
+def test_golden_analytic_outputs(ref_spec, tabulated_spec):
+    specs = {"ref": ref_spec, "tab": tabulated_spec}
+    for name, spec in specs.items():
+        cls = riccati.classify.__wrapped__(spec)
+        assert (cls.verdict, cls.osgood_value, cls.exponent_estimate,
+                cls.exponent_stderr) == GOLDEN_CLASSIFY[name]
+        sol = riccati.solve(spec, 0.5, 1.0)
+        assert (float(sol(1.0)), float(sol(0.25)), sol.max_residual,
+                sol.steps_taken) == GOLDEN_SOLVE[name]
+    for t, g in GOLDEN_MINIMAL.items():
+        assert riccati.minimal_solution(ref_spec, t) == g
+    assert riccati.minimal_solution(tabulated_spec, 1.0) == 1.0
