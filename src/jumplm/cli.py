@@ -80,10 +80,12 @@ def classify(config):
     cls = riccati.classify(measure.spec_from_json(config))
     out = {
         "verdict": cls.verdict,
-        "osgood_value": cls.osgood_value if math.isfinite(cls.osgood_value) else None,
+        "osgood_value": cls.osgood_value,
         "exponent_estimate": cls.exponent_estimate,
         "exponent_stderr": cls.exponent_stderr,
     }
+    out = {k: v if not isinstance(v, float) or math.isfinite(v) else None
+           for k, v in out.items()}
     click.echo(json.dumps(out, sort_keys=True, indent=2))
     sys.exit(0 if cls.verdict != riccati.INCONCLUSIVE else 2)
 

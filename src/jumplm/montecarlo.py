@@ -138,16 +138,14 @@ class ExperimentReport:
 def _run_chunk(args):
     """Worker for one contiguous block of path indices (picklable)."""
     kind, spec, x0, t_end, config, start, count = args
-    out = np.empty(count)
     if kind == "conservative":
-        for i in range(count):
-            out[i] = simulate.simulate_path(
-                spec, x0, t_end, config, start + i, record=False).terminal
-    else:
-        for i in range(count):
-            path = simulate.simulate_explosive_path(
-                spec, x0, t_end, config, start + i, record=False)
-            out[i] = 0.0 if path.exploded else 1.0
+        return simulate.conservative_terminals(spec, x0, t_end, config, start,
+                                               count)
+    out = np.empty(count)
+    for i in range(count):
+        path = simulate.simulate_explosive_path(
+            spec, x0, t_end, config, start + i, record=False)
+        out[i] = 0.0 if path.exploded else 1.0
     return out
 
 

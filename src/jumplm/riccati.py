@@ -16,7 +16,8 @@ import numpy as np
 from scipy import integrate, optimize
 
 from . import measure
-from .errors import DivergentIntegral, DomainError, StepSizeUnderflow
+from .errors import (DivergentIntegral, DomainError, QuadratureFailure,
+                     StepSizeUnderflow)
 from .measure import LevyMeasureSpec
 
 __all__ = [
@@ -154,21 +155,27 @@ def classify(spec: LevyMeasureSpec) -> Classification:
     martingale.  Inside the margin, and when the fit says p < 1 but the
     local exponent at z ~ 1e-8 is ~1, the slope -R(1-z)/z at z = 1e-4..1e-6
     decides: TrueMartingale when it settles, Inconclusive otherwise.
+    When quadrature cannot evaluate R near 1 to tolerance the verdict is
+    Inconclusive, with NaN for whatever exponent fit was not reached.
     """
     measure.validate(spec)
     r, rz = measure.r_callables(spec)
-    p, stderr = _fit_exponent(r)
-    if p < 1.0 - _MARGIN:
-        try:
-            return Classification(STRICT, _osgood_integral(rz), p, stderr)
-        except DivergentIntegral:
-            # R turns linear below the fit grid, as for beta just above 1
-            # where the crossover sits near z ~ beta - 1
-            pass
-    elif p >= 1.0 + _MARGIN:
-        return Classification(TRUE_MARTINGALE, math.inf, p, stderr)
-    # p ~ 1: true martingale iff R'(1-) settles to a finite nonzero slope
-    ratios = [-r(1.0 - z) / z for z in (1e-4, 1e-5, 1e-6)]
+    p = stderr = math.nan
+    try:
+        p, stderr = _fit_exponent(r)
+        if p < 1.0 - _MARGIN:
+            try:
+                return Classification(STRICT, _osgood_integral(rz), p, stderr)
+            except DivergentIntegral:
+                # R turns linear below the fit grid, as for beta just above 1
+                # where the crossover sits near z ~ beta - 1
+                pass
+        elif p >= 1.0 + _MARGIN:
+            return Classification(TRUE_MARTINGALE, math.inf, p, stderr)
+        # p ~ 1: true martingale iff R'(1-) settles to a finite nonzero slope
+        ratios = [-r(1.0 - z) / z for z in (1e-4, 1e-5, 1e-6)]
+    except QuadratureFailure:
+        return Classification(INCONCLUSIVE, math.inf, p, stderr)
     if ratios[-1] > 0 and abs(ratios[-1] - ratios[-2]) < 0.05 * abs(ratios[-1]):
         return Classification(TRUE_MARTINGALE, math.inf, p, stderr)
     return Classification(INCONCLUSIVE, math.inf, p, stderr)

@@ -49,6 +49,17 @@ def test_classify_true_martingale(runner, tab_json):
     assert json.loads(res.output)["verdict"] == "TrueMartingale"
 
 
+def test_classify_quadrature_failure(runner, tmp_path):
+    p = tmp_path / "near_one.json"
+    p.write_text(json.dumps(measure.spec_to_json(
+        measure.LevyMeasureSpec.tilted_power(1.0, 0.1, 1.0 + 1e-6))))
+    res = runner.invoke(main, ["classify", str(p)])
+    assert res.exit_code == 2
+    assert json.loads(res.output) == {
+        "verdict": "Inconclusive", "osgood_value": None,
+        "exponent_estimate": None, "exponent_stderr": None}
+
+
 def test_classify_malformed_names_key(runner, tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"kind": "tilted_power", "c": 1.0, "alpha": 1.5}')
@@ -144,6 +155,17 @@ def test_simulate_deterministic(runner, ref_json, tmp_path):
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert manifest["command"] == "simulate"
+
+
+def test_simulate_seed_out_of_range(runner, ref_json, tmp_path):
+    for seed in (2 ** 63, 2 ** 64, -2 ** 63 - 1):
+        res = runner.invoke(main, [
+            "simulate", ref_json, "--t-end", "1", "--eps", "1e-2",
+            "--seed", str(seed), "--paths", "1",
+            "--out-dir", str(tmp_path / "s")])
+        assert res.exit_code == 1
+        assert res.output == (
+            f"error: seed must lie in [-2**63, 2**63), got {seed}\n")
 
 
 def test_simulate_t_end_zero(runner, ref_json, tmp_path):

@@ -117,6 +117,15 @@ def test_classifier_total_near_beta_one():
         assert riccati.classify(spec).verdict == riccati.TRUE_MARTINGALE
 
 
+def test_classifier_quadrature_failure_is_inconclusive():
+    # R(1 - z) does not converge on the fit grid for this validated spec
+    spec = measure.LevyMeasureSpec.tilted_power(1.0, 0.1, 1.0 + 1e-6)
+    cls = riccati.classify(spec)
+    assert cls.verdict == riccati.INCONCLUSIVE
+    assert math.isnan(cls.exponent_estimate)
+    assert math.isnan(cls.exponent_stderr)
+
+
 def test_minimal_branch_vs_near_one_initial(ref_spec):
     # solutions started just below 1 collapse onto the minimal branch
     sol = riccati.solve(ref_spec, 1.0 - 1e-8, 1.0)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jumplm import measure, simulate
 from jumplm.errors import DomainError, InvalidConfig, MaxEventsExceeded
@@ -16,6 +17,25 @@ def test_engine_config_validation():
         simulate.EngineConfig(eps=1e-3, cap=-1.0)
     with pytest.raises(InvalidConfig):
         simulate.EngineConfig(eps=1e-3, max_events=0)
+
+
+def test_engine_config_seed_range():
+    # Philox keys are 64-bit words: a seed past them used to alias another
+    # seed's streams (2**63 + 1 -> 2**63, 2**64 - 1 -> 0) or overflow
+    for seed in (2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64, -2 ** 63 - 1):
+        with pytest.raises(InvalidConfig):
+            simulate.EngineConfig(eps=1e-3, seed=seed)
+    for seed in (-2 ** 63, -1, 0, 2 ** 63 - 1):
+        assert simulate.EngineConfig(eps=1e-3, seed=seed).seed == seed
+
+
+def test_negative_seed_streams_unchanged():
+    # a negative seed keys its streams with seed mod 2**64, as before
+    for seed in (-1, -5, -2 ** 63):
+        next_u = simulate._uniforms(seed, 3)
+        got = np.array([next_u() for _ in range(300)])
+        want = np.random.Generator(np.random.Philox(key=[seed, 3])).random(300)
+        assert np.array_equal(got, want)
 
 
 def test_conservative_decay_rate(ref_spec):
@@ -199,6 +219,81 @@ def test_uniform_stream_is_philox_per_path():
     assert all(type(u) is float for u in got)
     want = np.random.Generator(np.random.Philox(key=[12, 34])).random(3000)
     assert np.array_equal(np.array(got), want)
+
+
+def test_interleaved_uniform_streams():
+    # the streams share one re-keyed Philox; drawing from one between the
+    # other's blocks must not disturb either
+    a, b = simulate._uniforms(12, 34), simulate._uniforms(-7, 35)
+    got_a, got_b = [], []
+    for _ in range(3000):
+        got_a.append(a())
+        got_b.append(b())
+        got_b.append(b())
+    for (seed, index), got in (((12, 34), got_a), ((-7, 35), got_b)):
+        want = np.random.Generator(
+            np.random.Philox(key=[seed, index])).random(len(got))
+        assert np.array_equal(np.array(got), want)
+
+
+def _scalar_terminals(spec, x0, t_end, cfg, start, count):
+    return np.array([
+        simulate.simulate_path(spec, x0, t_end, cfg, i, record=False).terminal
+        for i in range(start, start + count)])
+
+
+@pytest.mark.parametrize("name", ["reference", "tilted", "tabulated"])
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(-2 ** 63, 2 ** 63 - 1),
+       start=st.integers(0, 10 ** 6),
+       count=st.integers(1, 64),
+       eps=st.sampled_from([1e-2, 1e-3]),
+       x0=st.floats(0.05, 3.0),
+       t_end=st.floats(0.0, 2.0))
+def test_conservative_terminals_match_simulate_path(
+        name, ref_spec, tabulated_spec, seed, start, count, eps, x0, t_end):
+    # the tabulated spec draws its jumps from the table, the others by
+    # Pareto rejection
+    spec = {"reference": ref_spec,
+            "tilted": measure.LevyMeasureSpec.tilted_power(0.7, 1.3, 2.0),
+            "tabulated": tabulated_spec}[name]
+    cfg = simulate.EngineConfig(eps=eps, seed=seed)
+    got = simulate.conservative_terminals(spec, x0, t_end, cfg, start, count)
+    assert np.array_equal(
+        got, _scalar_terminals(spec, x0, t_end, cfg, start, count))
+
+
+def test_conservative_terminals_long_streams(ref_spec):
+    # eps = 1e-4 at x0 = 4: many paths outrun their first row of uniforms
+    cfg = simulate.EngineConfig(eps=1e-4, seed=5)
+    got = simulate.conservative_terminals(ref_spec, 4.0, 1.0, cfg, 0, 20)
+    assert np.array_equal(got,
+                          _scalar_terminals(ref_spec, 4.0, 1.0, cfg, 0, 20))
+
+
+def test_conservative_terminals_infinite_proposals():
+    # seed 1, path 1 meets an infinite Pareto proposal (see
+    # test_infinite_proposals_complete); the batch redoes that round one
+    # draw at a time
+    spec = measure.LevyMeasureSpec.tilted_power(1.0, 1.01, 1.0)
+    cfg = simulate.EngineConfig(eps=1e-2, seed=1)
+    got = simulate.conservative_terminals(spec, 1000.0, 1.0, cfg, 0, 60)
+    assert got[1] == 2.2079233543599667e-41
+    assert np.array_equal(got, _scalar_terminals(spec, 1000.0, 1.0, cfg, 0, 60))
+
+
+def test_conservative_terminals_max_events(ref_spec):
+    cfg = simulate.EngineConfig(eps=1e-2, seed=9)
+    most = max(len(simulate.simulate_path(ref_spec, 1.0, 2.0, cfg, i).events)
+               for i in range(40))
+    tight = dataclasses.replace(cfg, max_events=most)
+    with pytest.raises(MaxEventsExceeded,
+                       match=f"^conservative path reached {most} events$"):
+        simulate.conservative_terminals(ref_spec, 1.0, 2.0, tight, 0, 40)
+    loose = dataclasses.replace(cfg, max_events=most + 1)
+    assert np.array_equal(
+        simulate.conservative_terminals(ref_spec, 1.0, 2.0, loose, 0, 40),
+        _scalar_terminals(ref_spec, 1.0, 2.0, cfg, 0, 40))
 
 
 def _first_path_with_events(simulate_fn, spec, t_end, cfg):
