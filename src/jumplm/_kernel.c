@@ -1,0 +1,181 @@
+/* The event loop of simulate._run_engine, compiled, for a block of paths.
+ *
+ * Every path repeats the Python loop's operations in its order: +, -, *
+ * and / round as Python floats do, and exp, log and pow are the libm
+ * functions behind math.exp, math.log and float **, so each path's end
+ * state is the Python loop's to the bit.  Build without -ffast-math and
+ * with -ffp-contract=off, which keeps a*b + c from becoming an FMA:
+ *
+ *     cc -O2 -fPIC -shared -ffp-contract=off -o kernel.so _kernel.c -lm
+ *
+ * Where the Python loop would raise (a log of a non-positive number, an
+ * overflowing exp, a division by zero), the path stops with an end code
+ * above END_MAX_EVENTS and the caller runs it again in Python.
+ */
+#include <math.h>
+#include <stdint.h>
+
+/* end codes, mirrored in simulate.py */
+enum { END_HORIZON, END_CAP, END_MAX_EVENTS, END_LOG_DOMAIN, END_EXP_RANGE,
+       END_ZERO_DIVISION };
+
+/* Philox-4x64-10 (Salmon et al., SC'11) as numpy's Philox(key=[k0, k1])
+ * draws it: the counter goes up by one before each block of four words,
+ * and word w gives the uniform (w >> 11) * 2^-53.  The counter's upper
+ * three words stay 0 for the first 2^64 blocks of a path. */
+typedef struct { uint64_t ctr, k0, k1, word[4]; int next; } stream;
+
+static double uniform(stream *s)
+{
+    if (s->next == 4) {
+        uint64_t c0 = ++s->ctr, c1 = 0, c2 = 0, c3 = 0, k0 = s->k0, k1 = s->k1;
+        for (int r = 0; r < 10; r++) {
+            if (r) {
+                k0 += 0x9E3779B97F4A7C15ULL;
+                k1 += 0xBB67AE8584CAA73BULL;
+            }
+            unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93ULL * c0;
+            unsigned __int128 p1 = (unsigned __int128)0xCA5A826395121157ULL * c2;
+            c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+            c1 = (uint64_t)p1;
+            c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+            c3 = (uint64_t)p0;
+        }
+        s->word[0] = c0, s->word[1] = c1, s->word[2] = c2, s->word[3] = c3;
+        s->next = 0;
+    }
+    return (double)(s->word[s->next++] >> 11) * 0x1p-53;
+}
+
+/* scipy's PPoly evaluation (_ppoly.evaluate at dx = 0, extrapolating) of
+ * the cubic pieces on breakpoints x[0..m] with coefficients c[4][m]: the
+ * piece i with x[i] <= u < x[i+1], piece 0 below x[0] and piece m-1 from
+ * x[m-1] on, then the sum c[3] + c[2] s + c[1] s^2 + c[0] s^3 in scipy's
+ * order (its prefactor 1.0 is exact and left out). */
+static double ppoly(const double *x, const double *c, int64_t m, double u)
+{
+    int64_t lo = 0, hi = m - 1;
+    while (lo < hi) {
+        int64_t mid = (lo + hi + 1) / 2;
+        if (u >= x[mid])
+            lo = mid;
+        else
+            hi = mid - 1;
+    }
+    double s = u - x[lo], res = 0.0, z = 1.0;
+    for (int k = 0; k < 4; k++) {
+        res = res + c[(3 - k) * m + lo] * z;
+        if (k < 3)
+            z *= s;
+    }
+    return res;
+}
+
+void jumplm_ppoly(const double *x, const double *c, int64_t m,
+                  const double *u, double *out, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = ppoly(x, c, m, u[i]);
+}
+
+/* measure._TableSampler (m > 0) or measure._RejectionSampler */
+typedef struct {
+    const double *x, *c;
+    int64_t m;
+    double eps, inv_pow, beta;
+} sampler;
+
+static double jump(const sampler *j, stream *s)
+{
+    if (j->m > 0)
+        return ppoly(j->x, j->c, j->m, uniform(s));
+    for (;;) {
+        /* pow is +inf at u = 0 and on overflow: the scalar rule */
+        double xi = j->eps * pow(uniform(s), j->inv_pow);
+        if (j->beta == 0.0 || uniform(s) < exp(-j->beta * (xi - j->eps)))
+            return xi;
+    }
+}
+
+/* exp as math.exp: a finite argument with an infinite result raises */
+#define EXP_OR_STOP(var, arg)                   \
+    do {                                        \
+        double a_ = (arg);                      \
+        var = exp(a_);                          \
+        if (isinf(var) && isfinite(a_))         \
+            return END_EXP_RANGE;               \
+    } while (0)
+
+/* log as math.log: 0, negative numbers and -inf raise */
+#define LOG_OR_STOP(var, arg)                   \
+    do {                                        \
+        double a_ = (arg);                      \
+        if (a_ <= 0.0)                          \
+            return END_LOG_DOMAIN;              \
+        var = log(a_);                          \
+    } while (0)
+
+static int run_path(stream *s, const sampler *j, double x0, double t_end,
+                    double lam, double delta, double cap, int64_t max_events,
+                    int explosive, double *t_out, double *x_out,
+                    int64_t *n_out, double *terminal)
+{
+    double t = 0.0, x = x0, decay, e_draw, dt, shrink;
+    int64_t n = 0;
+    int end;
+    if (delta == 0.0)
+        return END_ZERO_DIVISION;
+    for (;;) {
+        EXP_OR_STOP(decay, -delta * (t_end - t));
+        double horizon_mass = x * lam * (1.0 - decay) / delta;
+        LOG_OR_STOP(e_draw, 1.0 - uniform(s));
+        e_draw = -e_draw;
+        if (e_draw >= horizon_mass) {
+            /* the terminal x * exp(-delta * (t_end - t)) */
+            *terminal = x * decay;
+            end = END_HORIZON;
+            break;
+        }
+        if (x * lam == 0.0)
+            return END_ZERO_DIVISION;
+        LOG_OR_STOP(dt, 1.0 - e_draw * delta / (x * lam));
+        dt = -dt / delta;
+        t += dt;
+        EXP_OR_STOP(shrink, -delta * dt);
+        x *= shrink;
+        x += jump(j, s);
+        n += 1;
+        if (explosive && (x > cap || !isfinite(x))) {
+            end = END_CAP;
+            break;
+        }
+        if (n >= max_events) {
+            end = END_MAX_EVENTS;
+            break;
+        }
+    }
+    *t_out = t, *x_out = x, *n_out = n;
+    return end;
+}
+
+/* Paths start .. start+count-1 of seed key0 (the seed mod 2^64); path i
+ * draws from Philox(key=[key0, i]).  For each path: the end code, and the
+ * loop's last t, x and jump count; the terminal value at END_HORIZON. */
+void jumplm_run_paths(uint64_t key0, int64_t start, int64_t count,
+                      double x0, double t_end, double lam, double delta,
+                      double cap, int64_t max_events, int explosive,
+                      const double *x, const double *c, int64_t m,
+                      double eps, double inv_pow, double beta,
+                      int8_t *end, double *t, double *xs, int64_t *n,
+                      double *terminal)
+{
+    sampler j = {x, c, m, eps, inv_pow, beta};
+    for (int64_t i = 0; i < count; i++) {
+        stream s = {0, key0, (uint64_t)(start + i), {0, 0, 0, 0}, 4};
+        t[i] = xs[i] = terminal[i] = NAN;
+        n[i] = -1;
+        end[i] = (int8_t)run_path(&s, &j, x0, t_end, lam, delta, cap,
+                                  max_events, explosive, &t[i], &xs[i],
+                                  &n[i], &terminal[i]);
+    }
+}

@@ -9,7 +9,6 @@ exponentially untilted companion measure used by the explosive construction.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -409,7 +408,7 @@ def small_jump_mean(spec: LevyMeasureSpec, eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Jump sampling
+# Jump sampling (_kernel.c repeats both sample() methods step for step)
 # ---------------------------------------------------------------------------
 
 class _TableSampler:
@@ -430,15 +429,9 @@ class _TableSampler:
         cdf /= cdf[-1]
         keep = np.concatenate([[True], np.diff(cdf) > 0])
         self._inv = interpolate.PchipInterpolator(cdf[keep], grid[keep])
-        self.eps = eps
 
     def sample(self, next_u) -> float:
         return float(self._inv(next_u()))
-
-    def sample_array(self, streams, paths) -> np.ndarray:
-        """One jump per entry of paths, from the next uniform of each path's
-        stream in streams (see simulate._PathStreams)."""
-        return self._inv(streams.take(paths))
 
 
 class _RejectionSampler:
@@ -457,75 +450,14 @@ class _RejectionSampler:
     def sample(self, next_u) -> float:
         eps, beta, p = self.eps, self._beta, self._inv_pow
         while True:
-            # _pareto_proposal(eps, next_u(), p), inlined: the call would
-            # add about a fifth to each jump draw of the scalar engines
             try:
                 xi = eps * next_u() ** p
             except (OverflowError, ZeroDivisionError):
+                # u ** p past the float range, or u == 0: an infinite
+                # proposal, rejected when beta > 0 and an explosion otherwise
                 xi = math.inf
             if beta == 0.0 or next_u() < math.exp(-beta * (xi - eps)):
                 return xi
-
-    def sample_array(self, streams, paths) -> np.ndarray:
-        """sample() for every entry of paths at once, each path drawing the
-        same uniforms in the same order from streams (see
-        simulate._PathStreams).  Rounds run until every path has accepted;
-        each round gives a pending path twice the proposals of the last,
-        and hands back the uniforms drawn past the proposal it accepts."""
-        eps, beta = self.eps, self._beta
-        if beta == 0.0:
-            return self._proposals(streams.take(paths))
-        u, v = streams.take(paths, 2)
-        xi = self._proposals(u)
-        pending = np.flatnonzero(v >= _libm(math.exp, -beta * (xi - eps)))
-        k = 2
-        while pending.size:
-            sub = paths[pending]
-            u = streams.take(sub, 2 * k)    # proposal, acceptance, ... rows
-            prop = self._proposals(u[0::2].ravel()).reshape(k, sub.size)
-            accept = u[1::2] < _libm(math.exp, -beta * (prop - eps))
-            first = accept.argmax(axis=0)
-            cols = np.arange(sub.size)
-            hit = accept[first, cols]
-            streams.give_back(sub, np.where(hit, 2 * (k - 1 - first), 0))
-            xi[pending[hit]] = prop[first[hit], cols[hit]]
-            pending = pending[~hit]
-            k = min(2 * k, _MAX_PROPOSALS)
-        return xi
-
-    def _proposals(self, u: np.ndarray) -> np.ndarray:
-        """_pareto_proposal over a 1-d array of proposal uniforms."""
-        eps, p = self.eps, self._inv_pow
-        u = u.tolist()
-        try:
-            # the same libm pow as the scalar u ** p
-            return eps * np.fromiter(map(pow, u, itertools.repeat(p)), float,
-                                     len(u))
-        except (OverflowError, ZeroDivisionError):
-            return np.array([_pareto_proposal(eps, v, p) for v in u])
-
-
-def _pareto_proposal(eps: float, u: float, p: float) -> float:
-    try:
-        return eps * u ** p
-    except (OverflowError, ZeroDivisionError):
-        # u ** p past the float range, or u == 0: an infinite proposal,
-        # rejected when beta > 0 and an explosion otherwise
-        return math.inf
-
-
-# proposals per path in one round of _RejectionSampler.sample_array; its
-# 2 * 64 uniforms fit in a row of simulate._PathStreams (256)
-_MAX_PROPOSALS = 64
-
-
-def _libm(fn, a: np.ndarray) -> np.ndarray:
-    """fn over an array through the same math-library call as on a Python
-    float; numpy's own exp, log and power round differently on some
-    inputs."""
-    if a.ndim != 1:
-        return _libm(fn, a.ravel()).reshape(a.shape)
-    return np.fromiter(map(fn, a.tolist()), float, a.size)
 
 
 # below 1% acceptance rejection spends over 100 proposals on each jump

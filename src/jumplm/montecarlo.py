@@ -10,6 +10,7 @@ and a CSV mirror with a pass/fail flag per row at |z| <= 3.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -38,6 +39,8 @@ Z_THRESHOLD = 3.0
 DEFAULT_PATHS = 100_000
 U_MAX_ACCEPTED = 0.5
 _CHUNK = 4096
+
+_log = logging.getLogger(__name__)
 
 
 def default_config(seed: int = 0, eps: float = 1e-4) -> EngineConfig:
@@ -136,17 +139,13 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def _run_chunk(args):
-    """Worker for one contiguous block of path indices (picklable)."""
+    """Worker for one contiguous block of path indices (picklable):
+    terminal values, or the end codes of explosive paths."""
     kind, spec, x0, t_end, config, start, count = args
     if kind == "conservative":
         return simulate.conservative_terminals(spec, x0, t_end, config, start,
                                                count)
-    out = np.empty(count)
-    for i in range(count):
-        path = simulate.simulate_explosive_path(
-            spec, x0, t_end, config, start + i, record=False)
-        out[i] = 0.0 if path.exploded else 1.0
-    return out
+    return simulate.explosive_ends(spec, x0, t_end, config, start, count)
 
 
 def _collect(kind: str, spec: LevyMeasureSpec, x0: float, t_end: float,
@@ -156,12 +155,14 @@ def _collect(kind: str, spec: LevyMeasureSpec, x0: float, t_end: float,
 
     The chunking is fixed regardless of n_workers and chunks are
     reassembled in index order, so results are bit-identical across
-    worker counts.
+    worker counts.  The kernel is built or loaded here, before any worker
+    starts, so workers do not compile it side by side.
     """
     if n_paths < 2:
         raise InvalidConfig(f"need at least 2 paths, got {n_paths}")
     tasks = [(kind, spec, x0, t_end, config, s, min(_CHUNK, n_paths - s))
              for s in range(0, n_paths, _CHUNK)]
+    simulate.fan_out_engine()
     if n_workers is not None and n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as ex:
             parts = list(ex.map(_run_chunk, tasks))
@@ -245,8 +246,13 @@ def estimate_survival(untilted: LevyMeasureSpec, x0: float, t: float,
             "survival experiment needs a classified companion measure")
     g_minus = riccati.minimal_solution(tilted, t)
     theory = math.exp(x0 * (g_minus - 1.0))
-    indicators = _collect("explosive", untilted, x0, t, config, n_paths,
-                          n_workers)
+    ends = _collect("explosive", untilted, x0, t, config, n_paths, n_workers)
+    stopped = int(np.count_nonzero(ends == simulate.END_MAX_EVENTS))
+    if stopped:
+        _log.warning("%d of %d explosive paths reached max_events=%d and "
+                     "were counted as explosions without crossing cap=%g",
+                     stopped, n_paths, config.max_events, config.cap)
+    indicators = (ends == simulate.END_HORIZON).astype(float)
     return _make_estimate(indicators, theory, bernoulli=True)
 
 

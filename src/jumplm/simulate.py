@@ -15,21 +15,28 @@ picks the sampler once per (spec, eps).  Path i of seed s draws its
 uniforms, in order, from Philox(key=[s, i]), so every path is
 reproducible on its own.
 
-conservative_terminals runs a block of conservative paths together as
-numpy arrays, dropping each path as it finishes.  Every path performs the
-scalar loop's operations in the same order on the same uniforms: +, -, *
-and / are correctly rounded in numpy as in Python, and every exp, log and
-power goes through the same math-library call as the scalar loop, so the
-terminals are bit-identical to simulate_path's.  The explosive engine stays
-scalar: its heavy-tailed event counts leave only a few paths active for
-most of a block's steps.
+The Monte Carlo fan-out (conservative_terminals, explosive_ends) runs a
+block of paths of either engine in one call of _kernel.c, the same loop
+compiled on first use into ${XDG_CACHE_HOME:-~/.cache}/jumplm: the same
+Philox streams, the scalar loop's operations in its order and the libm
+exp, log and pow that math calls, so every path ends bit for bit where
+_run_engine ends it.  _run_engine, the reference, runs the paths the
+scalar loop raises on, and all of them when there is no kernel.
 """
 
 from __future__ import annotations
 
+import collections
+import ctypes
+import functools
+import hashlib
 import itertools
+import logging
 import math
-import threading
+import os
+import pathlib
+import subprocess
+import tempfile
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -47,6 +54,10 @@ __all__ = [
     "simulate_path",
     "simulate_explosive_path",
     "conservative_terminals",
+    "explosive_ends",
+    "END_HORIZON", "END_CAP", "END_MAX_EVENTS",
+    "FanOutEngine",
+    "fan_out_engine",
     "evaluate",
     "export_path_csv",
 ]
@@ -60,6 +71,8 @@ class ExplodedMarker:
 
 
 EXPLODED = ExplodedMarker()
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -104,36 +117,16 @@ class Path:
     terminal: Optional[float] = None
 
 
-# one Philox, re-keyed for every block of draws: assigning its state costs
-# about a tenth of building a Generator(Philox(key)) per path
-_PHILOX = np.random.Philox(0)
-_GENERATOR = np.random.Generator(_PHILOX)
-_PHILOX_LOCK = threading.Lock()
-
-
-def _draw(seed: int, index: int, first: int, n: int, out=None) -> np.ndarray:
-    """Uniforms first .. first+n-1 of Philox(key=[seed, index]).
-
-    Uniform k is word k % 4 of the Philox block at counter k // 4 + 1, so
-    first must be a multiple of 4.
-    """
-    with _PHILOX_LOCK:
-        _PHILOX.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [first // 4, 0, 0, 0],
-                      "key": [seed % 2 ** 64, index]},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
-        return _GENERATOR.random(n, out=out)
-
-
 def _uniforms(seed: int, index: int):
     """next() over one path's uniforms: Philox(key=[seed, index]), drawn
     256 at a time first and 1024 at a time after that."""
-    firsts = itertools.chain([0], itertools.count(256, 1024))
-    blocks = (_draw(seed, index, k, 1024 if k else 256).tolist()
-              for k in firsts)
-    return itertools.chain.from_iterable(blocks).__next__
+    # a uint64 key array: numpy reads a list holding an int >= 2**63 as
+    # floats
+    gen = np.random.Generator(np.random.Philox(
+        key=np.array([seed % 2 ** 64, index], dtype=np.uint64)))
+    sizes = itertools.chain([256], itertools.repeat(1024))
+    return itertools.chain.from_iterable(
+        gen.random(k).tolist() for k in sizes).__next__
 
 
 def _run_engine(spec, x0, t_end, config, path_index, record,
@@ -179,21 +172,28 @@ def _run_engine(spec, x0, t_end, config, path_index, record,
     return events, t, x, n, exploded, explosion_time
 
 
-def _conservative_rates(spec: LevyMeasureSpec, x0: float, t_end: float,
-                        eps: float) -> Tuple[float, float]:
-    """Check the inputs of the conservative engine; return (lam, delta).
+def _rates(spec: LevyMeasureSpec, x0: float, t_end: float, eps: float,
+           explosive: bool) -> Tuple[float, float]:
+    """Check an engine's inputs; return its (lam, delta).
 
-    The inter-jump decay rate delta is b + (m1 - m(eps)): the compensator
+    The conservative decay rate delta is b + (m1 - m(eps)): the compensator
     of all jumps minus the mean drift of the ones below eps that were
-    dropped.
+    dropped.  The explosive one is 1 - m(eps), which must stay positive.
     """
     if not (x0 > 0):
         raise DomainError(f"x0 must be positive, got {x0}")
     if t_end < 0:
         raise DomainError(f"t_end must be nonnegative, got {t_end}")
-    mom = measure.validate(spec)
-    lam = measure.tail_intensity(spec, eps)
-    return lam, mom.b + (mom.m1 - measure.small_jump_mean(spec, eps))
+    if not explosive:
+        mom = measure.validate(spec)
+        lam = measure.tail_intensity(spec, eps)
+        return lam, mom.b + (mom.m1 - measure.small_jump_mean(spec, eps))
+    m_eps = measure.small_jump_mean(spec, eps)
+    if m_eps >= 1.0:
+        raise InvalidConfig(
+            f"small-jump mean drift m(eps)={m_eps:.6g} >= 1 at eps={eps}: "
+            "the truncated process would not decay between jumps")
+    return measure.tail_intensity(spec, eps), 1.0 - m_eps
 
 
 def simulate_path(spec: LevyMeasureSpec, x0: float, t_end: float,
@@ -205,7 +205,7 @@ def simulate_path(spec: LevyMeasureSpec, x0: float, t_end: float,
     consuming the identical random stream.
     """
     eps = config.eps
-    lam, delta = _conservative_rates(spec, x0, t_end, eps)
+    lam, delta = _rates(spec, x0, t_end, eps, explosive=False)
     events, t, x, _, _, _ = _run_engine(
         spec, x0, t_end, config, path_index, record, lam, delta,
         explosive=False)
@@ -214,47 +214,131 @@ def simulate_path(spec: LevyMeasureSpec, x0: float, t_end: float,
                 terminal=terminal)
 
 
-class _PathStreams:
-    """The uniform streams of paths start .. start+count-1, side by side.
+# How a path of the fan-out ended: it reached t_end, crossed the cap (or
+# left the floats), or made max_events jumps.  _kernel.c uses the same
+# codes, and codes above END_MAX_EVENTS for a path the scalar loop raises on.
+END_HORIZON, END_CAP, END_MAX_EVENTS = 0, 1, 2
 
-    Each path holds a row of _ROW uniforms of its Philox stream and redraws
-    the row from its current position when the row runs short, so uniform
-    k of a path is the same number however its draws are grouped.
+
+@dataclass(frozen=True)
+class FanOutEngine:
+    """What runs the Monte Carlo fan-out in this process: "kernel", with
+    the path of the compiled _kernel.c, or "python", with the reason."""
+
+    name: str
+    detail: str
+
+
+_KERNEL_SOURCE = pathlib.Path(__file__).with_name("_kernel.c")
+# no -ffast-math, and no a*b + c contracted into an FMA: see _kernel.c
+_CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _build_kernel() -> pathlib.Path:
+    """The compiled kernel in the user cache, compiled there when missing.
+
+    Its name carries the SHA-256 of the source and the compiler command.
+    cc writes to a temporary file that is renamed into place, so processes
+    building at once never load a partial library.
     """
+    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()
+                            + " ".join(_CC).encode()).hexdigest()
+    cache = pathlib.Path(os.environ.get("XDG_CACHE_HOME")
+                         or pathlib.Path.home() / ".cache") / "jumplm"
+    lib = cache / f"kernel-{digest}.so"
+    if not lib.exists():
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run([*_CC, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                           check=True, capture_output=True, text=True)
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return lib
 
-    _ROW = 256
 
-    def __init__(self, seed: int, start: int, count: int):
-        self._seed, self._start = seed, start
-        self._rows = np.empty((count, self._ROW))
-        for j in range(count):
-            _draw(seed, start + j, 0, self._ROW, out=self._rows[j])
-        self._flat = self._rows.reshape(-1)
-        self._row_first = [0] * count    # stream position of each row
-        self._used = np.zeros(count, dtype=np.int64)
+@functools.lru_cache(maxsize=None)
+def _kernel():
+    """(the loaded kernel or None, its FanOutEngine), once per process."""
+    try:
+        path = _build_kernel()
+        lib = ctypes.CDLL(str(path))
+    except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
+        reason = getattr(exc, "stderr", None) or exc    # cc's own message
+        lib, engine = None, FanOutEngine("python", f"no kernel: {reason}")
+    else:
+        f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+        lib.jumplm_run_paths.argtypes = (
+            [ctypes.c_uint64, i64, i64] + [f64] * 5 + [i64, ctypes.c_int]
+            + [ptr, ptr, i64] + [f64] * 3 + [ptr] * 5)
+        lib.jumplm_ppoly.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
+        lib.jumplm_run_paths.restype = lib.jumplm_ppoly.restype = None
+        engine = FanOutEngine("kernel", str(path))
+    _log.debug("Monte Carlo fan-out engine: %s (%s)", engine.name,
+               engine.detail)
+    return lib, engine
 
-    def take(self, paths: np.ndarray, k: int = 1) -> np.ndarray:
-        """The next k uniforms of each of paths, block-local numbers in
-        0 .. count-1: an array over paths for k = 1, else k such rows."""
-        used = self._used[paths]
-        short = used > self._ROW - k
-        if np.count_nonzero(short):
-            for j, u in zip(paths[short].tolist(), used[short].tolist()):
-                # restart the row at the Philox block holding position u
-                self._row_first[j] += u - u % 4
-                _draw(self._seed, self._start + j, self._row_first[j],
-                      self._ROW, out=self._rows[j])
-                self._used[j] = u % 4
-            used = self._used[paths]
-        at = paths * self._ROW + used
-        self._used[paths] = used + k
-        if k == 1:
-            return self._flat[at]
-        return self._flat[at + np.arange(k)[:, None]]
 
-    def give_back(self, paths: np.ndarray, counts: np.ndarray) -> None:
-        """Return the last counts[i] uniforms taken by paths[i] unused."""
-        self._used[paths] -= counts
+def fan_out_engine() -> FanOutEngine:
+    """The fan-out's engine here; the first call builds or loads it."""
+    return _kernel()[1]
+
+
+# per path: its end code, the event loop's last t, x and jump count, and
+# its terminal value (NaN unless END_HORIZON)
+_PathEnds = collections.namedtuple("_PathEnds", "end t x n terminal")
+
+
+def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
+                explosive) -> _PathEnds:
+    """Paths start .. start+count-1 in one call of the kernel lib; without
+    one (lib None), the arrays for _fan_out to fill."""
+    out = _PathEnds(np.empty(count, np.int8), np.empty(count),
+                    np.empty(count), np.empty(count, np.int64),
+                    np.empty(count))
+    if lib is None:
+        return out
+    sampler = measure.make_jump_sampler(spec, config.eps)
+    if isinstance(sampler, measure._TableSampler):
+        x = np.ascontiguousarray(sampler._inv.x, dtype=float)
+        c = np.ascontiguousarray(sampler._inv.c, dtype=float)
+        assert c.shape == (4, x.size - 1)
+        jump = (x.ctypes.data, c.ctypes.data, x.size - 1, 0.0, 0.0, 0.0)
+    else:
+        jump = (None, None, 0, sampler.eps, sampler._inv_pow, sampler._beta)
+    lib.jumplm_run_paths(config.seed % 2 ** 64, start, count, x0, t_end, lam,
+                         delta, config.cap, config.max_events, explosive,
+                         *jump, *(a.ctypes.data for a in out))
+    return out
+
+
+def _fan_out(spec, x0, t_end, config, start, count,
+             explosive) -> _PathEnds:
+    """The ends of paths start .. start+count-1: the input checks, one
+    kernel call, then _run_engine for each path the kernel stopped where
+    the scalar loop raises (for every path when there is no kernel), so
+    errors and their messages are the scalar loop's."""
+    lam, delta = _rates(spec, x0, t_end, config.eps, explosive)
+    lib = _kernel()[0]
+    out = _kernel_run(lib, spec, x0, t_end, config, start, count, lam,
+                      delta, explosive)
+    # max_events ends an explosive path and raises in the conservative loop
+    last = END_MAX_EVENTS if explosive else END_CAP
+    redo = range(count) if lib is None else np.flatnonzero(out.end > last)
+    for i in redo:
+        _, t, x, n, exploded, _ = _run_engine(
+            spec, x0, t_end, config, start + int(i), False, lam, delta,
+            explosive)
+        out.t[i], out.x[i], out.n[i] = t, x, n
+        out.end[i] = (END_HORIZON if not exploded else END_CAP
+                      if x > config.cap or not math.isfinite(x)
+                      else END_MAX_EVENTS)
+        out.terminal[i] = (math.nan if exploded
+                           else x * math.exp(-delta * (t_end - t)))
+    return out
 
 
 def conservative_terminals(spec: LevyMeasureSpec, x0: float, t_end: float,
@@ -263,38 +347,25 @@ def conservative_terminals(spec: LevyMeasureSpec, x0: float, t_end: float,
     """Terminal values of conservative paths start .. start+count-1.
 
     Equal bit for bit to simulate_path(spec, x0, t_end, config, i,
-    record=False).terminal for each i, and raises MaxEventsExceeded, with
-    the same message, when any of the paths reaches config.max_events.
-    All paths still running take each step together; at a step every one
-    of them has made the same number of jumps.
+    record=False).terminal for each i; raises what simulate_path raises on
+    the first path that raises, MaxEventsExceeded with the same message
+    when a path reaches config.max_events.
     """
-    lam, delta = _conservative_rates(spec, x0, t_end, config.eps)
-    sampler = measure.make_jump_sampler(spec, config.eps)
-    streams = _PathStreams(config.seed, start, count)
-    out = np.empty(count)
-    paths = np.arange(count)
-    t = np.zeros(count)
-    x = np.full(count, x0, dtype=float)
-    n = 0    # jumps made by every path still running
-    while paths.size:
-        if n >= config.max_events:
-            raise MaxEventsExceeded(
-                f"conservative path reached {config.max_events} events")
-        decay = measure._libm(math.exp, -delta * (t_end - t))
-        horizon_mass = x * lam * (1.0 - decay) / delta
-        e_draw = -measure._libm(math.log, 1.0 - streams.take(paths))
-        done = e_draw >= horizon_mass
-        if np.count_nonzero(done):
-            # the scalar loop's terminal x * exp(-delta * (t_end - t))
-            out[paths[done]] = x[done] * decay[done]
-            go = ~done
-            paths, t, x, e_draw = paths[go], t[go], x[go], e_draw[go]
-        dt = -measure._libm(math.log, 1.0 - e_draw * delta / (x * lam)) / delta
-        t += dt
-        x *= measure._libm(math.exp, -delta * dt)
-        x += sampler.sample_array(streams, paths)
-        n += 1
-    return out
+    return _fan_out(spec, x0, t_end, config, start, count,
+                    explosive=False).terminal
+
+
+def explosive_ends(untilted: LevyMeasureSpec, x0: float, t_end: float,
+                   config: EngineConfig, start: int,
+                   count: int) -> np.ndarray:
+    """End codes of explosive paths start .. start+count-1 (int8).
+
+    END_HORIZON for a path alive at t_end, END_CAP for one that crossed
+    config.cap and END_MAX_EVENTS for one stopped at config.max_events
+    jumps; simulate_explosive_path marks the latter two exploded.
+    """
+    return _fan_out(untilted, x0, t_end, config, start, count,
+                    explosive=True).end
 
 
 def simulate_explosive_path(untilted: LevyMeasureSpec, x0: float, t_end: float,
@@ -308,18 +379,8 @@ def simulate_explosive_path(untilted: LevyMeasureSpec, x0: float, t_end: float,
     reasonable cap, and treating it as zero biases survival estimates
     downward).  Exhausting max_events also marks the path exploded.
     """
-    if not (x0 > 0):
-        raise DomainError(f"x0 must be positive, got {x0}")
-    if t_end < 0:
-        raise DomainError(f"t_end must be nonnegative, got {t_end}")
     eps = config.eps
-    m_eps = measure.small_jump_mean(untilted, eps)
-    if m_eps >= 1.0:
-        raise InvalidConfig(
-            f"small-jump mean drift m(eps)={m_eps:.6g} >= 1 at eps={eps}: "
-            "the truncated process would not decay between jumps")
-    delta = 1.0 - m_eps
-    lam = measure.tail_intensity(untilted, eps)
+    lam, delta = _rates(untilted, x0, t_end, eps, explosive=True)
     events, t, x, _, exploded, explosion_time = _run_engine(
         untilted, x0, t_end, config, path_index, record, lam, delta,
         explosive=True)

@@ -1,11 +1,13 @@
+import dataclasses
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from jumplm import measure, montecarlo, riccati, simulate
-from jumplm.errors import DomainError, InvalidConfig
+from jumplm.errors import DomainError, InvalidConfig, MaxEventsExceeded
 from jumplm.simulate import EngineConfig
 
 T_HALF = 2.0 * math.log(2.0)
@@ -193,3 +195,52 @@ def test_survival_needs_classified_companion():
     untilted = measure.untilted_spec(measure.reference_spec())
     tilted = measure.tilted_spec(untilted)
     assert riccati.classify(tilted).verdict == riccati.STRICT
+
+
+def test_collect_without_kernel(monkeypatch, ref_spec):
+    # the Python fallback gives the kernel's arrays and raises its errors;
+    # max_events = 50 stops some explosive paths
+    untilted = measure.untilted_spec(ref_spec)
+    explosive_cfg = EngineConfig(eps=1e-2, seed=-8, cap=1e5, max_events=50)
+    conservative_cfg = EngineConfig(eps=1e-3, seed=8)
+    runs = [("explosive", untilted, T_HALF, explosive_cfg),
+            ("conservative", ref_spec, 1.0, conservative_cfg)]
+    want = [montecarlo._collect(kind, spec, 1.0, t, cfg, 500)
+            for kind, spec, t, cfg in runs]
+    assert set(want[0].tolist()) == {simulate.END_HORIZON, simulate.END_CAP,
+                                     simulate.END_MAX_EVENTS}
+    monkeypatch.setattr(simulate, "_kernel", lambda: (
+        None, simulate.FanOutEngine("python", "disabled")))
+    assert simulate.fan_out_engine().name == "python"
+    for (kind, spec, t, cfg), arr in zip(runs, want):
+        got = montecarlo._collect(kind, spec, 1.0, t, cfg, 500)
+        assert got.dtype == arr.dtype and np.array_equal(got, arr)
+    with pytest.raises(MaxEventsExceeded,
+                       match="^conservative path reached 3 events$"):
+        montecarlo._collect("conservative", ref_spec, 1.0, 1.0,
+                            dataclasses.replace(conservative_cfg,
+                                                max_events=3), 500)
+
+
+def test_survival_counts_max_events_stops(ref_spec, caplog):
+    untilted = measure.untilted_spec(ref_spec)
+    cfg = EngineConfig(eps=1e-2, seed=46, cap=1e5, max_events=5)
+    with caplog.at_level(logging.WARNING, logger="jumplm.montecarlo"):
+        est = montecarlo.estimate_survival(untilted, 1.0, T_HALF,
+                                           n_paths=2000, config=cfg)
+    lam, delta = simulate._rates(untilted, 1.0, T_HALF, cfg.eps, True)
+    ends = [simulate._run_engine(untilted, 1.0, T_HALF, cfg, i, False, lam,
+                                 delta, True)[2:5] for i in range(2000)]
+    # a path whose fifth jump crosses the cap counts as a crossing
+    stopped = sum(n == 5 and x <= cfg.cap for x, n, _ in ends)
+    assert est.mean == sum(not exploded for _, _, exploded in ends) / 2000
+    assert 0 < stopped < sum(n == 5 for _, n, _ in ends)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{stopped} of 2000 explosive paths reached max_events=5 and were "
+        "counted as explosions without crossing cap=100000"]
+    caplog.clear()
+    loose = dataclasses.replace(cfg, max_events=10 ** 7)
+    with caplog.at_level(logging.WARNING, logger="jumplm.montecarlo"):
+        montecarlo.estimate_survival(untilted, 1.0, T_HALF, n_paths=2000,
+                                     config=loose)
+    assert caplog.records == []

@@ -1,6 +1,11 @@
 import dataclasses
 import io
+import logging
 import math
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -365,3 +370,117 @@ def test_infinite_proposals_complete():
     path = simulate.simulate_path(tilted, 1000.0, 1.0, cfg, 1)
     assert path.terminal == 2.2079233543599667e-41
     assert len(path.events) == 49
+
+
+def _kernel_lib():
+    """The loaded kernel; a missing compiler skips, any other failure fails."""
+    lib, engine = simulate._kernel()
+    if lib is None and shutil.which("cc") is None:
+        pytest.skip(f"no C compiler: {engine.detail}")
+    assert lib is not None, engine.detail
+    return lib
+
+
+# (spec, engine, eps values, x0 or None for a drawn x0); the explosive
+# engine runs on the spec as given
+_KERNEL_CASES = {
+    "reference": (measure.reference_spec(), (False, True), (1e-2, 1e-3), None),
+    "tilted": (measure.LevyMeasureSpec.tilted_power(0.7, 1.3, 2.0),
+               (False, True), (1e-2, 1e-3), None),
+    "tabulated": (None, (False, True), (1e-2, 1e-3), None),
+    # mean Pareto acceptance 0.46%: the table
+    "low-acceptance": (measure.LevyMeasureSpec.tilted_power(1.0, 1.05, 200.0),
+                       (False,), (0.05,), 7e6),
+    "untilted": (measure.untilted_spec(measure.reference_spec()), (True,),
+                 (1e-2, 1e-3), None),
+    # infinite Pareto proposals: rejected at beta = 1, explosions at beta = 0
+    "infinite-proposals": (measure.LevyMeasureSpec.tilted_power(1.0, 1.01, 1.0),
+                           (False,), (1e-2,), 1000.0),
+    "infinite-untilted": (measure.LevyMeasureSpec.tilted_power(1.0, 1.01, 0.0),
+                          (True,), (1e-2,), None),
+}
+
+
+@pytest.mark.parametrize("name,explosive", [
+    (name, explosive) for name, case in _KERNEL_CASES.items()
+    for explosive in case[1]])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(-2 ** 63, 2 ** 63 - 1),
+       start=st.integers(0, 10 ** 6),
+       count=st.integers(1, 32),
+       eps_index=st.integers(0, 1),
+       x0=st.floats(0.05, 3.0),
+       t_end=st.floats(0.0, 2.0))
+def test_kernel_matches_run_engine(name, explosive, tabulated_spec, seed,
+                                   start, count, eps_index, x0, t_end):
+    # the kernel's end state of every path is the scalar loop's, bit for bit
+    spec, _, eps_values, fixed_x0 = _KERNEL_CASES[name]
+    spec = spec or tabulated_spec
+    eps = eps_values[eps_index % len(eps_values)]
+    x0 = fixed_x0 or x0
+    cfg = simulate.EngineConfig(eps=eps, seed=seed, cap=1e5)
+    lam, delta = simulate._rates(spec, x0, t_end, eps, explosive)
+    got = simulate._kernel_run(_kernel_lib(), spec, x0, t_end, cfg, start,
+                               count, lam, delta, explosive)
+    assert np.all(got.end <= simulate.END_MAX_EVENTS)
+    for i in range(count):
+        _, t, x, n, exploded, _ = simulate._run_engine(
+            spec, x0, t_end, cfg, start + i, False, lam, delta, explosive)
+        assert (got.t[i], got.x[i], got.n[i]) == (t, x, n)
+        assert (got.end[i] != simulate.END_HORIZON) == exploded
+        if not exploded:
+            assert got.terminal[i] == x * math.exp(-delta * (t_end - t))
+
+
+def test_kernel_ppoly_matches_scipy(tabulated_spec):
+    # the C port of PPoly evaluation against the table sampler's
+    # PchipInterpolator: uniforms, every breakpoint and its neighbours
+    lib = _kernel_lib()
+    rng = np.random.Generator(np.random.Philox(key=[5, 0]))
+    for spec, eps in ((tabulated_spec, 1e-2), (tabulated_spec, 1e-3),
+                      (_KERNEL_CASES["low-acceptance"][0], 0.05)):
+        inv = measure.make_jump_sampler(spec, eps)._inv
+        x, c = inv.x, np.ascontiguousarray(inv.c)
+        u = np.concatenate([rng.random(100_000), np.nextafter(x, -np.inf), x,
+                            np.nextafter(x, np.inf)])
+        got = np.empty_like(u)
+        lib.jumplm_ppoly(x.ctypes.data, c.ctypes.data, x.size - 1,
+                         u.ctypes.data, got.ctypes.data, u.size)
+        assert np.array_equal(got.view(np.int64), inv(u).view(np.int64))
+
+
+def test_kernel_build_and_fallback(tmp_path, monkeypatch, caplog):
+    build = simulate._kernel.__wrapped__
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    if shutil.which("cc") is not None:
+        with caplog.at_level(logging.DEBUG, logger="jumplm.simulate"):
+            lib, engine = build()
+        assert lib is not None and engine.name == "kernel"
+        (built,) = (tmp_path / "cache" / "jumplm").iterdir()
+        assert engine.detail == str(built)
+        assert built.name.startswith("kernel-") and built.suffix == ".so"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"Monte Carlo fan-out engine: kernel ({built})"]
+    # a cache that cannot be a directory, then no compiler on PATH
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    lib, engine = build()
+    assert lib is None and engine.name == "python"
+    assert engine.detail.startswith("no kernel: ")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other"))
+    monkeypatch.setenv("PATH", str(tmp_path))
+    lib, engine = build()
+    assert lib is None and engine.name == "python"
+    assert "'cc'" in engine.detail
+
+
+def test_import_and_sampling_do_not_build(tmp_path):
+    code = ("from jumplm import cli, measure, montecarlo, simulate\n"
+            "spec = measure.reference_spec()\n"
+            "measure.validate(spec)\n"
+            "measure.make_jump_sampler(spec, 1e-2)\n"
+            "assert simulate._kernel.cache_info().currsize == 0\n")
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert list(tmp_path.iterdir()) == []
