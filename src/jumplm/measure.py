@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, interpolate, special
+# scipy takes over half a second to import, so each function imports the
+# submodule it uses: closed-form paths, such as simulating an untilted
+# power, never load it
 
 from .errors import (
     DomainError,
@@ -111,6 +113,7 @@ class LevyMeasureSpec:
     def _interp(self):
         interp = getattr(self, "_log_interp", None)
         if interp is None:
+            from scipy import interpolate
             xs = np.array([p[0] for p in self.points])
             logd = np.log([p[1] for p in self.points])
             interp = interpolate.PchipInterpolator(xs, logd, extrapolate=False)
@@ -167,6 +170,7 @@ class MeasureMoments:
 
 def _quad(f, a, b, *, epsrel=_QUAD_EPSREL, epsabs=_QUAD_EPSABS, points=None,
           tolerate=1e-9):
+    from scipy import integrate
     res = integrate.quad(f, a, b, epsrel=epsrel, epsabs=epsabs,
                          limit=500, points=points, full_output=True)
     val, err = res[0], res[1]
@@ -381,6 +385,7 @@ def tail_intensity(spec: LevyMeasureSpec, eps: float) -> float:
             if a <= 1.0:
                 raise DomainError("untilted power tail diverges for alpha <= 1")
             return c * eps ** (1.0 - a) / (a - 1.0)
+        from scipy import special
         x = bta * eps
         if a == 1.0:
             return c * special.exp1(x)
@@ -402,6 +407,7 @@ def small_jump_mean(spec: LevyMeasureSpec, eps: float) -> float:
         a, bta, c = spec.alpha, spec.beta, spec.c
         if bta == 0.0:
             return c * eps ** (2.0 - a) / (2.0 - a)
+        from scipy import special
         return (c * bta ** (a - 2.0) * math.gamma(2.0 - a)
                 * special.gammainc(2.0 - a, bta * eps))
     return integrate_against(spec, lambda xi: xi, upper=eps)
@@ -428,6 +434,7 @@ class _TableSampler:
             0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
         cdf /= cdf[-1]
         keep = np.concatenate([[True], np.diff(cdf) > 0])
+        from scipy import interpolate
         self._inv = interpolate.PchipInterpolator(cdf[keep], grid[keep])
 
     def sample(self, next_u) -> float:

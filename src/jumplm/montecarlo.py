@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -164,6 +163,7 @@ def _collect(kind: str, spec: LevyMeasureSpec, x0: float, t_end: float,
              for s in range(0, n_paths, _CHUNK)]
     simulate.fan_out_engine()
     if n_workers is not None and n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as ex:
             parts = list(ex.map(_run_chunk, tasks))
     else:

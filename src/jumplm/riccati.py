@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
-from scipy import integrate, optimize
+# scipy is imported where it is used, as in measure
 
 from . import measure
 from .errors import (DivergentIntegral, DomainError, QuadratureFailure,
@@ -80,6 +80,7 @@ def solve(spec: LevyMeasureSpec, u0: float, t_end: float) -> RiccatiSolution:
     if t_end == 0.0:
         return RiccatiSolution(u0, 0.0, 0,
                                _dense=lambda t: np.full_like(np.asarray(t, float), u0))
+    from scipy import integrate
     r, _ = measure.r_callables(spec)
     sol = integrate.solve_ivp(
         lambda t, y: [r(y[0])], (0.0, t_end), [u0],
@@ -222,6 +223,7 @@ def minimal_solution(spec: LevyMeasureSpec, t: float) -> float:
         lo *= 0.5
         if lo < 1e-300:
             raise DomainError(f"minimal solution underflows at t={t}")
+    from scipy import optimize
     return float(optimize.brentq(shifted, lo, hi, xtol=1e-13, rtol=1e-14))
 
 

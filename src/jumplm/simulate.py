@@ -239,7 +239,9 @@ def _build_kernel() -> pathlib.Path:
 
     Its name carries the SHA-256 of the source and the compiler command.
     cc writes to a temporary file that is renamed into place, so processes
-    building at once never load a partial library.
+    building at once never load a partial library.  A build then removes
+    the other kernel-*.so files there, built from an older source or
+    command; loading an existing kernel removes nothing.
     """
     digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()
                             + " ".join(_CC).encode()).hexdigest()
@@ -257,6 +259,12 @@ def _build_kernel() -> pathlib.Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for stale in cache.glob("kernel-*.so"):
+            if stale != lib:
+                try:
+                    stale.unlink()
+                except OSError:
+                    pass
     return lib
 
 

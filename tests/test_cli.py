@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -248,3 +251,27 @@ def test_lemma_check_small_grid(runner):
 def test_lemma_check_rejects_bad_grid(runner):
     res = runner.invoke(main, ["lemma-check", "--alpha-grid", "2.5"])
     assert res.exit_code == 1
+
+
+def test_help_and_explosive_simulate_load_no_scipy(tmp_path, untilted_json):
+    # scipy and the process pool are imported on first use: the import,
+    # --help and an explosive simulation of an untilted power reach neither
+    code = ("import sys\n"
+            "import jumplm, jumplm.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy')\n"
+            "                  or m == 'concurrent.futures.process')\n"
+            "assert loaded() == [], loaded()[:5]\n"
+            "for args in sys.argv[1:]:\n"
+            "    try:\n"
+            "        jumplm.cli.main(args.split())\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, (args, exc.code)\n"
+            "    assert loaded() == [], (args, loaded()[:5])\n")
+    simulate = (f"simulate {untilted_json} --explosive --eps 1e-2 --cap 1e5 "
+                f"--seed 1 --paths 3 --out-dir {tmp_path / 'out'}")
+    src = os.path.dirname(os.path.dirname(measure.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"), PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code, "--help", simulate], env=env,
+                   check=True, stdout=subprocess.DEVNULL)
+    assert (tmp_path / "out" / "path_00002.csv").exists()

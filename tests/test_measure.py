@@ -192,18 +192,21 @@ def test_jump_sampler_mean(ref_spec):
 def test_table_sampler_distribution(tabulated_spec):
     eps = 0.05
     lam = measure.tail_intensity(tabulated_spec, eps)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        flat = np.array([
-            1.0 - measure.tail_intensity(tabulated_spec, max(v, eps)) / lam
-            for v in x.ravel()])
-        return flat.reshape(x.shape)
-
     rng = np.random.Generator(np.random.Philox(key=[5, 5]))
     sampler = measure.make_jump_sampler(tabulated_spec, eps)
     draws = np.array([sampler.sample(lambda: rng.random()) for _ in range(5000)])
-    res = stats.kstest(draws, cdf)
+    # the tail mass above each sorted draw: one tail quadrature from the
+    # largest draw, plus the masses between consecutive draws summed from
+    # the top down
+    xs = np.sort(draws)
+    gaps = [measure.integrate_against(tabulated_spec, lambda xi: 1.0,
+                                      lower=a, upper=b)
+            for a, b in zip(xs[:-1], xs[1:])]
+    tail = measure.tail_intensity(tabulated_spec, xs[-1]) + np.append(
+        np.cumsum(gaps[::-1])[::-1], 0.0)
+    # the KS distance of draws from the CDF is that of their CDF values
+    # from the uniform
+    res = stats.kstest(1.0 - tail / lam, "uniform")
     assert res.pvalue > 0.01
 
 

@@ -474,6 +474,20 @@ def test_kernel_build_and_fallback(tmp_path, monkeypatch, caplog):
     assert "'cc'" in engine.detail
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_build_removes_stale_kernels(tmp_path, monkeypatch):
+    # a build removes the kernels of other sources or flags; a load does not
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    stale = tmp_path / "jumplm" / "kernel-deadbeef.so"
+    stale.parent.mkdir()
+    stale.write_bytes(b"")
+    lib = simulate._build_kernel()
+    assert list(stale.parent.iterdir()) == [lib]
+    stale.write_bytes(b"")
+    assert simulate._build_kernel() == lib
+    assert sorted(stale.parent.iterdir()) == sorted([lib, stale])
+
+
 def test_import_and_sampling_do_not_build(tmp_path):
     code = ("from jumplm import cli, measure, montecarlo, simulate\n"
             "spec = measure.reference_spec()\n"
