@@ -11,6 +11,10 @@
  * Where the Python loop would raise (a log of a non-positive number, an
  * overflowing exp, a division by zero), the path stops with an end code
  * above END_MAX_EVENTS and the caller runs it again in Python.
+ *
+ * One call runs paths until about EVENT_BUDGET events are spent and
+ * returns how many it ran, so a long block takes several calls and
+ * Python can act on Ctrl-C between them.
  */
 #include <math.h>
 #include <stdint.h>
@@ -18,6 +22,8 @@
 /* end codes, mirrored in simulate.py */
 enum { END_HORIZON, END_CAP, END_MAX_EVENTS, END_LOG_DOMAIN, END_EXP_RANGE,
        END_ZERO_DIVISION };
+
+#define EVENT_BUDGET ((int64_t)1 << 22)
 
 /* Philox-4x64-10 (Salmon et al., SC'11) as numpy's Philox(key=[k0, k1])
  * draws it: the counter goes up by one before each block of four words,
@@ -115,10 +121,13 @@ static double jump(const sampler *j, stream *s)
         var = log(a_);                          \
     } while (0)
 
+/* events, when room > 0: the first room jumps (t, xi) of the path, the
+ * times in events[0 .. room-1] and the sizes in events[room ..] */
 static int run_path(stream *s, const sampler *j, double x0, double t_end,
                     double lam, double delta, double cap, int64_t max_events,
                     int explosive, double *t_out, double *x_out,
-                    int64_t *n_out, double *terminal)
+                    int64_t *n_out, double *terminal, double *events,
+                    int64_t room)
 {
     double t = 0.0, x = x0, decay, e_draw, dt, shrink;
     int64_t n = 0;
@@ -143,7 +152,12 @@ static int run_path(stream *s, const sampler *j, double x0, double t_end,
         t += dt;
         EXP_OR_STOP(shrink, -delta * dt);
         x *= shrink;
-        x += jump(j, s);
+        double xi = jump(j, s);
+        x += xi;
+        if (n < room) {
+            events[n] = t;
+            events[room + n] = xi;
+        }
         n += 1;
         if (explosive && (x > cap || !isfinite(x))) {
             end = END_CAP;
@@ -160,22 +174,29 @@ static int run_path(stream *s, const sampler *j, double x0, double t_end,
 
 /* Paths start .. start+count-1 of seed key0 (the seed mod 2^64); path i
  * draws from Philox(key=[key0, i]).  For each path: the end code, and the
- * loop's last t, x and jump count; the terminal value at END_HORIZON. */
-void jumplm_run_paths(uint64_t key0, int64_t start, int64_t count,
-                      double x0, double t_end, double lam, double delta,
-                      double cap, int64_t max_events, int explosive,
-                      const double *x, const double *c, int64_t m,
-                      double eps, double inv_pow, double beta,
-                      int8_t *end, double *t, double *xs, int64_t *n,
-                      double *terminal)
+ * loop's last t, x and jump count; the terminal value at END_HORIZON.  The
+ * first path records its first room jumps in events (see run_path).
+ * Returns the number of paths run: all count of them, or fewer once
+ * EVENT_BUDGET events are spent, and at least one. */
+int64_t jumplm_run_paths(uint64_t key0, int64_t start, int64_t count,
+                         double x0, double t_end, double lam, double delta,
+                         double cap, int64_t max_events, int explosive,
+                         const double *x, const double *c, int64_t m,
+                         double eps, double inv_pow, double beta,
+                         int8_t *end, double *t, double *xs, int64_t *n,
+                         double *terminal, double *events, int64_t room)
 {
     sampler j = {x, c, m, eps, inv_pow, beta};
-    for (int64_t i = 0; i < count; i++) {
+    int64_t i, spent = 0;
+    for (i = 0; i < count && spent < EVENT_BUDGET; i++) {
         stream s = {0, key0, (uint64_t)(start + i), {0, 0, 0, 0}, 4};
         t[i] = xs[i] = terminal[i] = NAN;
         n[i] = -1;
         end[i] = (int8_t)run_path(&s, &j, x0, t_end, lam, delta, cap,
                                   max_events, explosive, &t[i], &xs[i],
-                                  &n[i], &terminal[i]);
+                                  &n[i], &terminal[i], events,
+                                  i == 0 ? room : 0);
+        spent += 1 + (n[i] > 0 ? n[i] : 0);
     }
+    return i;
 }

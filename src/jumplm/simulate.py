@@ -15,13 +15,15 @@ picks the sampler once per (spec, eps).  Path i of seed s draws its
 uniforms, in order, from Philox(key=[s, i]), so every path is
 reproducible on its own.
 
-The Monte Carlo fan-out (conservative_terminals, explosive_ends) runs a
-block of paths of either engine in one call of _kernel.c, the same loop
-compiled on first use into ${XDG_CACHE_HOME:-~/.cache}/jumplm: the same
-Philox streams, the scalar loop's operations in its order and the libm
-exp, log and pow that math calls, so every path ends bit for bit where
-_run_engine ends it.  _run_engine, the reference, runs the paths the
-scalar loop raises on, and all of them when there is no kernel.
+Every path runs on _kernel.c, the same loop compiled on first use into
+${XDG_CACHE_HOME:-~/.cache}/jumplm: the same Philox streams, the scalar
+loop's operations in its order and the libm exp, log and pow that math
+calls, so every path ends, and records its events, bit for bit as
+_run_engine does.  The Monte Carlo fan-out (conservative_terminals,
+explosive_ends) runs a block of paths per call, simulate_path and
+simulate_explosive_path a block of one.  _run_engine, the reference,
+runs the paths the scalar loop raises on, and all of them when there is
+no kernel.
 """
 
 from __future__ import annotations
@@ -204,14 +206,8 @@ def simulate_path(spec: LevyMeasureSpec, x0: float, t_end: float,
     With record=False the event list is left empty (terminal value only),
     consuming the identical random stream.
     """
-    eps = config.eps
-    lam, delta = _rates(spec, x0, t_end, eps, explosive=False)
-    events, t, x, _, _, _ = _run_engine(
-        spec, x0, t_end, config, path_index, record, lam, delta,
-        explosive=False)
-    terminal = x * math.exp(-delta * (t_end - t))
-    return Path(x0=x0, events=events, decay_rate=delta, t_end=t_end, eps=eps,
-                terminal=terminal)
+    return _path(spec, x0, t_end, config, path_index, record,
+                 explosive=False)
 
 
 # How a path of the fan-out ended: it reached t_end, crossed the cap (or
@@ -281,9 +277,10 @@ def _kernel():
         f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
         lib.jumplm_run_paths.argtypes = (
             [ctypes.c_uint64, i64, i64] + [f64] * 5 + [i64, ctypes.c_int]
-            + [ptr, ptr, i64] + [f64] * 3 + [ptr] * 5)
+            + [ptr, ptr, i64] + [f64] * 3 + [ptr] * 6 + [i64])
         lib.jumplm_ppoly.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
-        lib.jumplm_run_paths.restype = lib.jumplm_ppoly.restype = None
+        lib.jumplm_run_paths.restype = i64
+        lib.jumplm_ppoly.restype = None
         engine = FanOutEngine("kernel", str(path))
     _log.debug("Monte Carlo fan-out engine: %s (%s)", engine.name,
                engine.detail)
@@ -296,17 +293,26 @@ def fan_out_engine() -> FanOutEngine:
 
 
 # per path: its end code, the event loop's last t, x and jump count, and
-# its terminal value (NaN unless END_HORIZON)
-_PathEnds = collections.namedtuple("_PathEnds", "end t x n terminal")
+# its terminal value (NaN unless END_HORIZON); the (t, xi) events of a
+# recorded one-path block
+_PathEnds = collections.namedtuple("_PathEnds", "end t x n terminal events")
+
+# room for a recorded path's events in its first kernel call; a path with
+# more runs once again with room for all of them
+_EVENT_ROOM = 4096
 
 
 def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
-                explosive) -> _PathEnds:
-    """Paths start .. start+count-1 in one call of the kernel lib; without
-    one (lib None), the arrays for _fan_out to fill."""
+                explosive, record=False) -> _PathEnds:
+    """Paths start .. start+count-1 on the kernel lib; without one (lib
+    None), the arrays for _fan_out to fill.  With record, count is 1.
+
+    A kernel call returns after about 2^22 events, so Ctrl-C stops a
+    long block between calls.
+    """
     out = _PathEnds(np.empty(count, np.int8), np.empty(count),
                     np.empty(count), np.empty(count, np.int64),
-                    np.empty(count))
+                    np.empty(count), [])
     if lib is None:
         return out
     sampler = measure.make_jump_sampler(spec, config.eps)
@@ -317,28 +323,42 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
         jump = (x.ctypes.data, c.ctypes.data, x.size - 1, 0.0, 0.0, 0.0)
     else:
         jump = (None, None, 0, sampler.eps, sampler._inv_pow, sampler._beta)
-    lib.jumplm_run_paths(config.seed % 2 ** 64, start, count, x0, t_end, lam,
-                         delta, config.cap, config.max_events, explosive,
-                         *jump, *(a.ctypes.data for a in out))
+
+    def run(room):
+        events = np.empty((2, room))
+        done = 0
+        while done < count:
+            done += lib.jumplm_run_paths(
+                config.seed % 2 ** 64, start + done, count - done, x0, t_end,
+                lam, delta, config.cap, config.max_events, explosive, *jump,
+                *(a[done:].ctypes.data for a in out[:5]),
+                events.ctypes.data, room)
+        return events
+
+    events = run(_EVENT_ROOM if record else 0)
+    if record:
+        n = max(int(out.n[0]), 0)     # -1 when the kernel stopped on an error
+        if n > _EVENT_ROOM:
+            events = run(n)
+        out.events.extend(zip(events[0, :n].tolist(), events[1, :n].tolist()))
     return out
 
 
-def _fan_out(spec, x0, t_end, config, start, count,
-             explosive) -> _PathEnds:
-    """The ends of paths start .. start+count-1: the input checks, one
-    kernel call, then _run_engine for each path the kernel stopped where
-    the scalar loop raises (for every path when there is no kernel), so
-    errors and their messages are the scalar loop's."""
-    lam, delta = _rates(spec, x0, t_end, config.eps, explosive)
+def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
+             record=False) -> _PathEnds:
+    """The ends of paths start .. start+count-1, for an engine whose
+    inputs _rates checked: the kernel, then _run_engine for each path the
+    kernel stopped where the scalar loop raises (for every path when there
+    is no kernel), so errors and their messages are the scalar loop's."""
     lib = _kernel()[0]
     out = _kernel_run(lib, spec, x0, t_end, config, start, count, lam,
-                      delta, explosive)
+                      delta, explosive, record)
     # max_events ends an explosive path and raises in the conservative loop
     last = END_MAX_EVENTS if explosive else END_CAP
     redo = range(count) if lib is None else np.flatnonzero(out.end > last)
     for i in redo:
-        _, t, x, n, exploded, _ = _run_engine(
-            spec, x0, t_end, config, start + int(i), False, lam, delta,
+        events, t, x, n, exploded, _ = _run_engine(
+            spec, x0, t_end, config, start + int(i), record, lam, delta,
             explosive)
         out.t[i], out.x[i], out.n[i] = t, x, n
         out.end[i] = (END_HORIZON if not exploded else END_CAP
@@ -346,7 +366,20 @@ def _fan_out(spec, x0, t_end, config, start, count,
                       else END_MAX_EVENTS)
         out.terminal[i] = (math.nan if exploded
                            else x * math.exp(-delta * (t_end - t)))
+        out.events[:] = events
     return out
+
+
+def _path(spec, x0, t_end, config, path_index, record, explosive) -> Path:
+    """One path of either engine, as a one-path block of the fan-out."""
+    lam, delta = _rates(spec, x0, t_end, config.eps, explosive)
+    out = _fan_out(spec, x0, t_end, config, path_index, 1, lam, delta,
+                   explosive, record)
+    exploded = bool(out.end[0] != END_HORIZON)
+    return Path(x0=x0, events=out.events, decay_rate=delta, t_end=t_end,
+                eps=config.eps, exploded=exploded,
+                explosion_time=float(out.t[0]) if exploded else None,
+                terminal=None if exploded else float(out.terminal[0]))
 
 
 def conservative_terminals(spec: LevyMeasureSpec, x0: float, t_end: float,
@@ -359,7 +392,8 @@ def conservative_terminals(spec: LevyMeasureSpec, x0: float, t_end: float,
     the first path that raises, MaxEventsExceeded with the same message
     when a path reaches config.max_events.
     """
-    return _fan_out(spec, x0, t_end, config, start, count,
+    lam, delta = _rates(spec, x0, t_end, config.eps, explosive=False)
+    return _fan_out(spec, x0, t_end, config, start, count, lam, delta,
                     explosive=False).terminal
 
 
@@ -372,7 +406,8 @@ def explosive_ends(untilted: LevyMeasureSpec, x0: float, t_end: float,
     config.cap and END_MAX_EVENTS for one stopped at config.max_events
     jumps; simulate_explosive_path marks the latter two exploded.
     """
-    return _fan_out(untilted, x0, t_end, config, start, count,
+    lam, delta = _rates(untilted, x0, t_end, config.eps, explosive=True)
+    return _fan_out(untilted, x0, t_end, config, start, count, lam, delta,
                     explosive=True).end
 
 
@@ -387,15 +422,8 @@ def simulate_explosive_path(untilted: LevyMeasureSpec, x0: float, t_end: float,
     reasonable cap, and treating it as zero biases survival estimates
     downward).  Exhausting max_events also marks the path exploded.
     """
-    eps = config.eps
-    lam, delta = _rates(untilted, x0, t_end, eps, explosive=True)
-    events, t, x, _, exploded, explosion_time = _run_engine(
-        untilted, x0, t_end, config, path_index, record, lam, delta,
-        explosive=True)
-    terminal = None if exploded else x * math.exp(-delta * (t_end - t))
-    return Path(x0=x0, events=events, decay_rate=delta, t_end=t_end, eps=eps,
-                exploded=exploded, explosion_time=explosion_time,
-                terminal=terminal)
+    return _path(untilted, x0, t_end, config, path_index, record,
+                 explosive=True)
 
 
 def evaluate(path: Path, t: float):
@@ -420,14 +448,14 @@ def evaluate(path: Path, t: float):
 
 
 def export_path_csv(path: Path, stream) -> None:
-    """Write one path in the interchange format: commented header + events."""
-    stream.write(f"# x0={path.x0:.17g}\n")
-    stream.write(f"# decay_rate={path.decay_rate:.17g}\n")
-    stream.write(f"# eps={path.eps:.17g}\n")
-    stream.write(f"# exploded={str(path.exploded).lower()}\n")
-    stream.write(f"# t_end={path.t_end:.17g}\n")
+    """Write one path in the interchange format, commented header and
+    events, in one write."""
+    head = (f"# x0={path.x0:.17g}\n"
+            f"# decay_rate={path.decay_rate:.17g}\n"
+            f"# eps={path.eps:.17g}\n"
+            f"# exploded={str(path.exploded).lower()}\n"
+            f"# t_end={path.t_end:.17g}\n")
     if path.exploded and path.explosion_time is not None:
-        stream.write(f"# explosion_time={path.explosion_time:.17g}\n")
-    stream.write("time,size\n")
-    for (tj, xi) in path.events:
-        stream.write(f"{tj:.17g},{xi:.17g}\n")
+        head += f"# explosion_time={path.explosion_time:.17g}\n"
+    stream.write(head + "time,size\n"
+                 + "".join(["%.17g,%.17g\n" % ev for ev in path.events]))

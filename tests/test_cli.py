@@ -1,14 +1,17 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from jumplm import measure
+from jumplm import measure, simulate
 from jumplm.cli import main
 
 
@@ -275,3 +278,76 @@ def test_help_and_explosive_simulate_load_no_scipy(tmp_path, untilted_json):
     subprocess.run([sys.executable, "-c", code, "--help", simulate], env=env,
                    check=True, stdout=subprocess.DEVNULL)
     assert (tmp_path / "out" / "path_00002.csv").exists()
+
+
+def test_simulate_csvs_without_kernel(runner, ref_json, untilted_json,
+                                      tab_json, tmp_path, monkeypatch):
+    # the recorded paths run on the kernel; the Python loop writes the same
+    # bytes: the reference, the explosive dual (with paths that explode and
+    # paths longer than the kernel's first event room), the tabulated
+    # fixture and a negative seed
+    cases = {
+        "reference": [ref_json, "--eps", "1e-2", "--seed", "7"],
+        "explosive": [untilted_json, "--explosive", "--eps", "1e-2",
+                      "--cap", "1e8", "--t-end", repr(2.0 * math.log(2.0)),
+                      "--seed", "20261018"],
+        "tabulated": [tab_json, "--eps", "1e-2", "--seed", "5"],
+        "negative-seed": [ref_json, "--eps", "1e-2", "--seed", "-3"],
+    }
+
+    def run(engine):
+        files = {}
+        for name, args in cases.items():
+            out = tmp_path / engine / name
+            res = runner.invoke(main, ["simulate", *args, "--paths", "30",
+                                       "--out-dir", str(out)])
+            assert res.exit_code == 0, res.output
+            files.update({(name, p.name): p.read_bytes()
+                          for p in sorted(out.glob("path_*.csv"))})
+        return files
+
+    with_kernel = run("kernel")
+    monkeypatch.setattr(simulate, "_kernel", lambda: (
+        None, simulate.FanOutEngine("python", "disabled")))
+    assert run("python") == with_kernel
+    assert len(with_kernel) == 4 * 30
+    explosive = [v for (name, _), v in with_kernel.items()
+                 if name == "explosive"]
+    assert sum(b"# exploded=true" in v for v in explosive) >= 3
+    assert max(v.count(b"\n") for v in explosive) > simulate._EVENT_ROOM
+
+
+def test_ctrl_c_stops_the_fan_out(tmp_path, ref_json):
+    # at the CLI defaults (eps 1e-4, cap 1e12) one 4,096-path chunk of
+    # verify survival is minutes of kernel time; SIGINT, sent once the
+    # fan-out has begun, ends the command within a few seconds the way
+    # click ends on a KeyboardInterrupt
+    code = ("import logging, sys\n"
+            "logging.basicConfig(level=logging.DEBUG, format='%(message)s')\n"
+            "from jumplm.cli import main\n"
+            "main(sys.argv[1:])\n")
+    src = os.path.dirname(os.path.dirname(measure.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
+               PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "verify", "survival", ref_json, "--t",
+         "0.5", "--seed", "1"], env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True)
+    watchdog = threading.Timer(120.0, proc.kill)
+    watchdog.start()
+    try:
+        for line in proc.stderr:
+            if line.startswith("Monte Carlo fan-out engine: "):
+                break
+        time.sleep(1.0)
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        rest = proc.stderr.read()
+        status = proc.wait()
+        stopped = time.monotonic() - sent
+    finally:
+        watchdog.cancel()
+        proc.kill()
+    assert status == 1 and rest.endswith("Aborted!\n"), (status, rest[-500:])
+    assert stopped < 5.0, stopped

@@ -227,8 +227,8 @@ def test_uniform_stream_is_philox_per_path():
 
 
 def test_interleaved_uniform_streams():
-    # the streams share one re-keyed Philox; drawing from one between the
-    # other's blocks must not disturb either
+    # each stream draws from its own Philox generator; drawing from one
+    # between the other's blocks must not disturb either
     a, b = simulate._uniforms(12, 34), simulate._uniforms(-7, 35)
     got_a, got_b = [], []
     for _ in range(3000):
@@ -278,8 +278,8 @@ def test_conservative_terminals_long_streams(ref_spec):
 
 def test_conservative_terminals_infinite_proposals():
     # seed 1, path 1 meets an infinite Pareto proposal (see
-    # test_infinite_proposals_complete); the batch redoes that round one
-    # draw at a time
+    # test_infinite_proposals_complete); the kernel's pow is +inf there, as
+    # in the scalar loop, and beta = 1 rejects it
     spec = measure.LevyMeasureSpec.tilted_power(1.0, 1.01, 1.0)
     cfg = simulate.EngineConfig(eps=1e-2, seed=1)
     got = simulate.conservative_terminals(spec, 1000.0, 1.0, cfg, 0, 60)
@@ -430,6 +430,120 @@ def test_kernel_matches_run_engine(name, explosive, tabulated_spec, seed,
         assert (got.end[i] != simulate.END_HORIZON) == exploded
         if not exploded:
             assert got.terminal[i] == x * math.exp(-delta * (t_end - t))
+
+
+def _scalar_path(spec, x0, t_end, cfg, index, explosive):
+    """The Path that _run_engine alone gives, as both engines built it
+    before they ran on the kernel."""
+    lam, delta = simulate._rates(spec, x0, t_end, cfg.eps, explosive)
+    events, t, x, _, exploded, explosion_time = simulate._run_engine(
+        spec, x0, t_end, cfg, index, True, lam, delta, explosive)
+    return simulate.Path(
+        x0=x0, events=events, decay_rate=delta, t_end=t_end, eps=cfg.eps,
+        exploded=exploded, explosion_time=explosion_time,
+        terminal=None if exploded else x * math.exp(-delta * (t_end - t)))
+
+
+def _bits(path):
+    """A path's numbers as float.hex strings, equal only bit for bit (the
+    scalar conservative loop's times are numpy floats, the kernel's are
+    Python floats)."""
+    def h(v):
+        return None if v is None else float(v).hex()
+    return ([(h(t), h(xi)) for t, xi in path.events], h(path.x0),
+            h(path.decay_rate), h(path.t_end), h(path.eps), path.exploded,
+            h(path.explosion_time), h(path.terminal))
+
+
+def _recorded(spec, x0, t_end, cfg, index, explosive):
+    fn = simulate.simulate_explosive_path if explosive else simulate.simulate_path
+    return fn(spec, x0, t_end, cfg, index, record=True)
+
+
+@pytest.mark.parametrize("name,explosive", [
+    (name, explosive) for name, case in _KERNEL_CASES.items()
+    for explosive in case[1]])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(-2 ** 63, 2 ** 63 - 1),
+       index=st.integers(0, 10 ** 6),
+       eps_index=st.integers(0, 1),
+       x0=st.floats(0.05, 3.0),
+       t_end=st.floats(0.0, 2.0))
+def test_recorded_paths_match_run_engine(name, explosive, tabulated_spec,
+                                         seed, index, eps_index, x0, t_end):
+    # a recorded path runs on the kernel; its events, explosion and
+    # terminal value are the scalar loop's, bit for bit
+    _kernel_lib()
+    spec, _, eps_values, fixed_x0 = _KERNEL_CASES[name]
+    spec = spec or tabulated_spec
+    eps = eps_values[eps_index % len(eps_values)]
+    x0 = fixed_x0 or x0
+    cfg = simulate.EngineConfig(eps=eps, seed=seed, cap=1e5)
+    got = _recorded(spec, x0, t_end, cfg, index, explosive)
+    assert _bits(got) == _bits(_scalar_path(spec, x0, t_end, cfg, index,
+                                            explosive))
+
+
+def test_recorded_paths_outgrow_first_event_room():
+    # at cap 1e8 an exploding path makes tens of thousands of jumps, more
+    # than the first kernel call has room for, and runs again
+    _kernel_lib()
+    untilted = measure.untilted_spec(measure.reference_spec())
+    cfg = simulate.EngineConfig(eps=1e-2, seed=20261018, cap=1e8)
+    t_end = 2.0 * math.log(2.0)
+    long = 0
+    for i in range(13, 27):
+        got = simulate.simulate_explosive_path(untilted, 1.0, t_end, cfg, i)
+        assert _bits(got) == _bits(_scalar_path(untilted, 1.0, t_end, cfg, i,
+                                                True))
+        long += len(got.events) > simulate._EVENT_ROOM
+    assert long == 3
+
+
+def test_recorded_conservative_max_events(ref_spec, monkeypatch):
+    # a recorded path that reaches max_events raises the scalar loop's
+    # error and message, with the kernel and without it
+    cfg = simulate.EngineConfig(eps=1e-2, seed=9)
+    i, path = _first_path_with_events(simulate.simulate_path, ref_spec, 2.0,
+                                      cfg)
+    k = len(path.events)
+    tight = dataclasses.replace(cfg, max_events=k)
+    for kernel in (simulate._kernel, lambda: (
+            None, simulate.FanOutEngine("python", "disabled"))):
+        monkeypatch.setattr(simulate, "_kernel", kernel)
+        with pytest.raises(MaxEventsExceeded,
+                           match=f"^conservative path reached {k} events$"):
+            simulate.simulate_path(ref_spec, 1.0, 2.0, tight, i)
+        assert simulate.simulate_path(ref_spec, 1.0, 2.0, cfg, i) == path
+
+
+class _CountingKernel:
+    """A kernel whose jumplm_run_paths calls are counted."""
+
+    def __init__(self, lib):
+        self.lib, self.runs = lib, []
+
+    def jumplm_run_paths(self, *args):
+        self.runs.append(self.lib.jumplm_run_paths(*args))
+        return self.runs[-1]
+
+
+def test_kernel_block_spans_calls(ref_spec):
+    # about 2^22 events end a kernel call, so Ctrl-C lands between calls;
+    # a block of some 6M events takes two calls and ends as its paths do
+    # one by one
+    lib = _CountingKernel(_kernel_lib())
+    cfg = simulate.EngineConfig(eps=1e-2, seed=1)
+    lam, delta = simulate._rates(ref_spec, 1e5, 1.0, cfg.eps, False)
+    got = simulate._kernel_run(lib, ref_spec, 1e5, 1.0, cfg, 3, 16, lam,
+                               delta, False)
+    assert len(lib.runs) == 2 and sum(lib.runs) == 16
+    assert got.n.sum() > 2 ** 22
+    for i in range(16):
+        one = simulate._kernel_run(lib, ref_spec, 1e5, 1.0, cfg, 3 + i, 1,
+                                   lam, delta, False)
+        assert [a[i] for a in got[:5]] == [a[0] for a in one[:5]]
+    assert lib.runs[2:] == [1] * 16
 
 
 def test_kernel_ppoly_matches_scipy(tabulated_spec):
