@@ -6,17 +6,29 @@
  * state is the Python loop's to the bit.  Build without -ffast-math and
  * with -ffp-contract=off, which keeps a*b + c from becoming an FMA:
  *
- *     cc -O2 -fPIC -shared -ffp-contract=off -o kernel.so _kernel.c -lm
+ *     cc -O2 -fPIC -shared -ffp-contract=off -pthread -o kernel.so \
+ *         _kernel.c -lm
  *
  * Where the Python loop would raise (a log of a non-positive number, an
  * overflowing exp, a division by zero), the path stops with an end code
  * above END_MAX_EVENTS and the caller runs it again in Python.
  *
- * One call runs paths until about EVENT_BUDGET events are spent and
- * returns how many it ran, so a long block takes several calls and
- * Python can act on Ctrl-C between them.
+ * A call runs its block on up to `threads` threads, the calling one and
+ * threads - 1 it starts, unless the block records events.  Each thread
+ * claims the next path index, one at a time, and runs that path alone:
+ * event counts are heavy-tailed, so a fixed split would leave threads
+ * idle.  Path i draws from its own stream, so which thread runs it, and
+ * when, changes no bit of its results.
+ *
+ * The threads of a call share one budget of EVENT_BUDGET events.  A
+ * thread claims no more paths once the call has spent it, and finishes
+ * the path it holds, so a call returns a prefix: paths 0 .. k-1 of its
+ * block are written and none after them, k >= 1.  A long block takes
+ * several calls, and Python can act on Ctrl-C between them.
  */
 #include <math.h>
+#include <pthread.h>
+#include <stdatomic.h>
 #include <stdint.h>
 
 /* end codes, mirrored in simulate.py */
@@ -24,6 +36,11 @@ enum { END_HORIZON, END_CAP, END_MAX_EVENTS, END_LOG_DOMAIN, END_EXP_RANGE,
        END_ZERO_DIVISION };
 
 #define EVENT_BUDGET ((int64_t)1 << 22)
+/* the most threads a call runs on, mirrored in simulate.py */
+#define MAX_THREADS 64
+/* run_path needs little stack; a size below the platform's minimum
+ * leaves the default */
+#define THREAD_STACK ((size_t)1 << 16)
 
 /* Philox-4x64-10 (Salmon et al., SC'11) as numpy's Philox(key=[k0, k1])
  * draws it: the counter goes up by one before each block of four words,
@@ -172,10 +189,50 @@ static int run_path(stream *s, const sampler *j, double x0, double t_end,
     return end;
 }
 
+/* one call's block of paths, shared by its threads */
+typedef struct {
+    uint64_t key0;
+    int64_t start, count;
+    double x0, t_end, lam, delta, cap;
+    int64_t max_events;
+    int explosive;
+    sampler j;
+    int8_t *end;
+    double *t, *xs;
+    int64_t *n;
+    double *terminal, *events;
+    int64_t room;
+    atomic_int_fast64_t next, spent;    /* path to claim; events spent */
+} block;
+
+/* Claims and runs paths of the block until none is left or the budget is
+ * spent; a claimed path always runs to its end. */
+static void *run_block(void *arg)
+{
+    block *b = arg;
+    while (atomic_load(&b->spent) < EVENT_BUDGET) {
+        int64_t i = atomic_fetch_add(&b->next, 1);
+        if (i >= b->count)
+            break;
+        stream s = {0, b->key0, (uint64_t)(b->start + i), {0, 0, 0, 0}, 4};
+        b->t[i] = b->xs[i] = b->terminal[i] = NAN;
+        b->n[i] = -1;
+        b->end[i] = (int8_t)run_path(&s, &b->j, b->x0, b->t_end, b->lam,
+                                     b->delta, b->cap, b->max_events,
+                                     b->explosive, &b->t[i], &b->xs[i],
+                                     &b->n[i], &b->terminal[i], b->events,
+                                     i == 0 ? b->room : 0);
+        atomic_fetch_add(&b->spent, 1 + (b->n[i] > 0 ? b->n[i] : 0));
+    }
+    return NULL;
+}
+
 /* Paths start .. start+count-1 of seed key0 (the seed mod 2^64); path i
  * draws from Philox(key=[key0, i]).  For each path: the end code, and the
  * loop's last t, x and jump count; the terminal value at END_HORIZON.  The
  * first path records its first room jumps in events (see run_path).
+ * Runs on up to threads threads (at most MAX_THREADS and count, and one
+ * when room > 0); where a thread cannot be started, on those that were.
  * Returns the number of paths run: all count of them, or fewer once
  * EVENT_BUDGET events are spent, and at least one. */
 int64_t jumplm_run_paths(uint64_t key0, int64_t start, int64_t count,
@@ -184,19 +241,34 @@ int64_t jumplm_run_paths(uint64_t key0, int64_t start, int64_t count,
                          const double *x, const double *c, int64_t m,
                          double eps, double inv_pow, double beta,
                          int8_t *end, double *t, double *xs, int64_t *n,
-                         double *terminal, double *events, int64_t room)
+                         double *terminal, double *events, int64_t room,
+                         int threads)
 {
-    sampler j = {x, c, m, eps, inv_pow, beta};
-    int64_t i, spent = 0;
-    for (i = 0; i < count && spent < EVENT_BUDGET; i++) {
-        stream s = {0, key0, (uint64_t)(start + i), {0, 0, 0, 0}, 4};
-        t[i] = xs[i] = terminal[i] = NAN;
-        n[i] = -1;
-        end[i] = (int8_t)run_path(&s, &j, x0, t_end, lam, delta, cap,
-                                  max_events, explosive, &t[i], &xs[i],
-                                  &n[i], &terminal[i], events,
-                                  i == 0 ? room : 0);
-        spent += 1 + (n[i] > 0 ? n[i] : 0);
+    block b = {key0, start, count, x0, t_end, lam, delta, cap, max_events,
+               explosive, {x, c, m, eps, inv_pow, beta}, end, t, xs, n,
+               terminal, events, room};
+    pthread_t helper[MAX_THREADS - 1];
+    int started = 0;
+    atomic_init(&b.next, 0);
+    atomic_init(&b.spent, 0);
+    if (room > 0)
+        threads = 1;
+    if (threads > count)
+        threads = (int)count;
+    if (threads > MAX_THREADS)
+        threads = MAX_THREADS;
+    if (threads > 1) {
+        pthread_attr_t attr;
+        pthread_attr_init(&attr);
+        pthread_attr_setstacksize(&attr, THREAD_STACK);
+        while (started < threads - 1
+               && pthread_create(&helper[started], &attr, run_block, &b) == 0)
+            started++;
+        pthread_attr_destroy(&attr);
     }
-    return i;
+    run_block(&b);
+    for (int k = 0; k < started; k++)
+        pthread_join(helper[k], NULL);
+    int64_t claimed = atomic_load(&b.next);
+    return claimed < count ? claimed : count;
 }

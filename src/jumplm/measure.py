@@ -388,11 +388,11 @@ def tail_intensity(spec: LevyMeasureSpec, eps: float) -> float:
         from scipy import special
         x = bta * eps
         if a == 1.0:
-            return c * special.exp1(x)
+            return float(c * special.exp1(x))
         # Gamma(1-a, x) via the recurrence from Gamma(2-a, x), 2-a in (0, 1)
         g_upper = math.gamma(2.0 - a) * special.gammaincc(2.0 - a, x)
         g_1ma = (g_upper - x ** (1.0 - a) * math.exp(-x)) / (1.0 - a)
-        return c * bta ** (a - 1.0) * g_1ma
+        return float(c * bta ** (a - 1.0) * g_1ma)
     if spec.tilt_rate <= 0.0:
         raise DomainError("tabulated measure without tilt has divergent tail mass")
     return integrate_against(spec, lambda xi: 1.0, lower=eps)
@@ -408,8 +408,8 @@ def small_jump_mean(spec: LevyMeasureSpec, eps: float) -> float:
         if bta == 0.0:
             return c * eps ** (2.0 - a) / (2.0 - a)
         from scipy import special
-        return (c * bta ** (a - 2.0) * math.gamma(2.0 - a)
-                * special.gammainc(2.0 - a, bta * eps))
+        return float(c * bta ** (a - 2.0) * math.gamma(2.0 - a)
+                     * special.gammainc(2.0 - a, bta * eps))
     return integrate_against(spec, lambda xi: xi, upper=eps)
 
 

@@ -2,9 +2,9 @@
 
 Each experiment fans paths out over counter-based RNG streams, aggregates
 with numpy's pairwise summation so the result does not depend on how the
-work was chunked across workers, and compares the estimate to a theory
-value recomputed from the Riccati machinery.  Reports serialize to JSON
-and a CSV mirror with a pass/fail flag per row at |z| <= 3.
+work was split across threads or workers, and compares the estimate to a
+theory value recomputed from the Riccati machinery.  Reports serialize to
+JSON and a CSV mirror with a pass/fail flag per row at |z| <= 3.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -140,11 +141,18 @@ class ExperimentReport:
 def _run_chunk(args):
     """Worker for one contiguous block of path indices (picklable):
     terminal values, or the end codes of explosive paths."""
-    kind, spec, x0, t_end, config, start, count = args
-    if kind == "conservative":
-        return simulate.conservative_terminals(spec, x0, t_end, config, start,
-                                               count)
-    return simulate.explosive_ends(spec, x0, t_end, config, start, count)
+    kind, spec, x0, t_end, config, start, count, threads = args
+    engine = (simulate.conservative_terminals if kind == "conservative"
+              else simulate.explosive_ends)
+    return engine(spec, x0, t_end, config, start, count, threads)
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _collect(kind: str, spec: LevyMeasureSpec, x0: float, t_end: float,
@@ -152,17 +160,29 @@ def _collect(kind: str, spec: LevyMeasureSpec, x0: float, t_end: float,
              n_workers: Optional[int] = None) -> np.ndarray:
     """Simulate n_paths terminal statistics, chunked for parallel fan-out.
 
-    The chunking is fixed regardless of n_workers and chunks are
+    n_workers is how many CPUs the fan-out may use.  With the kernel they
+    are the threads of each chunk's kernel calls: by default one per CPU
+    this process may run on, and at most simulate.MAX_THREADS and
+    n_paths; no process pool starts.  Without the kernel, a process pool
+    of n_workers runs the chunks when n_workers > 1, and this process
+    does otherwise.  Every path draws from its own stream and chunks are
     reassembled in index order, so results are bit-identical across
-    worker counts.  The kernel is built or loaded here, before any worker
-    starts, so workers do not compile it side by side.
+    thread and worker counts.  The kernel is built or loaded here, before
+    any worker starts, so workers do not compile it side by side.
     """
     if n_paths < 2:
         raise InvalidConfig(f"need at least 2 paths, got {n_paths}")
-    tasks = [(kind, spec, x0, t_end, config, s, min(_CHUNK, n_paths - s))
-             for s in range(0, n_paths, _CHUNK)]
-    simulate.fan_out_engine()
-    if n_workers is not None and n_workers > 1:
+    cpus = _usable_cpus() if n_workers is None else n_workers
+    kernel = simulate.fan_out_engine().name == "kernel"
+    threads = max(1, min(cpus, n_paths, simulate.MAX_THREADS)) if kernel else 1
+    tasks = [(kind, spec, x0, t_end, config, s, min(_CHUNK, n_paths - s),
+              threads) for s in range(0, n_paths, _CHUNK)]
+    pool = not kernel and n_workers is not None and n_workers > 1
+    _log.debug("fan-out: %d %s paths, chunks %d, on %s", n_paths, kind,
+               len(tasks), f"{n_workers} pool workers" if pool
+               else f"{threads} kernel threads" if kernel
+               else "the Python loop in this process")
+    if pool:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as ex:
             parts = list(ex.map(_run_chunk, tasks))

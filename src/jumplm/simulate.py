@@ -20,10 +20,12 @@ ${XDG_CACHE_HOME:-~/.cache}/jumplm: the same Philox streams, the scalar
 loop's operations in its order and the libm exp, log and pow that math
 calls, so every path ends, and records its events, bit for bit as
 _run_engine does.  The Monte Carlo fan-out (conservative_terminals,
-explosive_ends) runs a block of paths per call, simulate_path and
-simulate_explosive_path a block of one.  _run_engine, the reference,
-runs the paths the scalar loop raises on, and all of them when there is
-no kernel.
+explosive_ends) runs a block of paths per call, on as many threads as it
+is given, each claiming the next path; since every path has its own
+stream, the results are the same bits on any number of threads.
+simulate_path and simulate_explosive_path run a block of one, on one
+thread.  _run_engine, the reference, runs the paths the scalar loop
+raises on, and all of them when there is no kernel.
 """
 
 from __future__ import annotations
@@ -215,6 +217,9 @@ def simulate_path(spec: LevyMeasureSpec, x0: float, t_end: float,
 # codes, and codes above END_MAX_EVENTS for a path the scalar loop raises on.
 END_HORIZON, END_CAP, END_MAX_EVENTS = 0, 1, 2
 
+# the most threads a kernel call runs a block on, as in _kernel.c
+MAX_THREADS = 64
+
 
 @dataclass(frozen=True)
 class FanOutEngine:
@@ -227,7 +232,7 @@ class FanOutEngine:
 
 _KERNEL_SOURCE = pathlib.Path(__file__).with_name("_kernel.c")
 # no -ffast-math, and no a*b + c contracted into an FMA: see _kernel.c
-_CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 
 
 def _build_kernel() -> pathlib.Path:
@@ -277,7 +282,7 @@ def _kernel():
         f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
         lib.jumplm_run_paths.argtypes = (
             [ctypes.c_uint64, i64, i64] + [f64] * 5 + [i64, ctypes.c_int]
-            + [ptr, ptr, i64] + [f64] * 3 + [ptr] * 6 + [i64])
+            + [ptr, ptr, i64] + [f64] * 3 + [ptr] * 6 + [i64, ctypes.c_int])
         lib.jumplm_ppoly.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
         lib.jumplm_run_paths.restype = i64
         lib.jumplm_ppoly.restype = None
@@ -303,9 +308,10 @@ _EVENT_ROOM = 4096
 
 
 def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
-                explosive, record=False) -> _PathEnds:
-    """Paths start .. start+count-1 on the kernel lib; without one (lib
-    None), the arrays for _fan_out to fill.  With record, count is 1.
+                explosive, record=False, threads=1) -> _PathEnds:
+    """Paths start .. start+count-1 on the kernel lib, each call on up to
+    threads threads; without a kernel (lib None), the arrays for _fan_out
+    to fill.  With record, count is 1.
 
     A kernel call returns after about 2^22 events, so Ctrl-C stops a
     long block between calls.
@@ -332,7 +338,7 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
                 config.seed % 2 ** 64, start + done, count - done, x0, t_end,
                 lam, delta, config.cap, config.max_events, explosive, *jump,
                 *(a[done:].ctypes.data for a in out[:5]),
-                events.ctypes.data, room)
+                events.ctypes.data, room, threads)
         return events
 
     events = run(_EVENT_ROOM if record else 0)
@@ -345,14 +351,14 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
 
 
 def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
-             record=False) -> _PathEnds:
+             record=False, threads=1) -> _PathEnds:
     """The ends of paths start .. start+count-1, for an engine whose
     inputs _rates checked: the kernel, then _run_engine for each path the
     kernel stopped where the scalar loop raises (for every path when there
     is no kernel), so errors and their messages are the scalar loop's."""
     lib = _kernel()[0]
     out = _kernel_run(lib, spec, x0, t_end, config, start, count, lam,
-                      delta, explosive, record)
+                      delta, explosive, record, threads)
     # max_events ends an explosive path and raises in the conservative loop
     last = END_MAX_EVENTS if explosive else END_CAP
     redo = range(count) if lib is None else np.flatnonzero(out.end > last)
@@ -384,23 +390,25 @@ def _path(spec, x0, t_end, config, path_index, record, explosive) -> Path:
 
 def conservative_terminals(spec: LevyMeasureSpec, x0: float, t_end: float,
                            config: EngineConfig, start: int,
-                           count: int) -> np.ndarray:
-    """Terminal values of conservative paths start .. start+count-1.
+                           count: int, threads: int = 1) -> np.ndarray:
+    """Terminal values of conservative paths start .. start+count-1, on up
+    to threads kernel threads.
 
-    Equal bit for bit to simulate_path(spec, x0, t_end, config, i,
-    record=False).terminal for each i; raises what simulate_path raises on
-    the first path that raises, MaxEventsExceeded with the same message
-    when a path reaches config.max_events.
+    Equal bit for bit, on any number of threads, to simulate_path(spec,
+    x0, t_end, config, i, record=False).terminal for each i; raises what
+    simulate_path raises on the first path that raises, MaxEventsExceeded
+    with the same message when a path reaches config.max_events.
     """
     lam, delta = _rates(spec, x0, t_end, config.eps, explosive=False)
     return _fan_out(spec, x0, t_end, config, start, count, lam, delta,
-                    explosive=False).terminal
+                    explosive=False, threads=threads).terminal
 
 
 def explosive_ends(untilted: LevyMeasureSpec, x0: float, t_end: float,
                    config: EngineConfig, start: int,
-                   count: int) -> np.ndarray:
-    """End codes of explosive paths start .. start+count-1 (int8).
+                   count: int, threads: int = 1) -> np.ndarray:
+    """End codes of explosive paths start .. start+count-1 (int8), on up
+    to threads kernel threads.
 
     END_HORIZON for a path alive at t_end, END_CAP for one that crossed
     config.cap and END_MAX_EVENTS for one stopped at config.max_events
@@ -408,7 +416,7 @@ def explosive_ends(untilted: LevyMeasureSpec, x0: float, t_end: float,
     """
     lam, delta = _rates(untilted, x0, t_end, config.eps, explosive=True)
     return _fan_out(untilted, x0, t_end, config, start, count, lam, delta,
-                    explosive=True).end
+                    explosive=True, threads=threads).end
 
 
 def simulate_explosive_path(untilted: LevyMeasureSpec, x0: float, t_end: float,

@@ -240,6 +240,22 @@ def test_verify_survival_small(runner, ref_json):
     assert report["rows"][0]["theory"] == pytest.approx(math.exp(-0.25), abs=1e-8)
 
 
+def test_verify_survival_reports_do_not_depend_on_workers(runner, ref_json,
+                                                          tmp_path):
+    # --workers 1 runs each kernel call on one thread, the default on every
+    # usable CPU; every path draws from its own stream, so the reports of
+    # the two chunks are the same bytes
+    args = ["verify", "survival", ref_json, "--t", str(2.0 * math.log(2.0)),
+            "--paths", "5000", "--eps", "1e-2", "--cap", "1e5", "--seed", "9"]
+    for name, workers in (("one", ["--workers", "1"]), ("default", [])):
+        res = runner.invoke(main, args + workers + ["--out",
+                                                    str(tmp_path / name)])
+        assert res.exit_code == 0, res.output
+    for name in ("survival_report.json", "survival_report.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "default" / name).read_bytes()
+
+
 def test_lemma_check_small_grid(runner):
     res = runner.invoke(main, ["lemma-check", "--alpha-grid", "1.3,1.7",
                                "--u-grid", "0,0.5,1"])

@@ -106,6 +106,40 @@ def test_worker_determinism(ref_spec):
     assert serial == parallel
 
 
+def test_fan_out_runs_on_threads_or_a_pool(ref_spec, monkeypatch, caplog):
+    # with the kernel, n_workers counts the threads of its calls and no
+    # process pool starts; without one, n_workers > 1 is a pool, as it was
+    import concurrent.futures
+
+    if simulate.fan_out_engine().name != "kernel":
+        pytest.skip(simulate.fan_out_engine().detail)
+    cfg = EngineConfig(eps=1e-2, seed=7)
+
+    def collect(n_paths, n_workers):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="jumplm.montecarlo"):
+            got = montecarlo._collect("conservative", ref_spec, 1.0, 1.0, cfg,
+                                      n_paths, n_workers)
+        return got, [r.getMessage() for r in caplog.records
+                     if r.name == "jumplm.montecarlo"]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    threaded, log = collect(4500, 3)
+    assert log == ["fan-out: 4500 conservative paths, chunks 2, on 3 kernel "
+                   "threads"]
+    assert collect(2, 8)[1] == ["fan-out: 2 conservative paths, chunks 1, on "
+                                "2 kernel threads"]
+    monkeypatch.undo()
+    monkeypatch.setattr(simulate, "_kernel", lambda: (
+        None, simulate.FanOutEngine("python", "disabled")))
+    pooled, log = collect(4500, 3)
+    assert log == ["fan-out: 4500 conservative paths, chunks 2, on 3 pool "
+                   "workers"]
+    assert pooled.tobytes() == threaded.tobytes()
+    assert collect(2, None)[1] == ["fan-out: 2 conservative paths, chunks 1, "
+                                   "on the Python loop in this process"]
+
+
 def test_collect_table_sampler_matches_paths():
     # mean Pareto acceptance 0.46%: the fan-out inverts the table on whole
     # arrays, the single-path view one uniform at a time

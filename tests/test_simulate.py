@@ -546,6 +546,119 @@ def test_kernel_block_spans_calls(ref_spec):
     assert lib.runs[2:] == [1] * 16
 
 
+def _outcome(fn):
+    """What fn() gives: its array's bytes, or the type and message of what
+    it raises."""
+    try:
+        return fn().tobytes()
+    except MaxEventsExceeded as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name,explosive", [
+    (name, explosive) for name, case in _KERNEL_CASES.items()
+    for explosive in case[1]])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(-2 ** 63, 2 ** 63 - 1),
+       start=st.integers(0, 10 ** 6),
+       count=st.integers(1, 64),
+       eps_index=st.integers(0, 1),
+       x0=st.floats(0.05, 3.0),
+       t_end=st.floats(0.0, 2.0),
+       max_events=st.sampled_from([10_000_000, 1, 5, 20]),
+       stop_delta=st.sampled_from([None, 0.0, -1000.0]))
+def test_kernel_threads_match_one_thread(name, explosive, tabulated_spec,
+                                         seed, start, count, eps_index, x0,
+                                         t_end, max_events, stop_delta):
+    # paths are claimed one at a time by whichever thread is free; every
+    # output of every path is the one-thread output, bit for bit, also for
+    # paths stopped at max_events and, with a delta of 0 or one whose
+    # decay overflows on [0, t_end], for paths the kernel leaves to the
+    # scalar loop
+    lib = _kernel_lib()
+    spec, _, eps_values, fixed_x0 = _KERNEL_CASES[name]
+    spec = spec or tabulated_spec
+    eps = eps_values[eps_index % len(eps_values)]
+    x0 = fixed_x0 or x0
+    cfg = simulate.EngineConfig(eps=eps, seed=seed, cap=1e5,
+                                max_events=max_events)
+    lam, delta = simulate._rates(spec, x0, t_end, eps, explosive)
+    if stop_delta is not None:
+        delta, t_end = stop_delta, 1.0 + t_end
+    one = simulate._kernel_run(lib, spec, x0, t_end, cfg, start, count, lam,
+                               delta, explosive)
+    if stop_delta is not None:
+        assert np.all(one.end > simulate.END_MAX_EVENTS)
+    for threads in (2, 3, 8):
+        got = simulate._kernel_run(lib, spec, x0, t_end, cfg, start, count,
+                                   lam, delta, explosive, threads=threads)
+        assert [a.tobytes() for a in got[:5]] == [a.tobytes() for a in one[:5]]
+    if not explosive and stop_delta is None:
+        # a path at max_events raises the scalar loop's error and message
+        def terminals(threads):
+            return lambda: simulate.conservative_terminals(
+                spec, x0, t_end, cfg, start, count, threads)
+        assert _outcome(terminals(3)) == _outcome(terminals(1))
+
+
+def test_kernel_threads_block_spans_calls(ref_spec):
+    # 16 paths of some 370k events each.  A call returns k: paths 0 .. k-1
+    # are written, as on one thread, and no later path is; it claimed path
+    # k-1 before the 2^22-event budget was spent, when at most one path per
+    # thread was unfinished, and stops short of the block only once the
+    # budget is spent.  Paths are claimed only while fewer than 12 are
+    # finished, so a call on at most 3 threads claims at most 11 + 3 of
+    # them and the block takes two calls.  It ends as on one thread.
+    lib = _CountingKernel(_kernel_lib())
+    cfg = simulate.EngineConfig(eps=1e-2, seed=1)
+    lam, delta = simulate._rates(ref_spec, 1e5, 1.0, cfg.eps, False)
+    one = simulate._kernel_run(lib, ref_spec, 1e5, 1.0, cfg, 3, 16, lam,
+                               delta, False)
+    sampler = measure.make_jump_sampler(ref_spec, cfg.eps)
+    assert isinstance(sampler, measure._RejectionSampler)
+    for threads in (2, 3, 8):
+        out = [np.full(16, -9, np.int8), np.full(16, -9.0),
+               np.full(16, -9.0), np.full(16, -9, np.int64),
+               np.full(16, -9.0)]
+        k = lib.jumplm_run_paths(
+            cfg.seed, 3, 16, 1e5, 1.0, lam, delta, cfg.cap, cfg.max_events,
+            False, None, None, 0, sampler.eps, sampler._inv_pow,
+            sampler._beta, *(a.ctypes.data for a in out), None, 0, threads)
+        assert 1 <= k <= 16 and (k < 16 or threads > 3)
+        assert [a[:k].tobytes() for a in out] == [a[:k].tobytes()
+                                                  for a in one[:5]]
+        assert all(np.all(a[k:] == -9) for a in out)
+        spent = np.sort(1 + out[3][:k])
+        assert spent[:-threads].sum() < 2 ** 22
+        assert k == 16 or spent.sum() >= 2 ** 22
+        lib.runs.clear()
+        got = simulate._kernel_run(lib, ref_spec, 1e5, 1.0, cfg, 3, 16, lam,
+                                   delta, False, threads=threads)
+        assert sum(lib.runs) == 16 and (len(lib.runs) >= 2 or threads > 3)
+        assert [a.tobytes() for a in got[:5]] == [a.tobytes() for a in one[:5]]
+
+
+def test_path_repr_is_engine_independent(ref_spec, tabulated_spec,
+                                         monkeypatch):
+    # the rates are Python floats, so a path's repr is the same on the
+    # kernel and on the Python loop
+    untilted = measure.untilted_spec(ref_spec)
+    cfg = simulate.EngineConfig(eps=1e-2, seed=7, cap=1e5)
+
+    def paths():
+        return [repr(simulate.simulate_path(ref_spec, 1.0, 1.0, cfg, 2)),
+                repr(simulate.simulate_path(tabulated_spec, 1.0, 1.0, cfg, 2)),
+                repr(simulate.simulate_explosive_path(untilted, 1.0, 1.0, cfg,
+                                                      2))]
+
+    _kernel_lib()
+    on_kernel = paths()
+    monkeypatch.setattr(simulate, "_kernel", lambda: (
+        None, simulate.FanOutEngine("python", "disabled")))
+    assert paths() == on_kernel
+    assert "np.float64" not in "".join(on_kernel)
+
+
 def test_kernel_ppoly_matches_scipy(tabulated_spec):
     # the C port of PPoly evaluation against the table sampler's
     # PchipInterpolator: uniforms, every breakpoint and its neighbours
