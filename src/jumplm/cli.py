@@ -204,10 +204,9 @@ def _parse_grid(text):
 @click.option("--cap", default=1e12, show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--workers", type=int, default=None,
-              help="CPUs the Monte Carlo fan-out may use: threads of the "
-                   "compiled kernel (default: every CPU this process may run "
-                   "on), or without a kernel a process pool when above 1; "
-                   "results do not depend on it")
+              help="threads of the compiled kernel for the Monte Carlo "
+                   "fan-out (default: every CPU this process may run on; "
+                   "ignored without a kernel); results do not depend on it")
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="directory for report files (default: report to stdout only)")
 def verify(subcommand, config, x0, t, t_grid, u, paths, eps, eps_list, cap,

@@ -2,7 +2,7 @@
 
 Each experiment fans paths out over counter-based RNG streams, aggregates
 with numpy's pairwise summation so the result does not depend on how the
-work was split across threads or workers, and compares the estimate to a
+paths were split across kernel threads, and compares the estimate to a
 theory value recomputed from the Riccati machinery.  Reports serialize to
 JSON and a CSV mirror with a pass/fail flag per row at |z| <= 3.
 """
@@ -38,7 +38,6 @@ __all__ = [
 Z_THRESHOLD = 3.0
 DEFAULT_PATHS = 100_000
 U_MAX_ACCEPTED = 0.5
-_CHUNK = 4096
 
 _log = logging.getLogger(__name__)
 
@@ -138,15 +137,6 @@ class ExperimentReport:
 # Path fan-out
 # ---------------------------------------------------------------------------
 
-def _run_chunk(args):
-    """Worker for one contiguous block of path indices (picklable):
-    terminal values, or the end codes of explosive paths."""
-    kind, spec, x0, t_end, config, start, count, threads = args
-    engine = (simulate.conservative_terminals if kind == "conservative"
-              else simulate.explosive_ends)
-    return engine(spec, x0, t_end, config, start, count, threads)
-
-
 def _usable_cpus() -> int:
     """How many CPUs this process may run on."""
     try:
@@ -158,37 +148,28 @@ def _usable_cpus() -> int:
 def _collect(kind: str, spec: LevyMeasureSpec, x0: float, t_end: float,
              config: EngineConfig, n_paths: int,
              n_workers: Optional[int] = None) -> np.ndarray:
-    """Simulate n_paths terminal statistics, chunked for parallel fan-out.
+    """Terminal values (conservative) or end codes (explosive) of paths
+    0 .. n_paths-1, simulated in this process as one block.
 
-    n_workers is how many CPUs the fan-out may use.  With the kernel they
-    are the threads of each chunk's kernel calls: by default one per CPU
-    this process may run on, and at most simulate.MAX_THREADS and
-    n_paths; no process pool starts.  Without the kernel, a process pool
-    of n_workers runs the chunks when n_workers > 1, and this process
-    does otherwise.  Every path draws from its own stream and chunks are
-    reassembled in index order, so results are bit-identical across
-    thread and worker counts.  The kernel is built or loaded here, before
-    any worker starts, so workers do not compile it side by side.
+    With the kernel, n_workers is how many threads its calls run on: by
+    default one per CPU this process may run on, and at most
+    simulate.MAX_THREADS and n_paths.  Without it the Python loop runs
+    every path and n_workers is ignored.  Every path draws from its own
+    stream, so results are bit-identical across thread counts.
     """
     if n_paths < 2:
         raise InvalidConfig(f"need at least 2 paths, got {n_paths}")
-    cpus = _usable_cpus() if n_workers is None else n_workers
+    if n_workers is not None and n_workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {n_workers}")
     kernel = simulate.fan_out_engine().name == "kernel"
-    threads = max(1, min(cpus, n_paths, simulate.MAX_THREADS)) if kernel else 1
-    tasks = [(kind, spec, x0, t_end, config, s, min(_CHUNK, n_paths - s),
-              threads) for s in range(0, n_paths, _CHUNK)]
-    pool = not kernel and n_workers is not None and n_workers > 1
-    _log.debug("fan-out: %d %s paths, chunks %d, on %s", n_paths, kind,
-               len(tasks), f"{n_workers} pool workers" if pool
-               else f"{threads} kernel threads" if kernel
+    cpus = _usable_cpus() if n_workers is None else n_workers
+    threads = min(cpus, n_paths, simulate.MAX_THREADS) if kernel else 1
+    _log.debug("fan-out: %d %s paths on %s", n_paths, kind,
+               f"{threads} kernel threads" if kernel
                else "the Python loop in this process")
-    if pool:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_workers) as ex:
-            parts = list(ex.map(_run_chunk, tasks))
-    else:
-        parts = [_run_chunk(t) for t in tasks]
-    return np.concatenate(parts)
+    engine = (simulate.conservative_terminals if kind == "conservative"
+              else simulate.explosive_ends)
+    return engine(spec, x0, t_end, config, 0, n_paths, threads)
 
 
 def _make_estimate(samples: np.ndarray, theory: float,

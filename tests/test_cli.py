@@ -256,6 +256,15 @@ def test_verify_survival_reports_do_not_depend_on_workers(runner, ref_json,
             (tmp_path / "default" / name).read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_rejects_non_positive_workers(runner, ref_json, workers):
+    res = runner.invoke(main, ["verify", "mean", ref_json, "--paths", "100",
+                               "--eps", "1e-2", "--seed", "1",
+                               "--workers", workers])
+    assert res.exit_code == 1
+    assert res.output == f"error: workers must be >= 1, got {workers}\n"
+
+
 def test_lemma_check_small_grid(runner):
     res = runner.invoke(main, ["lemma-check", "--alpha-grid", "1.3,1.7",
                                "--u-grid", "0,0.5,1"])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jumplm import measure, montecarlo, riccati, simulate
 from jumplm.errors import DomainError, InvalidConfig, MaxEventsExceeded
@@ -106,9 +107,11 @@ def test_worker_determinism(ref_spec):
     assert serial == parallel
 
 
-def test_fan_out_runs_on_threads_or_a_pool(ref_spec, monkeypatch, caplog):
-    # with the kernel, n_workers counts the threads of its calls and no
-    # process pool starts; without one, n_workers > 1 is a pool, as it was
+def test_fan_out_runs_on_kernel_threads_or_in_process(ref_spec, monkeypatch,
+                                                     caplog):
+    # with the kernel, n_workers counts the threads of its calls; without
+    # one, the Python loop runs every path in this process and n_workers is
+    # ignored; no process pool starts either way
     import concurrent.futures
 
     if simulate.fan_out_engine().name != "kernel":
@@ -125,19 +128,70 @@ def test_fan_out_runs_on_threads_or_a_pool(ref_spec, monkeypatch, caplog):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     threaded, log = collect(4500, 3)
-    assert log == ["fan-out: 4500 conservative paths, chunks 2, on 3 kernel "
-                   "threads"]
-    assert collect(2, 8)[1] == ["fan-out: 2 conservative paths, chunks 1, on "
-                                "2 kernel threads"]
-    monkeypatch.undo()
+    assert log == ["fan-out: 4500 conservative paths on 3 kernel threads"]
+    assert collect(2, 8)[1] == ["fan-out: 2 conservative paths on 2 kernel "
+                                "threads"]
     monkeypatch.setattr(simulate, "_kernel", lambda: (
         None, simulate.FanOutEngine("python", "disabled")))
-    pooled, log = collect(4500, 3)
-    assert log == ["fan-out: 4500 conservative paths, chunks 2, on 3 pool "
-                   "workers"]
-    assert pooled.tobytes() == threaded.tobytes()
-    assert collect(2, None)[1] == ["fan-out: 2 conservative paths, chunks 1, "
-                                   "on the Python loop in this process"]
+    in_process, log = collect(4500, 3)
+    assert log == ["fan-out: 4500 conservative paths on the Python loop in "
+                   "this process"]
+    assert in_process.tobytes() == threaded.tobytes()
+    assert collect(2, None)[1] == ["fan-out: 2 conservative paths on the "
+                                   "Python loop in this process"]
+
+
+@pytest.mark.parametrize("n_workers", [0, -3])
+def test_collect_rejects_non_positive_workers(ref_spec, n_workers):
+    with pytest.raises(InvalidConfig,
+                       match=f"^workers must be >= 1, got {n_workers}$"):
+        montecarlo.estimate_mean(ref_spec, 1.0, 1.0, 100,
+                                 EngineConfig(eps=1e-2, seed=1), n_workers)
+
+
+@st.composite
+def _split(draw):
+    """n_paths and the sorted starts of the later blocks of a split of
+    0 .. n_paths-1 into consecutive blocks."""
+    n_paths = draw(st.integers(2, 9000))
+    cuts = draw(st.lists(st.integers(1, n_paths - 1), max_size=5,
+                         unique=True))
+    return n_paths, sorted(cuts)
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+@pytest.mark.parametrize("kind", ["conservative", "explosive"])
+@settings(max_examples=6, deadline=None)
+@example(split=(9000, [4096, 8192]), seed=42, n_workers=None, threads=1)
+@given(split=_split(), seed=st.integers(-2 ** 63, 2 ** 63 - 1),
+       n_workers=st.sampled_from([None, 1, 3]), threads=st.integers(1, 3))
+def test_collect_equals_any_split(ref_spec, kind, kernel, split, seed,
+                                  n_workers, threads):
+    # every path draws from its own stream, so the one block of _collect is
+    # the bytes of consecutive blocks over any split of its paths, on any
+    # thread counts; max_events = 50 stops some explosive paths
+    if kernel and simulate.fan_out_engine().name != "kernel":
+        pytest.skip(simulate.fan_out_engine().detail)
+    n_paths, cuts = split
+    if kind == "conservative":
+        spec, t_end = ref_spec, 1.0
+        cfg = EngineConfig(eps=1e-2, seed=seed)
+        engine = simulate.conservative_terminals
+    else:
+        spec, t_end = measure.untilted_spec(ref_spec), T_HALF
+        cfg = EngineConfig(eps=1e-2, seed=seed, cap=1e5, max_events=50)
+        engine = simulate.explosive_ends
+    bounds = [0, *cuts, n_paths]
+    with pytest.MonkeyPatch.context() as mp:
+        if not kernel:
+            mp.setattr(simulate, "_kernel", lambda: (
+                None, simulate.FanOutEngine("python", "disabled")))
+        got = montecarlo._collect(kind, spec, 1.0, t_end, cfg, n_paths,
+                                  n_workers)
+        want = np.concatenate([engine(spec, 1.0, t_end, cfg, a, b - a,
+                                      threads)
+                               for a, b in zip(bounds, bounds[1:])])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_collect_table_sampler_matches_paths():
