@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import numpy as np
 # scipy is imported where it is used, as in measure
 
@@ -44,16 +44,25 @@ _TOL = 1e-10
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Solution record for one initial value u0 on [0, t_end]."""
+    """Solution record for one initial value u0 on [0, t_end].
+
+    max_residual is computed on its first read and kept: it costs 200
+    more evaluations of R, which no caller of g needs.
+    """
 
     u0: float
-    max_residual: float
     steps_taken: int
     _dense: object = None
+    _residual: object = None
 
     def __call__(self, t):
         """Evaluate g(t, u0) from the dense interpolant."""
         return self._dense(t)
+
+    @cached_property
+    def max_residual(self) -> float:
+        """Largest |dg/dt - R(g)| over 200 midpoints of [0, t_end]."""
+        return self._residual()
 
 
 @dataclass(frozen=True)
@@ -70,16 +79,18 @@ def solve(spec: LevyMeasureSpec, u0: float, t_end: float) -> RiccatiSolution:
     """Integrate dg/dt = R(g), g(0) = u0, over [0, t_end].
 
     Only u0 < 1 is accepted; that is the uniqueness regime.  Uses an
-    adaptive embedded Runge-Kutta pair and reports a finite-difference
-    residual computed from the dense output.
+    adaptive embedded Runge-Kutta pair.  The record's max_residual, a
+    finite-difference residual of the dense output, is computed when it
+    is first read.
     """
     if u0 >= 1.0:
         raise DomainError(f"solve requires u0 < 1 strictly, got {u0}")
     if t_end < 0:
         raise DomainError(f"t_end must be nonnegative, got {t_end}")
     if t_end == 0.0:
-        return RiccatiSolution(u0, 0.0, 0,
-                               _dense=lambda t: np.full_like(np.asarray(t, float), u0))
+        return RiccatiSolution(u0, 0,
+                               _dense=lambda t: np.full_like(np.asarray(t, float), u0),
+                               _residual=lambda: 0.0)
     from scipy import integrate
     r, _ = measure.r_callables(spec)
     sol = integrate.solve_ivp(
@@ -87,15 +98,19 @@ def solve(spec: LevyMeasureSpec, u0: float, t_end: float) -> RiccatiSolution:
         method="RK45", rtol=_TOL, atol=_TOL * 1e-2, dense_output=True)
     if not sol.success:
         raise StepSizeUnderflow(f"ODE integration failed: {sol.message}")
-    grid = np.linspace(0.0, t_end, 201)
     dense = sol.sol
-    # central-difference residual at interior midpoints
-    h = min(1e-4, t_end / 1000.0)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    deriv = (dense(mids + h)[0] - dense(mids - h)[0]) / (2.0 * h)
-    resid = float(np.max(np.abs(deriv - [r(g) for g in dense(mids)[0]])))
-    return RiccatiSolution(u0, resid, sol.t.size - 1,
-                           _dense=lambda t: dense(np.asarray(t, float))[0])
+
+    def residual():
+        # central-difference residual at interior midpoints
+        grid = np.linspace(0.0, t_end, 201)
+        h = min(1e-4, t_end / 1000.0)
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        deriv = (dense(mids + h)[0] - dense(mids - h)[0]) / (2.0 * h)
+        return float(np.max(np.abs(deriv - [r(g) for g in dense(mids)[0]])))
+
+    return RiccatiSolution(u0, sol.t.size - 1,
+                           _dense=lambda t: dense(np.asarray(t, float))[0],
+                           _residual=residual)
 
 
 def _fit_exponent(r):

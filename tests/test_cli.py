@@ -244,7 +244,7 @@ def test_verify_survival_reports_do_not_depend_on_workers(runner, ref_json,
                                                           tmp_path):
     # --workers 1 runs each kernel call on one thread, the default on every
     # usable CPU; every path draws from its own stream, so the reports of
-    # the two chunks are the same bytes
+    # the two runs are the same bytes
     args = ["verify", "survival", ref_json, "--t", str(2.0 * math.log(2.0)),
             "--paths", "5000", "--eps", "1e-2", "--cap", "1e5", "--seed", "9"]
     for name, workers in (("one", ["--workers", "1"]), ("default", [])):

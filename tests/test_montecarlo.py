@@ -160,7 +160,8 @@ def _split(draw):
 
 
 @pytest.mark.parametrize("kernel", [True, False])
-@pytest.mark.parametrize("kind", ["conservative", "explosive"])
+@pytest.mark.parametrize("kind", ["conservative", "explosive",
+                                  "explosive_all_ends"])
 @settings(max_examples=6, deadline=None)
 @example(split=(9000, [4096, 8192]), seed=42, n_workers=None, threads=1)
 @given(split=_split(), seed=st.integers(-2 ** 63, 2 ** 63 - 1),
@@ -169,7 +170,9 @@ def test_collect_equals_any_split(ref_spec, kind, kernel, split, seed,
                                   n_workers, threads):
     # every path draws from its own stream, so the one block of _collect is
     # the bytes of consecutive blocks over any split of its paths, on any
-    # thread counts; max_events = 50 stops some explosive paths
+    # thread counts; max_events = 50 stops some explosive paths, and
+    # cap = 2 with max_events = 5 ends about a third of them each way, so
+    # that swapping two paths changes their end codes two times in three
     if kernel and simulate.fan_out_engine().name != "kernel":
         pytest.skip(simulate.fan_out_engine().detail)
     n_paths, cuts = split
@@ -179,8 +182,11 @@ def test_collect_equals_any_split(ref_spec, kind, kernel, split, seed,
         engine = simulate.conservative_terminals
     else:
         spec, t_end = measure.untilted_spec(ref_spec), T_HALF
-        cfg = EngineConfig(eps=1e-2, seed=seed, cap=1e5, max_events=50)
+        cap, max_events = (1e5, 50) if kind == "explosive" else (2.0, 5)
+        cfg = EngineConfig(eps=1e-2, seed=seed, cap=cap,
+                           max_events=max_events)
         engine = simulate.explosive_ends
+        kind = "explosive"
     bounds = [0, *cuts, n_paths]
     with pytest.MonkeyPatch.context() as mp:
         if not kernel:

@@ -1,8 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from jumplm import measure, riccati
 from jumplm.errors import DivergentIntegral, DomainError
@@ -197,3 +199,48 @@ def test_golden_analytic_outputs(ref_spec, tabulated_spec):
     for t, g in GOLDEN_MINIMAL.items():
         assert riccati.minimal_solution(ref_spec, t) == g
     assert riccati.minimal_solution(tabulated_spec, 1.0) == 1.0
+
+
+def test_residual_is_computed_on_first_read(tabulated_spec, monkeypatch):
+    # every R of a tabulated spec is a quadrature: the ODE makes a few dozen
+    # calls, the residual diagnostic 200 more, and only a read of
+    # max_residual pays for those
+    calls = []
+    r_function = measure.r_function
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return r_function(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "r_function", counting)
+    ode = integrate.solve_ivp(
+        lambda t, y: [measure.r_function(tabulated_spec, y[0])], (0.0, 1.0),
+        [0.5], method="RK45", rtol=riccati._TOL, atol=riccati._TOL * 1e-2)
+    calls.clear()
+    riccati.expected_value(tabulated_spec, 1.0, 1.0, 0.5)
+    assert 0 < len(calls) <= ode.nfev < 200
+    sol = riccati.solve(tabulated_spec, 0.5, 1.0)
+    before = len(calls)
+    assert sol.max_residual == GOLDEN_SOLVE["tab"][2]
+    assert len(calls) == before + 200
+    assert sol.max_residual == GOLDEN_SOLVE["tab"][2]
+    assert len(calls) == before + 200
+
+
+@settings(max_examples=25, deadline=None)
+@given(u0=st.floats(min_value=-2.0, max_value=1.0, exclude_max=True),
+       t_end=st.floats(min_value=0.0, max_value=5.0, exclude_min=True))
+def test_lazy_residual_matches_eager_formula(u0, t_end):
+    # the eager residual solve used to compute, written out: the lazy one
+    # must give the same bits (NaN included, where h underflows to 0)
+    spec = measure.reference_spec()
+    sol = riccati.solve(spec, u0, t_end)
+    r, _ = measure.r_callables(spec)
+    with np.errstate(all="ignore"):
+        grid = np.linspace(0.0, t_end, 201)
+        h = min(1e-4, t_end / 1000.0)
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        deriv = (sol(mids + h) - sol(mids - h)) / (2.0 * h)
+        want = float(np.max(np.abs(deriv - [r(g) for g in sol(mids)])))
+        got = sol.max_residual
+    assert struct.pack("<d", got) == struct.pack("<d", want)
