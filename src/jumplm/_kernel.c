@@ -25,11 +25,16 @@
  * the path it holds, so a call returns a prefix: paths 0 .. k-1 of its
  * block are written and none after them, k >= 1.  A long block takes
  * several calls, and Python can act on Ctrl-C between them.
+ *
+ * jumplm_format_rows writes a recorded path's CSV rows as Python's
+ * "%.17g,%.17g\n" % event does, byte for byte, by exact integer
+ * arithmetic, for the events its range covers (see format_g17).
  */
 #include <math.h>
 #include <pthread.h>
 #include <stdatomic.h>
 #include <stdint.h>
+#include <string.h>
 
 /* end codes, mirrored in simulate.py */
 enum { END_HORIZON, END_CAP, END_MAX_EVENTS, END_LOG_DOMAIN, END_EXP_RANGE,
@@ -246,11 +251,9 @@ int64_t jumplm_run_paths(uint64_t key0, int64_t start, int64_t count,
 {
     block b = {key0, start, count, x0, t_end, lam, delta, cap, max_events,
                explosive, {x, c, m, eps, inv_pow, beta}, end, t, xs, n,
-               terminal, events, room};
+               terminal, events, room, 0, 0};
     pthread_t helper[MAX_THREADS - 1];
     int started = 0;
-    atomic_init(&b.next, 0);
-    atomic_init(&b.spent, 0);
     if (room > 0)
         threads = 1;
     if (threads > count)
@@ -271,4 +274,134 @@ int64_t jumplm_run_paths(uint64_t key0, int64_t start, int64_t count,
         pthread_join(helper[k], NULL);
     int64_t claimed = atomic_load(&b.next);
     return claimed < count ? claimed : count;
+}
+
+/* 5^k for k = 0 .. 27, the powers below 2^63 */
+static const uint64_t POW5[28] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL,
+    390625ULL, 1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL,
+    1220703125ULL, 6103515625ULL, 30517578125ULL, 152587890625ULL,
+    762939453125ULL, 3814697265625ULL, 19073486328125ULL,
+    95367431640625ULL, 476837158203125ULL, 2384185791015625ULL,
+    11920928955078125ULL, 59604644775390625ULL, 298023223876953125ULL,
+    1490116119384765625ULL, 7450580596923828125ULL};
+
+#define TEN16 10000000000000000ULL
+
+/* Python's "%.17g" % v, for finite v with 1e-16 <= |v| < 1e17, without
+ * snprintf (which follows LC_NUMERIC, and Python's % does not).
+ *
+ * v = m 2^e exactly, so for the decade k of |v| (10^k <= |v| < 10^(k+1))
+ * and p = 16 - k, |v| 10^p = m 5^p 2^(e+p): m 5^p fits 128 bits for
+ * p <= 32, and the integer part N of |v| 10^p holds the 17 significant
+ * digits of v.  The decade is the one that puts the truncated N in
+ * [10^16, 10^17), before rounding; N then rounds half to even on the exact
+ * remainder, as Python's correctly rounded conversion does.  %g prints
+ * k < -4 (and k = 17, after rounding up) in exponential notation, the rest
+ * in fixed notation, and drops trailing zeros.  Writes at most 23
+ * characters and returns their number; returns -1 for v outside that
+ * range, and for the double 1e-16, which lies below 10^-16 (p = 33). */
+static int format_g17(double v, char *out)
+{
+    double a = fabs(v);
+    if (!(a >= 1e-16 && a < 1e17))         /* also NaN */
+        return -1;
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    uint64_t m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
+    int e = (int)(bits >> 52 & 0x7ff) - 1075;
+    /* |v| lies in [2^(e+52), 2^(e+53)), so k is this floor or one more */
+    int k = (int)floor((e + 52) * 0.30102999566398120);
+    if (k < -16)
+        k = -16;
+    uint64_t N;
+    unsigned __int128 rem, half;
+    for (;;) {
+        int p = 16 - k;                     /* 0 <= p: |v| < 1e17 */
+        if (p > 32)
+            return -1;
+        unsigned __int128 X = (unsigned __int128)m * POW5[p < 27 ? p : 27];
+        if (p > 27)
+            X *= POW5[p - 27];
+        int s = e + p;                      /* -74 <= s <= 5 */
+        if (s >= 0) {
+            N = (uint64_t)(X << s);
+            rem = half = 0;
+        } else {
+            N = (uint64_t)(X >> -s);
+            rem = X & (((unsigned __int128)1 << -s) - 1);
+            half = (unsigned __int128)1 << (-s - 1);
+        }
+        if (N >= 10 * TEN16)
+            k++;
+        else if (N < TEN16)
+            k--;
+        else
+            break;
+    }
+    if (rem > half || (rem == half && rem != 0 && (N & 1))) {
+        if (++N == 10 * TEN16) {
+            N = TEN16;
+            k++;
+        }
+    }
+    char d[17];
+    for (int i = 16; i >= 0; i--, N /= 10)
+        d[i] = (char)('0' + N % 10);
+    int len = 17;
+    while (d[len - 1] == '0')
+        len--;
+    char *o = out;
+    if (bits >> 63)
+        *o++ = '-';
+    if (k < -4 || k > 16) {
+        *o++ = d[0];
+        if (len > 1) {
+            *o++ = '.';
+            memcpy(o, d + 1, len - 1);
+            o += len - 1;
+        }
+        *o++ = 'e';
+        *o++ = k < 0 ? '-' : '+';
+        *o++ = (char)('0' + (k < 0 ? -k : k) / 10);
+        *o++ = (char)('0' + (k < 0 ? -k : k) % 10);
+    } else if (k < 0) {
+        *o++ = '0';
+        *o++ = '.';
+        for (int i = -1; i > k; i--)
+            *o++ = '0';
+        memcpy(o, d, len);
+        o += len;
+    } else {
+        memcpy(o, d, k + 1);
+        o += k + 1;
+        if (len > k + 1) {
+            *o++ = '.';
+            memcpy(o, d + k + 1, len - k - 1);
+            o += len - k - 1;
+        }
+    }
+    return (int)(o - out);
+}
+
+/* The rows "%.17g,%.17g\n" of a recorded path's n events, times in
+ * events[0 .. n-1] and sizes in events[n .. 2n-1], into buf, which has
+ * room for 48 n characters.  Returns the number written, or -1 when a
+ * value is outside format_g17's range. */
+int64_t jumplm_format_rows(const double *events, int64_t n, char *buf)
+{
+    char *o = buf;
+    for (int64_t i = 0; i < n; i++) {
+        int w = format_g17(events[i], o);
+        if (w < 0)
+            return -1;
+        o += w;
+        *o++ = ',';
+        w = format_g17(events[n + i], o);
+        if (w < 0)
+            return -1;
+        o += w;
+        *o++ = '\n';
+    }
+    return o - buf;
 }

@@ -25,7 +25,10 @@ is given, each claiming the next path; since every path has its own
 stream, the results are the same bits on any number of threads.
 simulate_path and simulate_explosive_path run a block of one, on one
 thread.  _run_engine, the reference, runs the paths the scalar loop
-raises on, and all of them when there is no kernel.
+raises on, and all of them when there is no kernel.  export_path_csv has
+the kernel format a recorded path's rows, the bytes "%.17g" gives, and
+formats them in Python without a kernel or where the kernel's formatter
+does not reach.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import os
 import pathlib
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -109,7 +112,14 @@ class EngineConfig:
 
 @dataclass
 class Path:
-    """One realized trajectory: jump events plus inter-jump decay."""
+    """One realized trajectory: jump events plus inter-jump decay.
+
+    A path the kernel recorded also keeps its events as the kernel wrote
+    them, for export_path_csv to format; it is not an argument, so a path
+    built by hand or by dataclasses.replace has none, and it takes no part
+    in equality or repr.  Export changed events from such a new path, not
+    by editing events in place.
+    """
 
     x0: float
     events: List[Tuple[float, float]]
@@ -119,6 +129,9 @@ class Path:
     exploded: bool = False
     explosion_time: Optional[float] = None
     terminal: Optional[float] = None
+    # the events as a (2, n) array, times then sizes
+    _recorded: Optional[np.ndarray] = field(default=None, init=False,
+                                            compare=False, repr=False)
 
 
 def _uniforms(seed: int, index: int):
@@ -284,8 +297,10 @@ def _kernel():
             [ctypes.c_uint64, i64, i64] + [f64] * 5 + [i64, ctypes.c_int]
             + [ptr, ptr, i64] + [f64] * 3 + [ptr] * 6 + [i64, ctypes.c_int])
         lib.jumplm_ppoly.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
+        lib.jumplm_format_rows.argtypes = [ptr, i64, ptr]
         lib.jumplm_run_paths.restype = i64
         lib.jumplm_ppoly.restype = None
+        lib.jumplm_format_rows.restype = i64
         engine = FanOutEngine("kernel", str(path))
     _log.debug("Monte Carlo fan-out engine: %s (%s)", engine.name,
                engine.detail)
@@ -299,8 +314,10 @@ def fan_out_engine() -> FanOutEngine:
 
 # per path: its end code, the event loop's last t, x and jump count, and
 # its terminal value (NaN unless END_HORIZON); the (t, xi) events of a
-# recorded one-path block
-_PathEnds = collections.namedtuple("_PathEnds", "end t x n terminal events")
+# recorded one-path block, and the kernel's (2, n) array of them (None
+# unless the kernel recorded them)
+_PathEnds = collections.namedtuple("_PathEnds",
+                                   "end t x n terminal events recorded")
 
 # room for a recorded path's events in its first kernel call; a path with
 # more runs once again with room for all of them
@@ -316,11 +333,10 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
     A kernel call returns after about 2^22 events, so Ctrl-C stops a
     long block between calls.
     """
-    out = _PathEnds(np.empty(count, np.int8), np.empty(count),
-                    np.empty(count), np.empty(count, np.int64),
-                    np.empty(count), [])
     if lib is None:
-        return out
+        return _PathEnds(np.empty(count, np.int8), np.empty(count),
+                         np.empty(count), np.empty(count, np.int64),
+                         np.empty(count), [], None)
     sampler = measure.make_jump_sampler(spec, config.eps)
     if isinstance(sampler, measure._TableSampler):
         x = np.ascontiguousarray(sampler._inv.x, dtype=float)
@@ -329,24 +345,36 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
         jump = (x.ctypes.data, c.ctypes.data, x.size - 1, 0.0, 0.0, 0.0)
     else:
         jump = (None, None, 0, sampler.eps, sampler._inv_pow, sampler._beta)
+    key0 = config.seed % 2 ** 64
 
     def run(room):
-        events = np.empty((2, room))
+        # one buffer and one address: the t, x, n and terminal columns,
+        # the event room, then the int8 end codes
+        words = 4 * count + 2 * room
+        buf = np.empty(words + (count + 7) // 8)
+        base = buf.ctypes.data
         done = 0
         while done < count:
+            col = base + 8 * done
             done += lib.jumplm_run_paths(
-                config.seed % 2 ** 64, start + done, count - done, x0, t_end,
-                lam, delta, config.cap, config.max_events, explosive, *jump,
-                *(a[done:].ctypes.data for a in out[:5]),
-                events.ctypes.data, room, threads)
-        return events
+                key0, start + done, count - done, x0, t_end, lam, delta,
+                config.cap, config.max_events, explosive, *jump,
+                base + 8 * words + done, col, col + 8 * count,
+                col + 16 * count, col + 24 * count, base + 32 * count, room,
+                threads)
+        t, x, n, terminal = buf[:4 * count].reshape(4, count)
+        out = _PathEnds(buf[words:].view(np.int8)[:count], t, x,
+                        n.view(np.int64), terminal, [], None)
+        return out, buf[4 * count:words].reshape(2, room)
 
-    events = run(_EVENT_ROOM if record else 0)
+    out, events = run(_EVENT_ROOM if record else 0)
     if record:
         n = max(int(out.n[0]), 0)     # -1 when the kernel stopped on an error
         if n > _EVENT_ROOM:
-            events = run(n)
-        out.events.extend(zip(events[0, :n].tolist(), events[1, :n].tolist()))
+            out, events = run(n)
+        recorded = np.ascontiguousarray(events[:, :n])
+        t, xi = recorded.tolist()
+        out = out._replace(events=list(zip(t, xi)), recorded=recorded)
     return out
 
 
@@ -361,7 +389,11 @@ def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
                       delta, explosive, record, threads)
     # max_events ends an explosive path and raises in the conservative loop
     last = END_MAX_EVENTS if explosive else END_CAP
-    redo = range(count) if lib is None else np.flatnonzero(out.end > last)
+    if lib is None:
+        redo = range(count)
+    else:   # the max alone, when no path is left over, is the cheaper test
+        redo = (np.flatnonzero(out.end > last)
+                if out.end.max(initial=0) > last else ())
     for i in redo:
         events, t, x, n, exploded, _ = _run_engine(
             spec, x0, t_end, config, start + int(i), record, lam, delta,
@@ -372,7 +404,7 @@ def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
                       else END_MAX_EVENTS)
         out.terminal[i] = (math.nan if exploded
                            else x * math.exp(-delta * (t_end - t)))
-        out.events[:] = events
+        out = out._replace(events=events, recorded=None)
     return out
 
 
@@ -382,10 +414,12 @@ def _path(spec, x0, t_end, config, path_index, record, explosive) -> Path:
     out = _fan_out(spec, x0, t_end, config, path_index, 1, lam, delta,
                    explosive, record)
     exploded = bool(out.end[0] != END_HORIZON)
-    return Path(x0=x0, events=out.events, decay_rate=delta, t_end=t_end,
+    path = Path(x0=x0, events=out.events, decay_rate=delta, t_end=t_end,
                 eps=config.eps, exploded=exploded,
                 explosion_time=float(out.t[0]) if exploded else None,
                 terminal=None if exploded else float(out.terminal[0]))
+    path._recorded = out.recorded
+    return path
 
 
 def conservative_terminals(spec: LevyMeasureSpec, x0: float, t_end: float,
@@ -455,9 +489,28 @@ def evaluate(path: Path, t: float):
     return x * math.exp(-d * (t - t_prev))
 
 
+def _format_rows(recorded) -> Optional[str]:
+    """The rows "%.17g,%.17g\\n" % event of a (2, n) array of event times
+    and sizes, formatted by the kernel; None without a kernel, or when a
+    value lies outside the range of the kernel's formatter."""
+    lib = _kernel()[0]
+    if lib is None:
+        return None
+    n = recorded.shape[1]
+    buf = ctypes.create_string_buffer(48 * n)
+    size = lib.jumplm_format_rows(recorded.ctypes.data, n, buf)
+    return None if size < 0 else ctypes.string_at(buf, size).decode("ascii")
+
+
 def export_path_csv(path: Path, stream) -> None:
     """Write one path in the interchange format, commented header and
-    events, in one write."""
+    events, in one write.
+
+    The rows of a path the kernel recorded are formatted by the kernel,
+    byte for byte as Python's "%.17g" formats them; those of any other
+    path, or with a value the kernel's formatter does not cover, by
+    Python.
+    """
     head = (f"# x0={path.x0:.17g}\n"
             f"# decay_rate={path.decay_rate:.17g}\n"
             f"# eps={path.eps:.17g}\n"
@@ -465,5 +518,7 @@ def export_path_csv(path: Path, stream) -> None:
             f"# t_end={path.t_end:.17g}\n")
     if path.exploded and path.explosion_time is not None:
         head += f"# explosion_time={path.explosion_time:.17g}\n"
-    stream.write(head + "time,size\n"
-                 + "".join(["%.17g,%.17g\n" % ev for ev in path.events]))
+    rows = None if path._recorded is None else _format_rows(path._recorded)
+    if rows is None:
+        rows = "".join(["%.17g,%.17g\n" % ev for ev in path.events])
+    stream.write(head + "time,size\n" + rows)

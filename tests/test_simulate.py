@@ -676,6 +676,134 @@ def test_kernel_ppoly_matches_scipy(tabulated_spec):
         assert np.array_equal(got.view(np.int64), inv(u).view(np.int64))
 
 
+def _python_rows(events):
+    return "".join(["%.17g,%.17g\n" % ev for ev in events])
+
+
+def _csv(path):
+    buf = io.StringIO()
+    simulate.export_path_csv(path, buf)
+    return buf.getvalue()
+
+
+def _kernel_csv_rows(events):
+    """The rows export_path_csv writes for events held as the kernel's
+    (2, n) array, and what the kernel's formatter gave for them (None when
+    it left them to Python)."""
+    path = simulate.Path(x0=1.0, events=events, decay_rate=1.0, t_end=1.0,
+                         eps=1e-2)
+    path._recorded = np.array(events, dtype=float).reshape(-1, 2).T.copy()
+    rows = _csv(path).split("time,size\n", 1)[1]
+    return rows, simulate._format_rows(path._recorded)
+
+
+def _in_kernel_range(v):
+    # the double 1e-16 lies below 10^-16, one decade too far down
+    return 1e-16 < abs(v) < 1e17
+
+
+# the signed zeros and infinities, a NaN with the sign bit set, the
+# smallest subnormal, the smallest normal and the largest double, one ulp
+# either side of 1e-16 and 1e17, and two values whose decade is only
+# right when it comes from the truncated digits: 9.9999999999999998e-13
+# (not 1e-12) and 9.9999999999999998e-17 (p = 33 overflows 128 bits)
+_FORMAT_EDGES = [0.0, -0.0, math.inf, -math.inf, -math.nan, 5e-324,
+                 2.2250738585072014e-308, 1.7976931348623157e308,
+                 *(math.nextafter(v, d) for v in (1e-16, 1e17)
+                   for d in (-math.inf, math.inf)),
+                 9.9999999999999998e-13, 9.9999999999999998e-17]
+
+
+@settings(max_examples=500, deadline=None)
+@given(t=st.floats(allow_nan=True, allow_infinity=True),
+       xi=st.floats(allow_nan=True, allow_infinity=True))
+def test_kernel_rows_match_python_percent(t, xi):
+    # byte for byte "%.17g,%.17g\n" % event; the kernel formats every
+    # event with 1e-16 < |v| < 1e17 and leaves the rest to Python
+    _kernel_lib()
+    for ev in [(t, xi), *((v, xi) for v in _FORMAT_EDGES),
+               *((t, -v) for v in _FORMAT_EDGES)]:
+        rows, by_kernel = _kernel_csv_rows([ev])
+        assert rows == _python_rows([ev])
+        assert (by_kernel is not None) == all(map(_in_kernel_range, ev))
+        if by_kernel is not None:
+            assert by_kernel == rows
+
+
+def test_kernel_rows_match_python_on_a_sweep():
+    # some 80,000 doubles in one call: log-uniform on +-(1e-16, 1e17),
+    # scaled integers, dyadic rationals, 50 ulps either side of 10^k and
+    # values halfway between two 17-digit decimals
+    _kernel_lib()
+    rng = np.random.default_rng(14)
+    near = []
+    for k in range(-15, 17):
+        near.append(float(f"1e{k}"))
+        for d in (-math.inf, math.inf):
+            v = near[-1]
+            for _ in range(50):
+                v = math.nextafter(v, d)
+                near.append(v)
+    # exact ties at the 17th digit, 18 digits ending in 5: i + odd / 2^j
+    # with 18 - j digits in i
+    ties = [float(i) + (2 * r + 1) / 2 ** j for j in range(2, 18)
+            for i, r in zip(rng.integers(10 ** (17 - j),
+                                         min(10 ** (18 - j), 2 ** (53 - j)),
+                                         200).tolist(),
+                            rng.integers(0, 2 ** (j - 1), 200).tolist())]
+    values = np.concatenate([
+        rng.choice([-1.0, 1.0], 30_000) * 10 ** rng.uniform(-16, 17, 30_000),
+        rng.integers(-10 ** 16, 10 ** 16, 20_000)
+        * 10.0 ** rng.integers(-16, 1, 20_000),
+        rng.integers(1, 2 ** 53, 20_000) * 2.0 ** rng.integers(-105, 4, 20_000),
+        near, ties, np.negative(ties)])
+    values = values[np.vectorize(_in_kernel_range)(values)]
+    events = list(zip(values[0::2].tolist(), values[1::2].tolist()))
+    rows, by_kernel = _kernel_csv_rows(events)
+    assert by_kernel == rows == _python_rows(events)
+
+
+def test_recorded_path_outside_kernel_range_is_formatted_by_python():
+    # path 1176 jumps to +inf: its rows come from Python's %, as they did
+    # before the kernel formatted any
+    _kernel_lib()
+    untilted = measure.untilted_spec(
+        measure.LevyMeasureSpec.tilted_power(1.0, 1.01, 1.0))
+    cfg = simulate.EngineConfig(eps=1e-2, seed=0)
+    path = simulate.simulate_explosive_path(untilted, 1.0, 1.0, cfg, 1176)
+    assert path.events[-1][1] == math.inf and path._recorded is not None
+    assert simulate._format_rows(path._recorded) is None
+    assert _csv(path).endswith("time,size\n" + _python_rows(path.events))
+
+
+def test_hand_built_path_writes_the_same_csv(ref_spec):
+    # a Path built from the same fields has no kernel array, and its CSV,
+    # formatted by Python, is the kernel's byte for byte
+    _kernel_lib()
+    untilted = measure.untilted_spec(ref_spec)
+    cfg = simulate.EngineConfig(eps=1e-2, seed=20261018, cap=1e5)
+    for i in (14, 25):      # 518 events up to an explosion; 411 events
+        path = simulate.simulate_explosive_path(untilted, 1.0,
+                                                2.0 * math.log(2.0), cfg, i)
+        by_hand = simulate.Path(**{f.name: getattr(path, f.name)
+                                   for f in dataclasses.fields(path)
+                                   if f.init})
+        assert path._recorded is not None and by_hand._recorded is None
+        assert dataclasses.replace(path)._recorded is None
+        assert by_hand == path and repr(by_hand) == repr(path)
+        assert simulate._format_rows(path._recorded) is not None
+        assert _csv(by_hand) == _csv(path)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_compiles_without_warnings(tmp_path):
+    res = subprocess.run(
+        [*simulate._CC, "-Wall", "-Wextra", "-Werror", "-o",
+         str(tmp_path / "kernel.so"), str(simulate._KERNEL_SOURCE), "-lm"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_kernel_build_and_fallback(tmp_path, monkeypatch, caplog):
     build = simulate._kernel.__wrapped__
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
