@@ -14,11 +14,13 @@
  * above END_MAX_EVENTS and the caller runs it again in Python.
  *
  * A call runs its block on up to `threads` threads, the calling one and
- * threads - 1 it starts, unless the block records events.  Each thread
- * claims the next path index, one at a time, and runs that path alone:
- * event counts are heavy-tailed, so a fixed split would leave threads
- * idle.  Path i draws from its own stream, so which thread runs it, and
- * when, changes no bit of its results.
+ * threads - 1 it starts.  Each thread claims the next path index, one at
+ * a time, and runs that path alone: event counts are heavy-tailed, so a
+ * fixed split would leave threads idle.  Path i draws from its own
+ * stream, so which thread runs it, and when, changes no bit of its
+ * results.  A block that records events gives each path its own room,
+ * events[2 offsets[i] .. 2 offsets[i+1] - 1], so recording paths run on
+ * threads too.
  *
  * The threads of a call share one budget of EVENT_BUDGET events.  A
  * thread claims no more paths once the call has spent it, and finishes
@@ -26,9 +28,10 @@
  * block are written and none after them, k >= 1.  A long block takes
  * several calls, and Python can act on Ctrl-C between them.
  *
- * jumplm_format_rows writes a recorded path's CSV rows as Python's
- * "%.17g,%.17g\n" % event does, byte for byte, by exact integer
- * arithmetic, for the events its range covers (see format_g17).
+ * jumplm_format_block writes the CSV rows of a recorded block's paths as
+ * Python's "%.17g,%.17g\n" % event does, byte for byte, by exact integer
+ * arithmetic, for the events its range covers (see format_g17), on
+ * threads that claim paths as jumplm_run_paths's do.
  */
 #include <math.h>
 #include <pthread.h>
@@ -143,8 +146,10 @@ static double jump(const sampler *j, stream *s)
         var = log(a_);                          \
     } while (0)
 
-/* events, when room > 0: the first room jumps (t, xi) of the path, the
- * times in events[0 .. room-1] and the sizes in events[room ..] */
+/* events, when room > 0: the first k = min(n, room) jumps (t, xi) of the
+ * path's n, as one (2, k) array: the times in events[0 .. k-1] and the
+ * sizes in events[k .. 2k-1].  A path that stops on an error leaves its
+ * room undefined. */
 static int run_path(stream *s, const sampler *j, double x0, double t_end,
                     double lam, double delta, double cap, int64_t max_events,
                     int explosive, double *t_out, double *x_out,
@@ -190,6 +195,8 @@ static int run_path(stream *s, const sampler *j, double x0, double t_end,
             break;
         }
     }
+    if (n < room)       /* the sizes were written at events[room ..] */
+        memmove(events + n, events + room, (size_t)n * sizeof *events);
     *t_out = t, *x_out = x, *n_out = n;
     return end;
 }
@@ -206,7 +213,7 @@ typedef struct {
     double *t, *xs;
     int64_t *n;
     double *terminal, *events;
-    int64_t room;
+    const int64_t *offsets;
     atomic_int_fast64_t next, spent;    /* path to claim; events spent */
 } block;
 
@@ -220,42 +227,29 @@ static void *run_block(void *arg)
         if (i >= b->count)
             break;
         stream s = {0, b->key0, (uint64_t)(b->start + i), {0, 0, 0, 0}, 4};
+        const int64_t *o = b->offsets;
         b->t[i] = b->xs[i] = b->terminal[i] = NAN;
         b->n[i] = -1;
         b->end[i] = (int8_t)run_path(&s, &b->j, b->x0, b->t_end, b->lam,
                                      b->delta, b->cap, b->max_events,
                                      b->explosive, &b->t[i], &b->xs[i],
-                                     &b->n[i], &b->terminal[i], b->events,
-                                     i == 0 ? b->room : 0);
+                                     &b->n[i], &b->terminal[i],
+                                     o ? b->events + 2 * o[i] : NULL,
+                                     o ? o[i + 1] - o[i] : 0);
         atomic_fetch_add(&b->spent, 1 + (b->n[i] > 0 ? b->n[i] : 0));
     }
     return NULL;
 }
 
-/* Paths start .. start+count-1 of seed key0 (the seed mod 2^64); path i
- * draws from Philox(key=[key0, i]).  For each path: the end code, and the
- * loop's last t, x and jump count; the terminal value at END_HORIZON.  The
- * first path records its first room jumps in events (see run_path).
- * Runs on up to threads threads (at most MAX_THREADS and count, and one
- * when room > 0); where a thread cannot be started, on those that were.
- * Returns the number of paths run: all count of them, or fewer once
- * EVENT_BUDGET events are spent, and at least one. */
-int64_t jumplm_run_paths(uint64_t key0, int64_t start, int64_t count,
-                         double x0, double t_end, double lam, double delta,
-                         double cap, int64_t max_events, int explosive,
-                         const double *x, const double *c, int64_t m,
-                         double eps, double inv_pow, double beta,
-                         int8_t *end, double *t, double *xs, int64_t *n,
-                         double *terminal, double *events, int64_t room,
-                         int threads)
+/* Runs work(arg) on the calling thread and on the threads it starts, up
+ * to threads in all (at most MAX_THREADS and count), and returns once
+ * every one has returned; where a thread cannot be started, on those
+ * that were. */
+static void on_threads(void *(*work)(void *), void *arg, int64_t count,
+                       int threads)
 {
-    block b = {key0, start, count, x0, t_end, lam, delta, cap, max_events,
-               explosive, {x, c, m, eps, inv_pow, beta}, end, t, xs, n,
-               terminal, events, room, 0, 0};
     pthread_t helper[MAX_THREADS - 1];
     int started = 0;
-    if (room > 0)
-        threads = 1;
     if (threads > count)
         threads = (int)count;
     if (threads > MAX_THREADS)
@@ -265,13 +259,37 @@ int64_t jumplm_run_paths(uint64_t key0, int64_t start, int64_t count,
         pthread_attr_init(&attr);
         pthread_attr_setstacksize(&attr, THREAD_STACK);
         while (started < threads - 1
-               && pthread_create(&helper[started], &attr, run_block, &b) == 0)
+               && pthread_create(&helper[started], &attr, work, arg) == 0)
             started++;
         pthread_attr_destroy(&attr);
     }
-    run_block(&b);
+    work(arg);
     for (int k = 0; k < started; k++)
         pthread_join(helper[k], NULL);
+}
+
+/* Paths start .. start+count-1 of seed key0 (the seed mod 2^64); path i
+ * draws from Philox(key=[key0, i]).  For each path: the end code, and the
+ * loop's last t, x and jump count; the terminal value at END_HORIZON.
+ * With offsets NULL nothing is recorded; otherwise path i records up to
+ * offsets[i+1] - offsets[i] jumps at events + 2 offsets[i], times then
+ * sizes (see run_path), and writes nothing outside that room.  Runs on
+ * up to threads threads (see on_threads).  Returns the number of paths
+ * run: all count of them, or fewer once EVENT_BUDGET events are spent,
+ * and at least one. */
+int64_t jumplm_run_paths(uint64_t key0, int64_t start, int64_t count,
+                         double x0, double t_end, double lam, double delta,
+                         double cap, int64_t max_events, int explosive,
+                         const double *x, const double *c, int64_t m,
+                         double eps, double inv_pow, double beta,
+                         int8_t *end, double *t, double *xs, int64_t *n,
+                         double *terminal, double *events,
+                         const int64_t *offsets, int threads)
+{
+    block b = {key0, start, count, x0, t_end, lam, delta, cap, max_events,
+               explosive, {x, c, m, eps, inv_pow, beta}, end, t, xs, n,
+               terminal, events, offsets, 0, 0};
+    on_threads(run_block, &b, count, threads);
     int64_t claimed = atomic_load(&b.next);
     return claimed < count ? claimed : count;
 }
@@ -385,12 +403,12 @@ static int format_g17(double v, char *out)
 }
 
 /* The rows "%.17g,%.17g\n" of a recorded path's n events, times in
- * events[0 .. n-1] and sizes in events[n .. 2n-1], into buf, which has
+ * events[0 .. n-1] and sizes in events[n .. 2n-1], into text, which has
  * room for 48 n characters.  Returns the number written, or -1 when a
  * value is outside format_g17's range. */
-int64_t jumplm_format_rows(const double *events, int64_t n, char *buf)
+static int64_t format_rows(const double *events, int64_t n, char *text)
 {
-    char *o = buf;
+    char *o = text;
     for (int64_t i = 0; i < n; i++) {
         int w = format_g17(events[i], o);
         if (w < 0)
@@ -403,5 +421,44 @@ int64_t jumplm_format_rows(const double *events, int64_t n, char *buf)
         o += w;
         *o++ = '\n';
     }
-    return o - buf;
+    return o - text;
+}
+
+/* one call's recorded block to format, shared by its threads */
+typedef struct {
+    const double *events;
+    const int64_t *offsets;
+    int64_t count;
+    char *text;
+    int64_t *lengths;
+    atomic_int_fast64_t next;           /* path to claim */
+} rows_block;
+
+static void *format_paths(void *arg)
+{
+    rows_block *b = arg;
+    for (;;) {
+        int64_t i = atomic_fetch_add(&b->next, 1);
+        if (i >= b->count)
+            break;
+        int64_t lo = b->offsets[i];
+        b->lengths[i] = format_rows(b->events + 2 * lo,
+                                    b->offsets[i + 1] - lo,
+                                    b->text + 48 * lo);
+    }
+    return NULL;
+}
+
+/* The rows of paths 0 .. count-1 of a block recorded with exact rooms:
+ * path i's offsets[i+1] - offsets[i] events at events + 2 offsets[i], as
+ * jumplm_run_paths records them.  Path i's rows go to text + 48
+ * offsets[i], and their length, or -1 when a value is outside
+ * format_g17's range, to lengths[i].  Runs on up to threads threads (see
+ * on_threads). */
+void jumplm_format_block(const double *events, const int64_t *offsets,
+                         int64_t count, char *text, int64_t *lengths,
+                         int threads)
+{
+    rows_block b = {events, offsets, count, text, lengths, 0};
+    on_threads(format_paths, &b, count, threads);
 }

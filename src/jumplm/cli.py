@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__ as VERSION
 from . import measure, montecarlo, riccati, simulate
-from .errors import JumplmError
+from .errors import InvalidParameter, JumplmError
 from .simulate import EngineConfig
 
 
@@ -138,6 +138,11 @@ def defect_curve(config, x0, t_max, steps, out):
         click.echo(text, nl=False)
 
 
+# paths jumplm simulate runs, records and formats as one block: a block
+# holds the events and rows of all its paths at once
+BLOCK_PATHS = 64
+
+
 @main.command("simulate")
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
 @click.option("--x0", default=1.0, show_default=True)
@@ -158,14 +163,15 @@ def simulate_cmd(config, x0, t_end, eps, seed, paths, explosive, cap, out_dir):
     seed = _resolve_seed(seed)
     started = time.monotonic()
     cfg = EngineConfig(eps=eps, seed=seed, cap=cap)
+    threads = min(simulate._usable_cpus(), simulate.MAX_THREADS)
     os.makedirs(out_dir, exist_ok=True)
-    for i in range(paths):
-        if explosive:
-            path = simulate.simulate_explosive_path(spec, x0, t_end, cfg, i)
-        else:
-            path = simulate.simulate_path(spec, x0, t_end, cfg, i)
-        with open(os.path.join(out_dir, f"path_{i:05d}.csv"), "w") as fh:
-            simulate.export_path_csv(path, fh)
+    for start in range(0, paths, BLOCK_PATHS):
+        csvs = simulate.block_csvs(spec, x0, t_end, cfg, start,
+                                   min(BLOCK_PATHS, paths - start),
+                                   explosive, threads)
+        for i, csv in enumerate(csvs, start):
+            with open(os.path.join(out_dir, f"path_{i:05d}.csv"), "wb") as fh:
+                fh.write(csv)
     manifest = RunManifest(
         command="simulate",
         parameters={"x0": x0, "t_end": t_end, "eps": eps, "paths": paths,
@@ -179,11 +185,9 @@ def _parse_grid(text):
     try:
         vals = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        click.echo(f"error: cannot parse grid {text!r}", err=True)
-        sys.exit(1)
+        raise InvalidParameter(f"cannot parse grid {text!r}") from None
     if not vals:
-        click.echo("error: empty grid", err=True)
-        sys.exit(1)
+        raise InvalidParameter("empty grid")
     return vals
 
 
@@ -274,11 +278,9 @@ def lemma_check(alpha_grid, u_grid, out):
     alphas = _parse_grid(alpha_grid)
     us = _parse_grid(u_grid)
     if any(not (1.0 < a < 2.0) for a in alphas):
-        click.echo("error: alpha grid must lie in (1, 2)", err=True)
-        sys.exit(1)
+        raise InvalidParameter("alpha grid must lie in (1, 2)")
     if any(uu > 1.0 for uu in us):
-        click.echo("error: u grid must lie in (-inf, 1]", err=True)
-        sys.exit(1)
+        raise InvalidParameter("u grid must lie in (-inf, 1]")
     lines = ["alpha,u,gamma1_residual,gamma2_residual"]
     worst = 0.0
     for a in alphas:

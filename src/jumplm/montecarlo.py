@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -137,14 +136,6 @@ class ExperimentReport:
 # Path fan-out
 # ---------------------------------------------------------------------------
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _collect(kind: str, spec: LevyMeasureSpec, x0: float, t_end: float,
              config: EngineConfig, n_paths: int,
              n_workers: Optional[int] = None) -> np.ndarray:
@@ -162,7 +153,7 @@ def _collect(kind: str, spec: LevyMeasureSpec, x0: float, t_end: float,
     if n_workers is not None and n_workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {n_workers}")
     kernel = simulate.fan_out_engine().name == "kernel"
-    cpus = _usable_cpus() if n_workers is None else n_workers
+    cpus = simulate._usable_cpus() if n_workers is None else n_workers
     threads = min(cpus, n_paths, simulate.MAX_THREADS) if kernel else 1
     _log.debug("fan-out: %d %s paths on %s", n_paths, kind,
                f"{threads} kernel threads" if kernel

@@ -24,11 +24,15 @@ explosive_ends) runs a block of paths per call, on as many threads as it
 is given, each claiming the next path; since every path has its own
 stream, the results are the same bits on any number of threads.
 simulate_path and simulate_explosive_path run a block of one, on one
-thread.  _run_engine, the reference, runs the paths the scalar loop
-raises on, and all of them when there is no kernel.  export_path_csv has
-the kernel format a recorded path's rows, the bytes "%.17g" gives, and
-formats them in Python without a kernel or where the kernel's formatter
-does not reach.
+thread; block_csvs, behind `jumplm simulate`, runs a block of many on
+threads and records every path's events.  A recorded block's first call
+shares 4,096 events of room evenly among its paths; a block with a path
+that outgrew its share runs once more with each path's jump count as its
+room.  _run_engine, the reference, runs the paths the scalar loop raises
+on, and all of them when there is no kernel.  The kernel formats a
+recorded block's rows, the bytes "%.17g" gives, on threads;
+export_path_csv and block_csvs format them in Python without a kernel or
+where the kernel's formatter does not reach.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ __all__ = [
     "fan_out_engine",
     "evaluate",
     "export_path_csv",
+    "block_csvs",
 ]
 
 
@@ -114,8 +119,8 @@ class EngineConfig:
 class Path:
     """One realized trajectory: jump events plus inter-jump decay.
 
-    A path the kernel recorded also keeps its events as the kernel wrote
-    them, for export_path_csv to format; it is not an argument, so a path
+    A path the engines recorded also keeps its events as one (2, n) array,
+    for export_path_csv to format; it is not an argument, so a path
     built by hand or by dataclasses.replace has none, and it takes no part
     in equality or repr.  Export changed events from such a new path, not
     by editing events in place.
@@ -234,6 +239,14 @@ END_HORIZON, END_CAP, END_MAX_EVENTS = 0, 1, 2
 MAX_THREADS = 64
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class FanOutEngine:
     """What runs the Monte Carlo fan-out in this process: "kernel", with
@@ -287,7 +300,13 @@ def _kernel():
     """(the loaded kernel or None, its FanOutEngine), once per process."""
     try:
         path = _build_kernel()
-        lib = ctypes.CDLL(str(path))
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            # a build in another checkout sharing the cache removed it
+            # after _build_kernel found it: build it again
+            path = _build_kernel()
+            lib = ctypes.CDLL(str(path))
     except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
         reason = getattr(exc, "stderr", None) or exc    # cc's own message
         lib, engine = None, FanOutEngine("python", f"no kernel: {reason}")
@@ -295,12 +314,13 @@ def _kernel():
         f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
         lib.jumplm_run_paths.argtypes = (
             [ctypes.c_uint64, i64, i64] + [f64] * 5 + [i64, ctypes.c_int]
-            + [ptr, ptr, i64] + [f64] * 3 + [ptr] * 6 + [i64, ctypes.c_int])
+            + [ptr, ptr, i64] + [f64] * 3 + [ptr] * 7 + [ctypes.c_int])
         lib.jumplm_ppoly.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
-        lib.jumplm_format_rows.argtypes = [ptr, i64, ptr]
+        lib.jumplm_format_block.argtypes = [ptr, ptr, i64, ptr, ptr,
+                                            ctypes.c_int]
         lib.jumplm_run_paths.restype = i64
         lib.jumplm_ppoly.restype = None
-        lib.jumplm_format_rows.restype = i64
+        lib.jumplm_format_block.restype = None
         engine = FanOutEngine("kernel", str(path))
     _log.debug("Monte Carlo fan-out engine: %s (%s)", engine.name,
                engine.detail)
@@ -313,22 +333,32 @@ def fan_out_engine() -> FanOutEngine:
 
 
 # per path: its end code, the event loop's last t, x and jump count, and
-# its terminal value (NaN unless END_HORIZON); the (t, xi) events of a
-# recorded one-path block, and the kernel's (2, n) array of them (None
-# unless the kernel recorded them)
+# its terminal value (NaN unless END_HORIZON); for a recorded block, the
+# events of path i as the (2, n_i) array, times then sizes, at
+# events[2 * offsets[i]:2 * offsets[i + 1]] (both None unless recorded)
 _PathEnds = collections.namedtuple("_PathEnds",
-                                   "end t x n terminal events recorded")
+                                   "end t x n terminal events offsets")
 
-# room for a recorded path's events in its first kernel call; a path with
-# more runs once again with room for all of them
+# room for the events a recorded block's first kernel call records, shared
+# evenly among its paths; when a path outgrew its share, the block runs
+# once more with each path's jump count as its room
 _EVENT_ROOM = 4096
+
+
+@functools.lru_cache(maxsize=256)
+def _shared_rooms(count):
+    """Offsets that give each of count paths an even share of _EVENT_ROOM
+    (read-only), their address and the room of all of them."""
+    offsets = np.arange(count + 1, dtype=np.int64) * (_EVENT_ROOM // count)
+    offsets.flags.writeable = False
+    return offsets, offsets.ctypes.data, int(offsets[-1])
 
 
 def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
                 explosive, record=False, threads=1) -> _PathEnds:
     """Paths start .. start+count-1 on the kernel lib, each call on up to
     threads threads; without a kernel (lib None), the arrays for _fan_out
-    to fill.  With record, count is 1.
+    to fill.  With record, also every path's events (see _PathEnds).
 
     A kernel call returns after about 2^22 events, so Ctrl-C stops a
     long block between calls.
@@ -336,7 +366,7 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
     if lib is None:
         return _PathEnds(np.empty(count, np.int8), np.empty(count),
                          np.empty(count), np.empty(count, np.int64),
-                         np.empty(count), [], None)
+                         np.empty(count), None, None)
     sampler = measure.make_jump_sampler(spec, config.eps)
     if isinstance(sampler, measure._TableSampler):
         x = np.ascontiguousarray(sampler._inv.x, dtype=float)
@@ -347,11 +377,12 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
         jump = (None, None, 0, sampler.eps, sampler._inv_pow, sampler._beta)
     key0 = config.seed % 2 ** 64
 
-    def run(room):
+    def run(offsets=None, at=None, room=0):
         # one buffer and one address: the t, x, n and terminal columns,
-        # the event room, then the int8 end codes
-        words = 4 * count + 2 * room
-        buf = np.empty(words + (count + 7) // 8)
+        # the int8 end codes, then the room events recorded with the
+        # offsets at address at
+        words = 4 * count + (count + 7) // 8
+        buf = np.empty(words + 2 * room)
         base = buf.ctypes.data
         done = 0
         while done < count:
@@ -359,23 +390,29 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
             done += lib.jumplm_run_paths(
                 key0, start + done, count - done, x0, t_end, lam, delta,
                 config.cap, config.max_events, explosive, *jump,
-                base + 8 * words + done, col, col + 8 * count,
-                col + 16 * count, col + 24 * count, base + 32 * count, room,
-                threads)
+                base + 32 * count + done, col, col + 8 * count,
+                col + 16 * count, col + 24 * count, base + 8 * words,
+                None if at is None else at + 8 * done, threads)
         t, x, n, terminal = buf[:4 * count].reshape(4, count)
-        out = _PathEnds(buf[words:].view(np.int8)[:count], t, x,
-                        n.view(np.int64), terminal, [], None)
-        return out, buf[4 * count:words].reshape(2, room)
+        return _PathEnds(buf[4 * count:words].view(np.int8)[:count], t, x,
+                         n.view(np.int64), terminal,
+                         None if offsets is None else buf[words:], offsets)
 
-    out, events = run(_EVENT_ROOM if record else 0)
-    if record:
-        n = max(int(out.n[0]), 0)     # -1 when the kernel stopped on an error
-        if n > _EVENT_ROOM:
-            out, events = run(n)
-        recorded = np.ascontiguousarray(events[:, :n])
-        t, xi = recorded.tolist()
-        out = out._replace(events=list(zip(t, xi)), recorded=recorded)
-    return out
+    if not record:
+        return run()
+    out = run(*_shared_rooms(count))
+    # -1 where the kernel stopped on an error
+    n = [max(k, 0) for k in out.n.tolist()]
+    offsets = np.array([0, *itertools.accumulate(n)], np.int64)
+    share = _EVENT_ROOM // count
+    if max(n) > share:
+        return run(offsets, offsets.ctypes.data, int(offsets[-1]))
+    # path i's (2, n_i) events start its room; a lone path's are in place,
+    # and copied so that they do not hold on to the whole room
+    events = out.events[:2 * n[0]].copy() if count == 1 else np.concatenate(
+        [out.events[2 * share * i:2 * (share * i + k)]
+         for i, k in enumerate(n)])
+    return _PathEnds(*out[:5], events, offsets)
 
 
 def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
@@ -383,7 +420,8 @@ def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
     """The ends of paths start .. start+count-1, for an engine whose
     inputs _rates checked: the kernel, then _run_engine for each path the
     kernel stopped where the scalar loop raises (for every path when there
-    is no kernel), so errors and their messages are the scalar loop's."""
+    is no kernel), so errors and their messages are the scalar loop's.
+    With record, the events of the paths _run_engine ran are its own."""
     lib = _kernel()[0]
     out = _kernel_run(lib, spec, x0, t_end, config, start, count, lam,
                       delta, explosive, record, threads)
@@ -394,6 +432,7 @@ def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
     else:   # the max alone, when no path is left over, is the cheaper test
         redo = (np.flatnonzero(out.end > last)
                 if out.end.max(initial=0) > last else ())
+    runs = {}       # with record, the events of the paths run here
     for i in redo:
         events, t, x, n, exploded, _ = _run_engine(
             spec, x0, t_end, config, start + int(i), record, lam, delta,
@@ -404,7 +443,16 @@ def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
                       else END_MAX_EVENTS)
         out.terminal[i] = (math.nan if exploded
                            else x * math.exp(-delta * (t_end - t)))
-        out = out._replace(events=events, recorded=None)
+        if record:
+            runs[int(i)] = events
+    if runs:
+        at = out.offsets
+        events = [np.array(runs[i], dtype=float).T.ravel() if i in runs
+                  else out.events[2 * at[i]:2 * at[i + 1]]
+                  for i in range(count)]
+        offsets = np.zeros(count + 1, np.int64)
+        np.cumsum(out.n, out=offsets[1:])
+        out = out._replace(events=np.concatenate(events), offsets=offsets)
     return out
 
 
@@ -413,12 +461,17 @@ def _path(spec, x0, t_end, config, path_index, record, explosive) -> Path:
     lam, delta = _rates(spec, x0, t_end, config.eps, explosive)
     out = _fan_out(spec, x0, t_end, config, path_index, 1, lam, delta,
                    explosive, record)
+    events, recorded = [], None
+    if record:
+        recorded = out.events.reshape(2, -1)
+        t, xi = recorded.tolist()
+        events = list(zip(t, xi))
     exploded = bool(out.end[0] != END_HORIZON)
-    path = Path(x0=x0, events=out.events, decay_rate=delta, t_end=t_end,
+    path = Path(x0=x0, events=events, decay_rate=delta, t_end=t_end,
                 eps=config.eps, exploded=exploded,
                 explosion_time=float(out.t[0]) if exploded else None,
                 terminal=None if exploded else float(out.terminal[0]))
-    path._recorded = out.recorded
+    path._recorded = recorded
     return path
 
 
@@ -489,17 +542,49 @@ def evaluate(path: Path, t: float):
     return x * math.exp(-d * (t - t_prev))
 
 
-def _format_rows(recorded) -> Optional[str]:
-    """The rows "%.17g,%.17g\\n" % event of a (2, n) array of event times
-    and sizes, formatted by the kernel; None without a kernel, or when a
-    value lies outside the range of the kernel's formatter."""
+def _format_block(events, offsets, threads=1) -> List[Optional[bytes]]:
+    """The rows "%.17g,%.17g\\n" % event of each path of a recorded block
+    (see _PathEnds), formatted by the kernel on up to threads threads, as
+    ASCII; None for a path whose values the kernel's formatter does not
+    reach, and for every path without a kernel."""
     lib = _kernel()[0]
+    count = offsets.size - 1
     if lib is None:
-        return None
-    n = recorded.shape[1]
-    buf = ctypes.create_string_buffer(48 * n)
-    size = lib.jumplm_format_rows(recorded.ctypes.data, n, buf)
-    return None if size < 0 else ctypes.string_at(buf, size).decode("ascii")
+        return [None] * count
+    text = np.empty(48 * int(offsets[-1]), np.uint8)
+    lengths = np.empty(count, np.int64)
+    lib.jumplm_format_block(events.ctypes.data, offsets.ctypes.data, count,
+                            text.ctypes.data, lengths.ctypes.data, threads)
+    text = memoryview(text)
+    return [None if k < 0 else bytes(text[48 * at:48 * at + k])
+            for at, k in zip(offsets.tolist(), lengths.tolist())]
+
+
+def _format_rows(recorded) -> Optional[str]:
+    """The rows of a (2, n) array of event times and sizes, formatted by
+    the kernel; None without a kernel, or when a value lies outside the
+    range of the kernel's formatter."""
+    recorded = np.ascontiguousarray(recorded, dtype=float)
+    rows = _format_block(recorded,
+                         np.array([0, recorded.shape[1]], np.int64))[0]
+    return None if rows is None else rows.decode("ascii")
+
+
+def _python_rows(events) -> str:
+    """The rows of (t, xi) pairs as Python's % formats them."""
+    return "".join(["%.17g,%.17g\n" % ev for ev in events])
+
+
+def _csv_head(x0, decay_rate, eps, exploded, t_end, explosion_time) -> str:
+    """A path's CSV header: its fields, then the column names."""
+    head = (f"# x0={x0:.17g}\n"
+            f"# decay_rate={decay_rate:.17g}\n"
+            f"# eps={eps:.17g}\n"
+            f"# exploded={str(exploded).lower()}\n"
+            f"# t_end={t_end:.17g}\n")
+    if exploded and explosion_time is not None:
+        head += f"# explosion_time={explosion_time:.17g}\n"
+    return head + "time,size\n"
 
 
 def export_path_csv(path: Path, stream) -> None:
@@ -511,14 +596,38 @@ def export_path_csv(path: Path, stream) -> None:
     path, or with a value the kernel's formatter does not cover, by
     Python.
     """
-    head = (f"# x0={path.x0:.17g}\n"
-            f"# decay_rate={path.decay_rate:.17g}\n"
-            f"# eps={path.eps:.17g}\n"
-            f"# exploded={str(path.exploded).lower()}\n"
-            f"# t_end={path.t_end:.17g}\n")
-    if path.exploded and path.explosion_time is not None:
-        head += f"# explosion_time={path.explosion_time:.17g}\n"
     rows = None if path._recorded is None else _format_rows(path._recorded)
     if rows is None:
-        rows = "".join(["%.17g,%.17g\n" % ev for ev in path.events])
-    stream.write(head + "time,size\n" + rows)
+        rows = _python_rows(path.events)
+    stream.write(_csv_head(path.x0, path.decay_rate, path.eps, path.exploded,
+                           path.t_end, path.explosion_time) + rows)
+
+
+def block_csvs(spec: LevyMeasureSpec, x0: float, t_end: float,
+               config: EngineConfig, start: int, count: int,
+               explosive: bool, threads: int = 1) -> List[bytes]:
+    """The CSVs export_path_csv writes for simulate_explosive_path (or,
+    without explosive, simulate_path) of paths start .. start+count-1, as
+    ASCII bytes.
+
+    The block is simulated, recorded and formatted by the kernel on up to
+    threads threads, with the same bytes; rows the kernel's formatter does
+    not reach, and every path without a kernel, are formatted by Python.
+    Raises what the first path to raise raises, before any CSV is made.
+    """
+    lam, delta = _rates(spec, x0, t_end, config.eps, explosive)
+    out = _fan_out(spec, x0, t_end, config, start, count, lam, delta,
+                   explosive, record=True, threads=threads)
+    at = out.offsets.tolist()
+    csvs = []
+    for i, (rows, end, t) in enumerate(zip(
+            _format_block(out.events, out.offsets, threads),
+            out.end.tolist(), out.t.tolist())):
+        if rows is None:
+            times, sizes = out.events[2 * at[i]:2 * at[i + 1]].reshape(
+                2, -1).tolist()
+            rows = _python_rows(zip(times, sizes)).encode("ascii")
+        exploded = end != END_HORIZON
+        csvs.append(_csv_head(x0, delta, config.eps, exploded, t_end,
+                              t if exploded else None).encode("ascii") + rows)
+    return csvs

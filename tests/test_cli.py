@@ -281,6 +281,18 @@ def test_lemma_check_rejects_bad_grid(runner):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("args,line", [
+    (["--alpha-grid", "x"], "error: cannot parse grid 'x'"),
+    (["--u-grid", ","], "error: empty grid"),
+    (["--alpha-grid", "1.5,2.5"], "error: alpha grid must lie in (1, 2)"),
+    (["--u-grid", "0,1.5"], "error: u grid must lie in (-inf, 1]"),
+])
+def test_lemma_check_grid_error_lines(runner, args, line):
+    res = runner.invoke(main, ["lemma-check", *args])
+    assert res.exit_code == 1
+    assert res.output == line + "\n"
+
+
 def test_help_and_explosive_simulate_load_no_scipy(tmp_path, untilted_json):
     # scipy and the process pool are imported on first use: the import,
     # --help and an explosive simulation of an untilted power reach neither
@@ -342,22 +354,17 @@ def test_simulate_csvs_without_kernel(runner, ref_json, untilted_json,
     assert max(v.count(b"\n") for v in explosive) > simulate._EVENT_ROOM
 
 
-def test_ctrl_c_stops_the_fan_out(tmp_path, ref_json):
-    # at the CLI defaults (eps 1e-4, cap 1e12) one 4,096-path chunk of
-    # verify survival is minutes of kernel time; SIGINT, sent once the
-    # fan-out has begun, ends the command within a few seconds the way
-    # click ends on a KeyboardInterrupt
+def _interrupt_after_engine_line(args, env, setup=""):
+    """Run the CLI with args after the Python code setup, send SIGINT 1 s
+    after its engine DEBUG line; return its exit status, the rest of its
+    stderr and the seconds it took to stop."""
     code = ("import logging, sys\n"
             "logging.basicConfig(level=logging.DEBUG, format='%(message)s')\n"
             "from jumplm.cli import main\n"
-            "main(sys.argv[1:])\n")
-    src = os.path.dirname(os.path.dirname(measure.__file__))
-    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
-               PYTHONPATH=src)
+            f"{setup}main(sys.argv[1:])\n")
     proc = subprocess.Popen(
-        [sys.executable, "-c", code, "verify", "survival", ref_json, "--t",
-         "0.5", "--seed", "1"], env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True)
+        [sys.executable, "-c", code, *args], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     watchdog = threading.Timer(120.0, proc.kill)
     watchdog.start()
     try:
@@ -374,5 +381,37 @@ def test_ctrl_c_stops_the_fan_out(tmp_path, ref_json):
     finally:
         watchdog.cancel()
         proc.kill()
+    return status, rest, stopped
+
+
+def test_ctrl_c_stops_simulate(tmp_path, untilted_json):
+    # at the CLI defaults (eps 1e-4, cap 1e12) a block of explosive paths
+    # is seconds of kernel time; SIGINT, sent once the simulation has
+    # begun, ends the command within a few seconds, before its block is
+    # recorded.  One CPU keeps the block's first, unrecorded pass longer
+    # than that second on any machine.
+    src = os.path.dirname(os.path.dirname(measure.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
+               PYTHONPATH=src)
+    one_cpu = min(os.sched_getaffinity(0))
+    status, rest, stopped = _interrupt_after_engine_line(
+        ["simulate", untilted_json, "--explosive", "--seed", "1", "--paths",
+         "1000", "--out-dir", str(tmp_path / "out")], env,
+        f"import os\nos.sched_setaffinity(0, {{{one_cpu}}})\n")
+    assert status == 1 and rest.endswith("Aborted!\n"), (status, rest[-500:])
+    assert stopped < 5.0, stopped
+    assert not list((tmp_path / "out").glob("path_*.csv"))
+
+
+def test_ctrl_c_stops_the_fan_out(tmp_path, ref_json):
+    # at the CLI defaults (eps 1e-4, cap 1e12) one 4,096-path chunk of
+    # verify survival is minutes of kernel time; SIGINT, sent once the
+    # fan-out has begun, ends the command within a few seconds the way
+    # click ends on a KeyboardInterrupt
+    src = os.path.dirname(os.path.dirname(measure.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
+               PYTHONPATH=src)
+    status, rest, stopped = _interrupt_after_engine_line(
+        ["verify", "survival", ref_json, "--t", "0.5", "--seed", "1"], env)
     assert status == 1 and rest.endswith("Aborted!\n"), (status, rest[-500:])
     assert stopped < 5.0, stopped

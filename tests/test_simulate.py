@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import logging
@@ -6,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -546,6 +548,58 @@ def test_kernel_block_spans_calls(ref_spec):
     assert lib.runs[2:] == [1] * 16
 
 
+def test_recorded_path_takes_one_call_in_its_room(ref_spec, monkeypatch):
+    # a recorded path within the first call's room of _EVENT_ROOM events
+    # takes that one call; a longer one runs once more with room for all
+    lib = _CountingKernel(_kernel_lib())
+    monkeypatch.setattr(simulate, "_kernel", lambda: (
+        lib, simulate.FanOutEngine("kernel", "counted")))
+    cfg = simulate.EngineConfig(eps=1e-2, seed=3)
+    for x0, n, calls in ((300.0, 1057, 1), (6000.0, 22355, 2)):
+        lib.runs.clear()
+        path = simulate.simulate_path(ref_spec, x0, 1.0, cfg, 0)
+        assert len(path.events) == n
+        assert lib.runs == [1] * calls
+        assert _bits(path) == _bits(_scalar_path(ref_spec, x0, 1.0, cfg, 0,
+                                                 False))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_kernel_records_only_in_each_paths_room(ref_spec, threads):
+    # path i records its first min(n_i, room_i) events, times then sizes,
+    # at the start of events[2 offsets[i] .. 2 offsets[i+1]], rooms
+    # shorter and longer than its jump count alike, and writes nothing
+    # outside its room
+    lib = _kernel_lib()
+    cfg = simulate.EngineConfig(eps=1e-2, seed=11)
+    x0, t_end, count = 40.0, 1.0, 12
+    lam, delta = simulate._rates(ref_spec, x0, t_end, cfg.eps, False)
+    counts = simulate._kernel_run(lib, ref_spec, x0, t_end, cfg, 5, count,
+                                  lam, delta, False).n.tolist()
+    assert min(counts) > 2
+    rooms = [(k // 2, k, k + 3, 0)[i % 4] for i, k in enumerate(counts)]
+    offsets = np.array([7, *(7 + np.cumsum(rooms))], np.int64)
+    events = np.full(2 * offsets[-1] + 9, -7.5)
+    out = [np.empty(count, np.int8), *(np.empty(count) for _ in range(2)),
+           np.empty(count, np.int64), np.empty(count)]
+    sampler = measure.make_jump_sampler(ref_spec, cfg.eps)
+    k = lib.jumplm_run_paths(
+        cfg.seed, 5, count, x0, t_end, lam, delta, cfg.cap, cfg.max_events,
+        False, None, None, 0, sampler.eps, sampler._inv_pow, sampler._beta,
+        *(a.ctypes.data for a in out), events.ctypes.data,
+        offsets.ctypes.data, threads)
+    assert k == count and out[3].tolist() == counts
+    assert np.all(events[:14] == -7.5)
+    assert np.all(events[2 * offsets[-1]:] == -7.5)
+    for i, (n, room) in enumerate(zip(counts, rooms)):
+        kept = min(n, room)
+        recorded = events[2 * offsets[i]:2 * offsets[i] + 2 * kept]
+        scalar, *_ = simulate._run_engine(ref_spec, x0, t_end, cfg, 5 + i,
+                                          True, lam, delta, False)
+        assert recorded.reshape(2, kept).T.tolist() == \
+            [list(ev) for ev in scalar[:kept]]
+
+
 def _outcome(fn):
     """What fn() gives: its array's bytes, or the type and message of what
     it raises."""
@@ -774,6 +828,8 @@ def test_recorded_path_outside_kernel_range_is_formatted_by_python():
     assert path.events[-1][1] == math.inf and path._recorded is not None
     assert simulate._format_rows(path._recorded) is None
     assert _csv(path).endswith("time,size\n" + _python_rows(path.events))
+    csvs = simulate.block_csvs(untilted, 1.0, 1.0, cfg, 1170, 10, True, 2)
+    assert csvs[6] == _csv(path).encode()
 
 
 def test_hand_built_path_writes_the_same_csv(ref_spec):
@@ -793,6 +849,68 @@ def test_hand_built_path_writes_the_same_csv(ref_spec):
         assert by_hand == path and repr(by_hand) == repr(path)
         assert simulate._format_rows(path._recorded) is not None
         assert _csv(by_hand) == _csv(path)
+
+
+def _export_outcome(fn):
+    """What fn() gives, or the type and message of what it raises."""
+    try:
+        return fn()
+    except (ArithmeticError, ValueError, MaxEventsExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name,explosive", [
+    (name, explosive) for name, case in _KERNEL_CASES.items()
+    for explosive in case[1]])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(-2 ** 63, 2 ** 63 - 1),
+       start=st.integers(0, 10 ** 6),
+       count=st.integers(1, 130),
+       threads=st.sampled_from([1, 2, 3, 8]),
+       eps_index=st.integers(0, 1),
+       x0=st.floats(0.05, 3.0),
+       t_end=st.floats(0.0, 2.0),
+       max_events=st.sampled_from([10_000_000] * 4 + [1, 5]),
+       zero_delta=st.sampled_from([False] * 5 + [True]),
+       kernel=st.sampled_from([True] * 3 + [False]))
+def test_block_csvs_match_one_path_exports(name, explosive, tabulated_spec,
+                                           seed, start, count, threads,
+                                           eps_index, x0, t_end, max_events,
+                                           zero_delta, kernel):
+    # each path's CSV from the block is export_path_csv's for the path run
+    # alone, byte for byte, on any number of threads and without a kernel;
+    # a block raises what its first raising path raises alone: the scalar
+    # loop's error where the kernel stops (a delta of 0), and
+    # MaxEventsExceeded for a conservative path at max_events
+    _kernel_lib()
+    spec, _, eps_values, fixed_x0 = _KERNEL_CASES[name]
+    spec = spec or tabulated_spec
+    eps = eps_values[eps_index % len(eps_values)]
+    x0 = fixed_x0 or x0
+    cfg = simulate.EngineConfig(eps=eps, seed=seed, cap=1e5,
+                                max_events=max_events)
+    one = simulate.simulate_explosive_path if explosive else \
+        simulate.simulate_path
+    rates = simulate._rates
+    with contextlib.ExitStack() as stack:
+        if zero_delta:
+            stack.enter_context(mock.patch.object(
+                simulate, "_rates", lambda *a: (rates(*a)[0], 0.0)))
+        if not kernel:
+            stack.enter_context(mock.patch.object(
+                simulate, "_kernel",
+                lambda: (None, simulate.FanOutEngine("python", "disabled"))))
+        got = _export_outcome(lambda: simulate.block_csvs(
+            spec, x0, t_end, cfg, start, count, explosive, threads))
+        want = []
+        for i in range(start, start + count):
+            alone = _export_outcome(
+                lambda: _csv(one(spec, x0, t_end, cfg, i)).encode())
+            if isinstance(alone, tuple):
+                want = alone
+                break
+            want.append(alone)
+    assert got == want
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -841,6 +959,28 @@ def test_kernel_build_removes_stale_kernels(tmp_path, monkeypatch):
     stale.write_bytes(b"")
     assert simulate._build_kernel() == lib
     assert sorted(stale.parent.iterdir()) == sorted([lib, stale])
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_removed_before_its_load_is_built_again(tmp_path,
+                                                       monkeypatch):
+    # a build in another checkout sharing the cache removes this source's
+    # kernel; when that lands between naming the kernel and loading it,
+    # the kernel is built once more and loaded
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    build, names = simulate._build_kernel, []
+
+    def build_then_lose():
+        names.append(build())
+        if len(names) == 1:
+            names[0].unlink()
+        return names[-1]
+
+    monkeypatch.setattr(simulate, "_build_kernel", build_then_lose)
+    lib, engine = simulate._kernel.__wrapped__()
+    assert lib is not None and engine.name == "kernel"
+    assert len(names) == 2 and names[1].exists()
+    assert engine.detail == str(names[1])
 
 
 def test_import_and_sampling_do_not_build(tmp_path):
