@@ -10,17 +10,19 @@
  *         _kernel.c -lm
  *
  * Where the Python loop would raise (a log of a non-positive number, an
- * overflowing exp, a division by zero), the path stops with an end code
- * above END_MAX_EVENTS and the caller runs it again in Python.
+ * overflowing exp, a division by zero), and where a recording path's event
+ * buffer cannot grow, the path stops with an end code above END_MAX_EVENTS
+ * and the caller runs it again in Python.
  *
  * A call runs its block on up to `threads` threads, the calling one and
  * threads - 1 it starts.  Each thread claims the next path index, one at
  * a time, and runs that path alone: event counts are heavy-tailed, so a
  * fixed split would leave threads idle.  Path i draws from its own
  * stream, so which thread runs it, and when, changes no bit of its
- * results.  A block that records events gives each path its own room,
- * events[2 offsets[i] .. 2 offsets[i+1] - 1], so recording paths run on
- * threads too.
+ * results.  A path that records its events writes them into a buffer of
+ * its own, which it grows as it runs, so recording paths run on threads
+ * too, each in one pass whatever its length; jumplm_take then moves the
+ * block's events into one array and frees the buffers.
  *
  * The threads of a call share one budget of EVENT_BUDGET events.  A
  * thread claims no more paths once the call has spent it, and finishes
@@ -37,13 +39,19 @@
 #include <pthread.h>
 #include <stdatomic.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 
 /* end codes, mirrored in simulate.py */
 enum { END_HORIZON, END_CAP, END_MAX_EVENTS, END_LOG_DOMAIN, END_EXP_RANGE,
-       END_ZERO_DIVISION };
+       END_ZERO_DIVISION, END_NO_MEMORY };
 
 #define EVENT_BUDGET ((int64_t)1 << 22)
+/* the jumps a recording path's buffer first holds; it doubles when full */
+#define FIRST_ROOM 64
+/* the most jumps a buffer from malloc holds; a longer path maps its own */
+#define MALLOC_ROOM 1024
 /* the most threads a call runs on, mirrored in simulate.py */
 #define MAX_THREADS 64
 /* run_path needs little stack; a size below the platform's minimum
@@ -146,18 +154,58 @@ static double jump(const sampler *j, stream *s)
         var = log(a_);                          \
     } while (0)
 
-/* events, when room > 0: the first k = min(n, room) jumps (t, xi) of the
- * path's n, as one (2, k) array: the times in events[0 .. k-1] and the
- * sizes in events[k .. 2k-1].  A path that stops on an error leaves its
- * room undefined. */
+/* A recording path's buffer: jump k's t and xi at at[2k] and at[2k+1].
+ * One of up to MALLOC_ROOM jumps comes from malloc; a longer one is
+ * mapped on its own, so that freeing it gives its pages back at once, and
+ * long paths neither grow malloc's heap nor raise its mmap threshold. */
+typedef struct { int64_t room; double at[]; } record;
+
+static size_t record_size(int64_t room)
+{
+    return sizeof(record) + 2 * sizeof(double) * (size_t)room;
+}
+
+static void drop(record *r)
+{
+    if (r && r->room > MALLOC_ROOM)
+        munmap(r, record_size(r->room));
+    else
+        free(r);
+}
+
+/* Gives *r, full or NULL, twice its room (FIRST_ROOM when NULL); returns
+ * 0, leaving *r as it was, when the memory is not to be had. */
+static int grow(record **r)
+{
+    int64_t room = *r ? 2 * (*r)->room : FIRST_ROOM;
+    record *g;
+    if (room <= MALLOC_ROOM) {
+        g = realloc(*r, record_size(room));
+        if (!g)
+            return 0;
+    } else {
+        g = mmap(NULL, record_size(room), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (g == MAP_FAILED)
+            return 0;
+        memcpy(g->at, (*r)->at, 2 * sizeof(double) * (size_t)(*r)->room);
+        drop(*r);
+    }
+    g->room = room;
+    *r = g;
+    return 1;
+}
+
+/* events, when not NULL, holds NULL or the record of the path's jumps,
+ * which it grows as they come; the caller drops it, also when the path
+ * stops on an error. */
 static int run_path(stream *s, const sampler *j, double x0, double t_end,
                     double lam, double delta, double cap, int64_t max_events,
                     int explosive, double *t_out, double *x_out,
-                    int64_t *n_out, double *terminal, double *events,
-                    int64_t room)
+                    int64_t *n_out, double *terminal, record **events)
 {
     double t = 0.0, x = x0, decay, e_draw, dt, shrink;
-    int64_t n = 0;
+    int64_t n = 0, room = 0;
     int end;
     if (delta == 0.0)
         return END_ZERO_DIVISION;
@@ -181,9 +229,14 @@ static int run_path(stream *s, const sampler *j, double x0, double t_end,
         x *= shrink;
         double xi = jump(j, s);
         x += xi;
-        if (n < room) {
-            events[n] = t;
-            events[room + n] = xi;
+        if (events) {
+            if (n == room) {
+                if (!grow(events))
+                    return END_NO_MEMORY;
+                room = (*events)->room;
+            }
+            (*events)->at[2 * n] = t;
+            (*events)->at[2 * n + 1] = xi;
         }
         n += 1;
         if (explosive && (x > cap || !isfinite(x))) {
@@ -195,8 +248,6 @@ static int run_path(stream *s, const sampler *j, double x0, double t_end,
             break;
         }
     }
-    if (n < room)       /* the sizes were written at events[room ..] */
-        memmove(events + n, events + room, (size_t)n * sizeof *events);
     *t_out = t, *x_out = x, *n_out = n;
     return end;
 }
@@ -212,8 +263,8 @@ typedef struct {
     int8_t *end;
     double *t, *xs;
     int64_t *n;
-    double *terminal, *events;
-    const int64_t *offsets;
+    double *terminal;
+    record **events;
     atomic_int_fast64_t next, spent;    /* path to claim; events spent */
 } block;
 
@@ -227,15 +278,13 @@ static void *run_block(void *arg)
         if (i >= b->count)
             break;
         stream s = {0, b->key0, (uint64_t)(b->start + i), {0, 0, 0, 0}, 4};
-        const int64_t *o = b->offsets;
         b->t[i] = b->xs[i] = b->terminal[i] = NAN;
         b->n[i] = -1;
         b->end[i] = (int8_t)run_path(&s, &b->j, b->x0, b->t_end, b->lam,
                                      b->delta, b->cap, b->max_events,
                                      b->explosive, &b->t[i], &b->xs[i],
                                      &b->n[i], &b->terminal[i],
-                                     o ? b->events + 2 * o[i] : NULL,
-                                     o ? o[i + 1] - o[i] : 0);
+                                     b->events ? &b->events[i] : NULL);
         atomic_fetch_add(&b->spent, 1 + (b->n[i] > 0 ? b->n[i] : 0));
     }
     return NULL;
@@ -271,27 +320,47 @@ static void on_threads(void *(*work)(void *), void *arg, int64_t count,
 /* Paths start .. start+count-1 of seed key0 (the seed mod 2^64); path i
  * draws from Philox(key=[key0, i]).  For each path: the end code, and the
  * loop's last t, x and jump count; the terminal value at END_HORIZON.
- * With offsets NULL nothing is recorded; otherwise path i records up to
- * offsets[i+1] - offsets[i] jumps at events + 2 offsets[i], times then
- * sizes (see run_path), and writes nothing outside that room.  Runs on
- * up to threads threads (see on_threads).  Returns the number of paths
- * run: all count of them, or fewer once EVENT_BUDGET events are spent,
- * and at least one. */
+ * With events NULL nothing is recorded; otherwise events[i], NULL on
+ * entry, takes the buffer path i records all its jumps in (see run_path),
+ * for jumplm_take to move and free.  Runs on up to threads threads (see
+ * on_threads).  Returns the number of paths run: all count of them, or
+ * fewer once EVENT_BUDGET events are spent, and at least one. */
 int64_t jumplm_run_paths(uint64_t key0, int64_t start, int64_t count,
                          double x0, double t_end, double lam, double delta,
                          double cap, int64_t max_events, int explosive,
                          const double *x, const double *c, int64_t m,
                          double eps, double inv_pow, double beta,
                          int8_t *end, double *t, double *xs, int64_t *n,
-                         double *terminal, double *events,
-                         const int64_t *offsets, int threads)
+                         double *terminal, record **events, int threads)
 {
     block b = {key0, start, count, x0, t_end, lam, delta, cap, max_events,
                explosive, {x, c, m, eps, inv_pow, beta}, end, t, xs, n,
-               terminal, events, offsets, 0, 0};
+               terminal, events, 0, 0};
     on_threads(run_block, &b, count, threads);
     int64_t claimed = atomic_load(&b.next);
     return claimed < count ? claimed : count;
+}
+
+/* Moves the jumps that jumplm_run_paths recorded in held[0 .. count-1]
+ * to events: path i's n_i = offsets[i+1] - offsets[i] of them as one
+ * (2, n_i) array at events + 2 offsets[i], times then sizes.  Then frees
+ * every buffer and sets its pointer to NULL.  With events NULL it only
+ * frees. */
+void jumplm_take(record **held, const int64_t *offsets, int64_t count,
+                 double *events)
+{
+    for (int64_t i = 0; i < count; i++) {
+        if (events) {
+            int64_t n = offsets[i + 1] - offsets[i];
+            double *to = events + 2 * offsets[i];
+            for (int64_t k = 0; k < n; k++) {
+                to[k] = held[i]->at[2 * k];
+                to[n + k] = held[i]->at[2 * k + 1];
+            }
+        }
+        drop(held[i]);
+        held[i] = NULL;
+    }
 }
 
 /* 5^k for k = 0 .. 27, the powers below 2^63 */
@@ -305,6 +374,23 @@ static const uint64_t POW5[28] = {
     1490116119384765625ULL, 7450580596923828125ULL};
 
 #define TEN16 10000000000000000ULL
+
+/* the two digits of 0 .. 99 */
+static const char PAIRS[] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* the last len decimal digits of v, zero-padded, to d[0 .. len-1] */
+static void put_digits(char *d, uint32_t v, int len)
+{
+    for (; len >= 2; len -= 2, v /= 100)
+        memcpy(d + len - 2, PAIRS + 2 * (v % 100), 2);
+    if (len)
+        d[0] = (char)('0' + v % 10);
+}
 
 /* Python's "%.17g" % v, for finite v with 1e-16 <= |v| < 1e17, without
  * snprintf (which follows LC_NUMERIC, and Python's % does not).
@@ -328,8 +414,9 @@ static int format_g17(double v, char *out)
     memcpy(&bits, &v, sizeof bits);
     uint64_t m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
     int e = (int)(bits >> 52 & 0x7ff) - 1075;
-    /* |v| lies in [2^(e+52), 2^(e+53)), so k is this floor or one more */
-    int k = (int)floor((e + 52) * 0.30102999566398120);
+    /* |v| lies in [2^(e+52), 2^(e+53)), so k is floor((e+52) log10 2) or
+     * one more; the integer form is that floor for |e+52| <= 1100 */
+    int k = ((e + 52) * 78913) >> 18;
     if (k < -16)
         k = -16;
     uint64_t N;
@@ -363,9 +450,9 @@ static int format_g17(double v, char *out)
             k++;
         }
     }
-    char d[17];
-    for (int i = 16; i >= 0; i--, N /= 10)
-        d[i] = (char)('0' + N % 10);
+    char d[17];     /* N < 10^17: nine digits above 10^8, eight below */
+    put_digits(d, (uint32_t)(N / 100000000), 9);
+    put_digits(d + 9, (uint32_t)(N % 100000000), 8);
     int len = 17;
     while (d[len - 1] == '0')
         len--;

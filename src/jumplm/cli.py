@@ -138,8 +138,8 @@ def defect_curve(config, x0, t_max, steps, out):
         click.echo(text, nl=False)
 
 
-# paths jumplm simulate runs, records and formats as one block: a block
-# holds the events and rows of all its paths at once
+# paths jumplm simulate runs, records and formats as one block, each path
+# once: a block holds the events and rows of all its paths at once
 BLOCK_PATHS = 64
 
 

@@ -25,12 +25,11 @@ is given, each claiming the next path; since every path has its own
 stream, the results are the same bits on any number of threads.
 simulate_path and simulate_explosive_path run a block of one, on one
 thread; block_csvs, behind `jumplm simulate`, runs a block of many on
-threads and records every path's events.  A recorded block's first call
-shares 4,096 events of room evenly among its paths; a block with a path
-that outgrew its share runs once more with each path's jump count as its
-room.  _run_engine, the reference, runs the paths the scalar loop raises
-on, and all of them when there is no kernel.  The kernel formats a
-recorded block's rows, the bytes "%.17g" gives, on threads;
+threads and records every path's events.  A recording path grows its own
+event buffer in the kernel as it runs, so every path runs once, whatever
+its length.  _run_engine, the reference, runs the paths the scalar loop
+raises on, and all of them when there is no kernel.  The kernel formats
+a recorded block's rows, the bytes "%.17g" gives, on threads;
 export_path_csv and block_csvs format them in Python without a kernel or
 where the kernel's formatter does not reach.
 """
@@ -232,7 +231,8 @@ def simulate_path(spec: LevyMeasureSpec, x0: float, t_end: float,
 
 # How a path of the fan-out ended: it reached t_end, crossed the cap (or
 # left the floats), or made max_events jumps.  _kernel.c uses the same
-# codes, and codes above END_MAX_EVENTS for a path the scalar loop raises on.
+# codes, and codes above END_MAX_EVENTS for a path the scalar loop raises on
+# or whose event buffer could not grow.
 END_HORIZON, END_CAP, END_MAX_EVENTS = 0, 1, 2
 
 # the most threads a kernel call runs a block on, as in _kernel.c
@@ -314,11 +314,13 @@ def _kernel():
         f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
         lib.jumplm_run_paths.argtypes = (
             [ctypes.c_uint64, i64, i64] + [f64] * 5 + [i64, ctypes.c_int]
-            + [ptr, ptr, i64] + [f64] * 3 + [ptr] * 7 + [ctypes.c_int])
+            + [ptr, ptr, i64] + [f64] * 3 + [ptr] * 6 + [ctypes.c_int])
+        lib.jumplm_take.argtypes = [ptr, ptr, i64, ptr]
         lib.jumplm_ppoly.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
         lib.jumplm_format_block.argtypes = [ptr, ptr, i64, ptr, ptr,
                                             ctypes.c_int]
         lib.jumplm_run_paths.restype = i64
+        lib.jumplm_take.restype = None
         lib.jumplm_ppoly.restype = None
         lib.jumplm_format_block.restype = None
         engine = FanOutEngine("kernel", str(path))
@@ -335,23 +337,10 @@ def fan_out_engine() -> FanOutEngine:
 # per path: its end code, the event loop's last t, x and jump count, and
 # its terminal value (NaN unless END_HORIZON); for a recorded block, the
 # events of path i as the (2, n_i) array, times then sizes, at
-# events[2 * offsets[i]:2 * offsets[i + 1]] (both None unless recorded)
+# events[2 * offsets[i]:2 * offsets[i + 1]] (both None unless recorded;
+# n_i is 0 for a path the kernel stopped on an error)
 _PathEnds = collections.namedtuple("_PathEnds",
                                    "end t x n terminal events offsets")
-
-# room for the events a recorded block's first kernel call records, shared
-# evenly among its paths; when a path outgrew its share, the block runs
-# once more with each path's jump count as its room
-_EVENT_ROOM = 4096
-
-
-@functools.lru_cache(maxsize=256)
-def _shared_rooms(count):
-    """Offsets that give each of count paths an even share of _EVENT_ROOM
-    (read-only), their address and the room of all of them."""
-    offsets = np.arange(count + 1, dtype=np.int64) * (_EVENT_ROOM // count)
-    offsets.flags.writeable = False
-    return offsets, offsets.ctypes.data, int(offsets[-1])
 
 
 def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
@@ -361,7 +350,10 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
     to fill.  With record, also every path's events (see _PathEnds).
 
     A kernel call returns after about 2^22 events, so Ctrl-C stops a
-    long block between calls.
+    long block between calls.  A recording path keeps its events in a
+    buffer of the kernel's, grown as it runs, so each path runs once;
+    jumplm_take moves them into one array once the block is done, and
+    frees the buffers however the calls end.
     """
     if lib is None:
         return _PathEnds(np.empty(count, np.int8), np.empty(count),
@@ -376,14 +368,16 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
     else:
         jump = (None, None, 0, sampler.eps, sampler._inv_pow, sampler._beta)
     key0 = config.seed % 2 ** 64
-
-    def run(offsets=None, at=None, room=0):
-        # one buffer and one address: the t, x, n and terminal columns,
-        # the int8 end codes, then the room events recorded with the
-        # offsets at address at
-        words = 4 * count + (count + 7) // 8
-        buf = np.empty(words + 2 * room)
-        base = buf.ctypes.data
+    # one buffer and one address: the t, x, n and terminal columns, the
+    # int8 end codes, then, with record, the address of each path's event
+    # buffer (NULL, the bits of 0.0, until the path runs) and the offsets
+    # of the paths' events
+    words = 4 * count + (count + 7) // 8
+    buf = np.zeros(words + 2 * count + 1) if record else np.empty(words)
+    base = buf.ctypes.data
+    held = base + 8 * words if record else None
+    events = offsets = None
+    try:
         done = 0
         while done < count:
             col = base + 8 * done
@@ -391,28 +385,22 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
                 key0, start + done, count - done, x0, t_end, lam, delta,
                 config.cap, config.max_events, explosive, *jump,
                 base + 32 * count + done, col, col + 8 * count,
-                col + 16 * count, col + 24 * count, base + 8 * words,
-                None if at is None else at + 8 * done, threads)
+                col + 16 * count, col + 24 * count,
+                None if held is None else held + 8 * done, threads)
         t, x, n, terminal = buf[:4 * count].reshape(4, count)
-        return _PathEnds(buf[4 * count:words].view(np.int8)[:count], t, x,
-                         n.view(np.int64), terminal,
-                         None if offsets is None else buf[words:], offsets)
-
-    if not record:
-        return run()
-    out = run(*_shared_rooms(count))
-    # -1 where the kernel stopped on an error
-    n = [max(k, 0) for k in out.n.tolist()]
-    offsets = np.array([0, *itertools.accumulate(n)], np.int64)
-    share = _EVENT_ROOM // count
-    if max(n) > share:
-        return run(offsets, offsets.ctypes.data, int(offsets[-1]))
-    # path i's (2, n_i) events start its room; a lone path's are in place,
-    # and copied so that they do not hold on to the whole room
-    events = out.events[:2 * n[0]].copy() if count == 1 else np.concatenate(
-        [out.events[2 * share * i:2 * (share * i + k)]
-         for i, k in enumerate(n)])
-    return _PathEnds(*out[:5], events, offsets)
+        n = n.view(np.int64)
+        if record:
+            offsets = buf[words + count:].view(np.int64)
+            # n is -1 where the kernel stopped on an error
+            offsets[1:] = list(itertools.accumulate(
+                max(k, 0) for k in n.tolist()))
+            events = np.empty(2 * int(offsets[-1]))
+    finally:
+        if record:      # moves the events, once every path ran, and frees
+            lib.jumplm_take(held, held + 8 * count, count,
+                            None if events is None else events.ctypes.data)
+    return _PathEnds(buf[4 * count:words].view(np.int8)[:count], t, x, n,
+                     terminal, events, offsets)
 
 
 def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,

@@ -321,8 +321,8 @@ def test_simulate_csvs_without_kernel(runner, ref_json, untilted_json,
                                       tab_json, tmp_path, monkeypatch):
     # the recorded paths run on the kernel; the Python loop writes the same
     # bytes: the reference, the explosive dual (with paths that explode and
-    # paths longer than the kernel's first event room), the tabulated
-    # fixture and a negative seed
+    # paths of more than 4,096 events), the tabulated fixture and a
+    # negative seed
     cases = {
         "reference": [ref_json, "--eps", "1e-2", "--seed", "7"],
         "explosive": [untilted_json, "--explosive", "--eps", "1e-2",
@@ -351,7 +351,7 @@ def test_simulate_csvs_without_kernel(runner, ref_json, untilted_json,
     explosive = [v for (name, _), v in with_kernel.items()
                  if name == "explosive"]
     assert sum(b"# exploded=true" in v for v in explosive) >= 3
-    assert max(v.count(b"\n") for v in explosive) > simulate._EVENT_ROOM
+    assert max(v.count(b"\n") for v in explosive) > 4096
 
 
 def _interrupt_after_engine_line(args, env, setup=""):
@@ -388,8 +388,8 @@ def test_ctrl_c_stops_simulate(tmp_path, untilted_json):
     # at the CLI defaults (eps 1e-4, cap 1e12) a block of explosive paths
     # is seconds of kernel time; SIGINT, sent once the simulation has
     # begun, ends the command within a few seconds, before its block is
-    # recorded.  One CPU keeps the block's first, unrecorded pass longer
-    # than that second on any machine.
+    # recorded.  One CPU keeps the block's one recorded pass longer than
+    # that second on any machine.
     src = os.path.dirname(os.path.dirname(measure.__file__))
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
                PYTHONPATH=src)

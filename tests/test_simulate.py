@@ -1,9 +1,11 @@
 import contextlib
+import ctypes
 import dataclasses
 import io
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jumplm import measure, simulate
 from jumplm.errors import DomainError, InvalidConfig, MaxEventsExceeded
@@ -487,8 +489,9 @@ def test_recorded_paths_match_run_engine(name, explosive, tabulated_spec,
 
 
 def test_recorded_paths_outgrow_first_event_room():
-    # at cap 1e8 an exploding path makes tens of thousands of jumps, more
-    # than the first kernel call has room for, and runs again
+    # at cap 1e8 an exploding path makes tens of thousands of jumps; three
+    # of these paths make more than 4,096, and their event buffers grow in
+    # the kernel as they run
     _kernel_lib()
     untilted = measure.untilted_spec(measure.reference_spec())
     cfg = simulate.EngineConfig(eps=1e-2, seed=20261018, cap=1e8)
@@ -498,7 +501,7 @@ def test_recorded_paths_outgrow_first_event_room():
         got = simulate.simulate_explosive_path(untilted, 1.0, t_end, cfg, i)
         assert _bits(got) == _bits(_scalar_path(untilted, 1.0, t_end, cfg, i,
                                                 True))
-        long += len(got.events) > simulate._EVENT_ROOM
+        long += len(got.events) > 4096
     assert long == 3
 
 
@@ -520,14 +523,24 @@ def test_recorded_conservative_max_events(ref_spec, monkeypatch):
 
 
 class _CountingKernel:
-    """A kernel whose jumplm_run_paths calls are counted."""
+    """A kernel that counts its jumplm_run_paths calls, the paths each
+    ran and the jumps of all of them; with most, a call runs at most most
+    paths, as one that spent its event budget early would."""
 
-    def __init__(self, lib):
-        self.lib, self.runs = lib, []
+    def __init__(self, lib, most=None):
+        self.lib, self.most, self.runs, self.events = lib, most, [], 0
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
 
     def jumplm_run_paths(self, *args):
-        self.runs.append(self.lib.jumplm_run_paths(*args))
-        return self.runs[-1]
+        if self.most is not None:
+            args = (*args[:2], min(args[2], self.most), *args[3:])
+        k = self.lib.jumplm_run_paths(*args)
+        n = (ctypes.c_int64 * k).from_address(args[19])   # the n column
+        self.runs.append(k)
+        self.events += sum(max(v, 0) for v in n)
+        return k
 
 
 def test_kernel_block_spans_calls(ref_spec):
@@ -549,55 +562,219 @@ def test_kernel_block_spans_calls(ref_spec):
 
 
 def test_recorded_path_takes_one_call_in_its_room(ref_spec, monkeypatch):
-    # a recorded path within the first call's room of _EVENT_ROOM events
-    # takes that one call; a longer one runs once more with room for all
+    # a recorded path takes one kernel call and runs its jumps once, a
+    # long one as a short one: its event buffer grows as it runs
     lib = _CountingKernel(_kernel_lib())
     monkeypatch.setattr(simulate, "_kernel", lambda: (
         lib, simulate.FanOutEngine("kernel", "counted")))
     cfg = simulate.EngineConfig(eps=1e-2, seed=3)
-    for x0, n, calls in ((300.0, 1057, 1), (6000.0, 22355, 2)):
+    for x0, n in ((300.0, 1057), (6000.0, 22355)):
         lib.runs.clear()
+        lib.events = 0
         path = simulate.simulate_path(ref_spec, x0, 1.0, cfg, 0)
         assert len(path.events) == n
-        assert lib.runs == [1] * calls
+        assert lib.runs == [1] and lib.events == n
         assert _bits(path) == _bits(_scalar_path(ref_spec, x0, 1.0, cfg, 0,
                                                  False))
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_kernel_records_only_in_each_paths_room(ref_spec, threads):
-    # path i records its first min(n_i, room_i) events, times then sizes,
-    # at the start of events[2 offsets[i] .. 2 offsets[i+1]], rooms
-    # shorter and longer than its jump count alike, and writes nothing
-    # outside its room
+    # path i records all its n_i events in a buffer of its own, and
+    # jumplm_take moves them, times then sizes, to events[2 offsets[i] ..
+    # 2 offsets[i+1]], writes nothing outside the paths' rooms and frees
+    # every buffer; a path of 0 jumps holds none
     lib = _kernel_lib()
     cfg = simulate.EngineConfig(eps=1e-2, seed=11)
-    x0, t_end, count = 40.0, 1.0, 12
-    lam, delta = simulate._rates(ref_spec, x0, t_end, cfg.eps, False)
-    counts = simulate._kernel_run(lib, ref_spec, x0, t_end, cfg, 5, count,
-                                  lam, delta, False).n.tolist()
-    assert min(counts) > 2
-    rooms = [(k // 2, k, k + 3, 0)[i % 4] for i, k in enumerate(counts)]
-    offsets = np.array([7, *(7 + np.cumsum(rooms))], np.int64)
-    events = np.full(2 * offsets[-1] + 9, -7.5)
-    out = [np.empty(count, np.int8), *(np.empty(count) for _ in range(2)),
-           np.empty(count, np.int64), np.empty(count)]
+    x0, count = 40.0, 12
+    lam, delta = simulate._rates(ref_spec, x0, 1.0, cfg.eps, False)
     sampler = measure.make_jump_sampler(ref_spec, cfg.eps)
-    k = lib.jumplm_run_paths(
-        cfg.seed, 5, count, x0, t_end, lam, delta, cfg.cap, cfg.max_events,
-        False, None, None, 0, sampler.eps, sampler._inv_pow, sampler._beta,
-        *(a.ctypes.data for a in out), events.ctypes.data,
-        offsets.ctypes.data, threads)
-    assert k == count and out[3].tolist() == counts
-    assert np.all(events[:14] == -7.5)
-    assert np.all(events[2 * offsets[-1]:] == -7.5)
-    for i, (n, room) in enumerate(zip(counts, rooms)):
-        kept = min(n, room)
-        recorded = events[2 * offsets[i]:2 * offsets[i] + 2 * kept]
-        scalar, *_ = simulate._run_engine(ref_spec, x0, t_end, cfg, 5 + i,
-                                          True, lam, delta, False)
-        assert recorded.reshape(2, kept).T.tolist() == \
-            [list(ev) for ev in scalar[:kept]]
+    for t_end in (1.0, 0.0):
+        out = [np.empty(count, np.int8), *(np.empty(count) for _ in range(2)),
+               np.empty(count, np.int64), np.empty(count)]
+        held = np.zeros(count, np.uintp)
+        k = lib.jumplm_run_paths(
+            cfg.seed, 5, count, x0, t_end, lam, delta, cfg.cap,
+            cfg.max_events, False, None, None, 0, sampler.eps,
+            sampler._inv_pow, sampler._beta, *(a.ctypes.data for a in out),
+            held.ctypes.data, threads)
+        counts = out[3].tolist()
+        assert k == count and (min(counts) > 2 if t_end else
+                               counts == [0] * count)
+        assert np.all((held != 0) == (out[3] > 0))
+        offsets = np.array([7, *(7 + np.cumsum(counts))], np.int64)
+        events = np.full(2 * offsets[-1] + 9, -7.5)
+        lib.jumplm_take(held.ctypes.data, offsets.ctypes.data, count,
+                        events.ctypes.data)
+        assert np.all(held == 0)
+        assert np.all(events[:14] == -7.5)
+        assert np.all(events[2 * offsets[-1]:] == -7.5)
+        for i, n in enumerate(counts):
+            recorded = events[2 * offsets[i]:2 * offsets[i + 1]]
+            scalar, *_ = simulate._run_engine(ref_spec, x0, t_end, cfg, 5 + i,
+                                              True, lam, delta, False)
+            assert recorded.reshape(2, n).T.tolist() == \
+                [list(ev) for ev in scalar]
+
+
+# the jumps a recording path's kernel buffer holds before it first grows,
+# and the most it holds before it is mapped on its own
+_FIRST_ROOM, _MALLOC_ROOM = (
+    int(re.search(rf"#define {name} (\d+)",
+                  simulate._KERNEL_SOURCE.read_text()).group(1))
+    for name in ("FIRST_ROOM", "MALLOC_ROOM"))
+
+
+@pytest.mark.parametrize("name,explosive", [
+    (name, explosive) for name, case in _KERNEL_CASES.items()
+    for explosive in case[1]])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(-2 ** 63, 2 ** 63 - 1),
+       start=st.integers(0, 10 ** 6),
+       count=st.integers(1, 10),
+       threads=st.sampled_from([1, 2, 3]),
+       most=st.sampled_from([None, None, 1, 4]),
+       eps_index=st.integers(0, 1),
+       x0=st.floats(0.05, 30.0),
+       t_end=st.sampled_from([0.0]) | st.floats(0.0, 2.0),
+       max_events=st.sampled_from([10_000_000, 1, _FIRST_ROOM - 1,
+                                   _FIRST_ROOM, _FIRST_ROOM + 1,
+                                   4 * _FIRST_ROOM + 1, _MALLOC_ROOM + 1]),
+       stop_delta=st.sampled_from([None] * 4 + [0.0, -1000.0]))
+@example(seed=1, start=0, count=10, threads=3, most=4, eps_index=1, x0=30.0,
+         t_end=2.0, max_events=_FIRST_ROOM - 1, stop_delta=None)
+@example(seed=2, start=0, count=10, threads=2, most=None, eps_index=1,
+         x0=30.0, t_end=2.0, max_events=_FIRST_ROOM, stop_delta=None)
+@example(seed=3, start=0, count=10, threads=3, most=1, eps_index=1, x0=30.0,
+         t_end=2.0, max_events=_FIRST_ROOM + 1, stop_delta=None)
+@example(seed=4, start=0, count=10, threads=2, most=4, eps_index=1, x0=30.0,
+         t_end=2.0, max_events=4 * _FIRST_ROOM + 1, stop_delta=None)
+def test_recorded_blocks_match_run_engine(name, explosive, tabulated_spec,
+                                          seed, start, count, threads, most,
+                                          eps_index, x0, t_end, max_events,
+                                          stop_delta):
+    # every path of a recorded block runs in the kernel once and records
+    # all its jumps, the scalar loop's bit for bit, in a buffer that grows
+    # as it runs: paths of 0 and 1 jumps, paths that end one short of, at
+    # and one past the buffer's first room, past two doublings of it and
+    # past its last room from malloc, blocks that take several calls, on 1
+    # to 3 threads.  A path the kernel stops where the scalar loop raises
+    # (a delta of 0, or one whose decay overflows) records none.
+    lib = _CountingKernel(_kernel_lib(), most)
+    spec, _, eps_values, fixed_x0 = _KERNEL_CASES[name]
+    spec = spec or tabulated_spec
+    eps = eps_values[eps_index % len(eps_values)]
+    x0 = fixed_x0 or x0
+    cfg = simulate.EngineConfig(eps=eps, seed=seed, cap=1e5,
+                                max_events=max_events)
+    lam, delta = simulate._rates(spec, x0, t_end, eps, explosive)
+    if stop_delta is not None:
+        delta, t_end = stop_delta, 1.0 + t_end
+    got = simulate._kernel_run(lib, spec, x0, t_end, cfg, start, count, lam,
+                               delta, explosive, record=True, threads=threads)
+    assert sum(lib.runs) == count and lib.events == got.offsets[-1]
+    assert most is None or len(lib.runs) == -(-count // most)
+    # the conservative loop raises at max_events, after the same jumps
+    loose = cfg if explosive else dataclasses.replace(cfg,
+                                                      max_events=10 ** 7)
+    for i in range(count):
+        recorded = got.events[2 * got.offsets[i]:2 * got.offsets[i + 1]]
+        if got.end[i] > simulate.END_MAX_EVENTS:
+            assert got.n[i] == -1 and recorded.size == 0
+            with pytest.raises(ArithmeticError):
+                simulate._run_engine(spec, x0, t_end, cfg, start + i, True,
+                                     lam, delta, explosive)
+            continue
+        events, *_ = simulate._run_engine(spec, x0, t_end, loose, start + i,
+                                          True, lam, delta, explosive)
+        events = events[:max_events]
+        assert got.n[i] == len(events)
+        assert [(t.hex(), xi.hex()) for t, xi in
+                recorded.reshape(2, -1).T.tolist()] == \
+            [(float(t).hex(), float(xi).hex()) for t, xi in events]
+
+
+def _rss_mb():
+    """This process's resident set, in MB."""
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2 ** 20
+
+
+class _Interrupted(_CountingKernel):
+    """A kernel whose jumplm_run_paths calls each end in a Ctrl-C."""
+
+    def jumplm_run_paths(self, *args):
+        super().jumplm_run_paths(*args)
+        raise KeyboardInterrupt
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="no /proc/self/statm")
+def test_recorded_blocks_free_their_event_buffers():
+    # 200 recorded 64-path blocks at cap 1e8, some 34,000 jumps and 0.5 MB
+    # of events each, leave the resident set within a few MB of where it
+    # was, also when a Ctrl-C lands between a block's kernel call and its
+    # gather; buffers left behind would hold some 100 MB
+    lib = _kernel_lib()
+    untilted = measure.untilted_spec(measure.reference_spec())
+    cfg = simulate.EngineConfig(eps=1e-2, seed=5, cap=1e8)
+    lam, delta = simulate._rates(untilted, 1.0, 0.25, cfg.eps, True)
+
+    def blocks(kernel, count):
+        for b in range(count):
+            try:
+                simulate._kernel_run(kernel, untilted, 1.0, 0.25, cfg,
+                                     64 * b, 64, lam, delta, True,
+                                     record=True, threads=2)
+            except KeyboardInterrupt:
+                assert isinstance(kernel, _Interrupted)
+
+    blocks(lib, 50)     # the allocator's arenas grow to their size
+    for kernel in (lib, _Interrupted(lib)):
+        before = _rss_mb()
+        blocks(kernel, 200)
+        assert _rss_mb() - before < 8.0, (type(kernel), before, _rss_mb())
+
+
+@pytest.mark.skipif(shutil.which("cc") is None
+                    or not os.path.exists("/proc/self/status"),
+                    reason="no C compiler or no /proc/self/status")
+def test_path_out_of_memory_runs_in_python():
+    # a recording path whose event buffer cannot grow, here past an
+    # address-space limit 48 MB above the process's size, stops with an
+    # end code above END_MAX_EVENTS, and _fan_out runs it again in the
+    # scalar loop (a stub here), as it does every path the kernel stops on
+    code = (
+        "import resource\n"
+        "from jumplm import measure, simulate\n"
+        "lib = simulate._kernel()[0]\n"
+        "assert lib is not None\n"
+        "spec = measure.reference_spec()\n"
+        "cfg = simulate.EngineConfig(eps=1e-2, seed=1)\n"
+        "lam, delta = simulate._rates(spec, 1e6, 1.0, cfg.eps, False)\n"
+        "ran = []\n"
+        "def scalar(spec, x0, t_end, config, index, *rest):\n"
+        "    ran.append(index)\n"
+        "    return [(0.5, 1.0)], 0.5, 2.0, 1, False, None\n"
+        "simulate._run_engine = scalar\n"
+        "size = next(int(line.split()[1])\n"
+        "            for line in open('/proc/self/status')\n"
+        "            if line.startswith('VmSize:'))\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS,\n"
+        "                   (1024 * size + (48 << 20), hard))\n"
+        "out = simulate._kernel_run(lib, spec, 1e6, 1.0, cfg, 3, 1, lam,\n"
+        "                           delta, False, record=True)\n"
+        "assert out.end[0] > simulate.END_MAX_EVENTS and out.n[0] == -1\n"
+        "out = simulate._fan_out(spec, 1e6, 1.0, cfg, 3, 1, lam, delta,\n"
+        "                        False, record=True)\n"
+        "assert ran == [3] and out.end.tolist() == [simulate.END_HORIZON]\n"
+        "assert out.events.tolist() == [0.5, 1.0], out.events\n")
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def _outcome(fn):
@@ -677,7 +854,7 @@ def test_kernel_threads_block_spans_calls(ref_spec):
         k = lib.jumplm_run_paths(
             cfg.seed, 3, 16, 1e5, 1.0, lam, delta, cfg.cap, cfg.max_events,
             False, None, None, 0, sampler.eps, sampler._inv_pow,
-            sampler._beta, *(a.ctypes.data for a in out), None, 0, threads)
+            sampler._beta, *(a.ctypes.data for a in out), None, threads)
         assert 1 <= k <= 16 and (k < 16 or threads > 3)
         assert [a[:k].tobytes() for a in out] == [a[:k].tobytes()
                                                   for a in one[:5]]
