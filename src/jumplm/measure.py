@@ -316,18 +316,28 @@ def validate(spec: LevyMeasureSpec) -> MeasureMoments:
     return MeasureMoments(m1=m1, b=b)
 
 
-def _closed_form_rz(spec: LevyMeasureSpec):
-    """z -> R(1 - z) in closed form, or None when the spec has none.
+def _closed_form(spec: LevyMeasureSpec):
+    """(scale, alpha - 1) of R's closed form, or None when the spec has none.
 
     Only the tilted power at beta = 1, 1 < alpha < 2 has one:
-    R(1 - z) = (c/C(alpha)) * (z - z^(alpha-1)).  It is evaluated in z, since
-    forming 1 - z would corrupt the local power law for z below ~1e-9.
+    R(1 - z) = scale * (z - z^(alpha-1)) with scale = c/C(alpha).
     """
     if not (spec.kind == "tilted_power" and spec.beta == 1.0
             and 1.0 < spec.alpha < 2.0):
         return None
-    scale = spec.c / gamma_constant(spec.alpha)
-    am1 = spec.alpha - 1.0
+    return spec.c / gamma_constant(spec.alpha), spec.alpha - 1.0
+
+
+def _closed_form_rz(spec: LevyMeasureSpec):
+    """z -> R(1 - z) in closed form, or None when the spec has none.
+
+    It is evaluated in z, since forming 1 - z would corrupt the local power
+    law for z below ~1e-9.
+    """
+    closed = _closed_form(spec)
+    if closed is None:
+        return None
+    scale, am1 = closed
 
     def rz(z):
         return scale * (z - z ** am1)

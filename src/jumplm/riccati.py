@@ -5,17 +5,24 @@ process.  Initial values u < 1 have a unique solution; at u = 1 the
 equation can lose uniqueness, and the non-constant ("minimal") branch
 through 1 carries the true expectation of the exponential process.  The
 classifier decides between the two regimes from the behavior of R near 1.
+
+The minimal branch inverts the Osgood time map -int du/R(u) by a root
+search of a dozen quadratures.  Where R has measure's closed form, these
+integrate a compiled copy of the integrand from simulate's kernel, with
+the same bits as the Python one; classify and time_map, one quadrature
+each, keep the Python integrand and so load no kernel.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 import numpy as np
 # scipy is imported where it is used, as in measure
 
-from . import measure
+from . import measure, simulate
 from .errors import (DivergentIntegral, DomainError, QuadratureFailure,
                      StepSizeUnderflow)
 from .measure import LevyMeasureSpec
@@ -133,13 +140,31 @@ def _fit_exponent(r):
     return p, stderr
 
 
-def _osgood_integral(rz, lower=0.5):
-    """-int_{lower}^1 du / R(u) with the endpoint singularity removed.
+class _OsgoodData(ctypes.Structure):
+    """The data block of _kernel.c's jumplm_osgood."""
+
+    _fields_ = [("k", ctypes.c_double), ("limit0", ctypes.c_double),
+                ("scale", ctypes.c_double), ("am1", ctypes.c_double),
+                ("failed", ctypes.c_int)]
+
+
+def _osgood_integral(rz, closed=None):
+    """The map lower -> -int_{lower}^1 du / R(u), with the endpoint
+    singularity removed.
 
     Takes R(1-z) as a function of z.  Substitutes 1 - u = s^(1/(1-p)) so
     that for |R(1-z)| ~ C z^p the integrand is bounded at s = 0; the
     exponent is estimated locally at z ~ 1e-8, where the power law is much
-    cleaner than on the fit grid used for classification.
+    cleaner than on the fit grid used for classification.  The exponent
+    and the integrand are fixed here, once, for every call of the map.
+
+    With closed, measure._closed_form's (scale, alpha - 1) for rz, and a
+    kernel that loads, the map integrates _kernel.c's jumplm_osgood: the
+    closure's arithmetic compiled, so the same bits without a Python call
+    per point.  Where that quadrature raises, or the integrand met a value
+    the closure raises on, the map integrates the closure again, so its
+    errors stay the closure's.  Building the compiled integrand imports
+    cffi when it is installed.
     """
     v7, v9 = -rz(1e-7), -rz(1e-9)
     if v7 <= 0 or v9 <= 0:
@@ -156,9 +181,31 @@ def _osgood_integral(rz, lower=0.5):
             return limit0
         return k * s ** (k - 1.0) / (-rz(z))
 
-    s_hi = (1.0 - lower) ** (1.0 - p)
-    return measure._quad(integrand, 0.0, s_hi, epsrel=1e-11, epsabs=1e-14,
-                         tolerate=1e-8)
+    def quad(f, s_hi):
+        return measure._quad(f, 0.0, s_hi, epsrel=1e-11, epsabs=1e-14,
+                             tolerate=1e-8)
+
+    lib = None if closed is None else simulate._kernel()[0]
+    if lib is not None:
+        from scipy import LowLevelCallable
+        data = _OsgoodData(k, limit0, *closed, 0)
+        compiled = LowLevelCallable(lib.jumplm_osgood, ctypes.cast(
+            ctypes.pointer(data), ctypes.c_void_p))
+
+    def integral(lower):
+        s_hi = (1.0 - lower) ** (1.0 - p)
+        if lib is not None:
+            data.failed = 0
+            try:
+                value = quad(compiled, s_hi)
+            except QuadratureFailure:
+                pass
+            else:
+                if not data.failed:
+                    return value
+        return quad(integrand, s_hi)
+
+    return integral
 
 
 @lru_cache(maxsize=128)
@@ -181,7 +228,8 @@ def classify(spec: LevyMeasureSpec) -> Classification:
         p, stderr = _fit_exponent(r)
         if p < 1.0 - _MARGIN:
             try:
-                return Classification(STRICT, _osgood_integral(rz), p, stderr)
+                return Classification(STRICT, _osgood_integral(rz)(0.5), p,
+                                      stderr)
             except DivergentIntegral:
                 # R turns linear below the fit grid, as for beta just above 1
                 # where the crossover sits near z ~ beta - 1
@@ -208,7 +256,7 @@ def time_map(spec: LevyMeasureSpec, x: float) -> float:
     if cls.verdict != STRICT:
         raise DivergentIntegral(
             f"time map diverges: measure classified {cls.verdict}")
-    return _osgood_integral(measure.r_callables(spec)[1], lower=x)
+    return _osgood_integral(measure.r_callables(spec)[1])(x)
 
 
 def minimal_solution(spec: LevyMeasureSpec, t: float) -> float:
@@ -217,15 +265,19 @@ def minimal_solution(spec: LevyMeasureSpec, t: float) -> float:
     Computed by monotone inversion of the time map, which is well posed
     even though direct integration from 1 would stick to the constant
     branch.  For true-martingale measures returns 1.0 (the only branch).
+    The time map is built once for the root search; where R has a closed
+    form, it integrates the kernel's compiled integrand, so this may build
+    or load simulate's kernel (see _osgood_integral).
     """
     if t < 0:
         raise DomainError(f"t must be nonnegative, got {t}")
     if classify(spec).verdict != STRICT or t == 0.0:
         return 1.0
-    _, rz = measure.r_callables(spec)
+    time_to = _osgood_integral(measure.r_callables(spec)[1],
+                               measure._closed_form(spec))
 
     def shifted(x):
-        return _osgood_integral(rz, lower=x) - t
+        return time_to(x) - t
 
     hi = 1.0 - 1e-13
     if shifted(hi) >= 0.0:

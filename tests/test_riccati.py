@@ -1,13 +1,16 @@
+import ctypes
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
-from jumplm import measure, riccati
-from jumplm.errors import DivergentIntegral, DomainError
+from jumplm import measure, riccati, simulate
+from jumplm.errors import DivergentIntegral, DomainError, QuadratureFailure
 
 
 def closed_g(t, u):
@@ -244,3 +247,127 @@ def test_lazy_residual_matches_eager_formula(u0, t_end):
         want = float(np.max(np.abs(deriv - [r(g) for g in sol(mids)])))
         got = sol.max_residual
     assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def stable_minimal(spec, t):
+    """g_-(t) of a Strict tilted power, s = c/C(alpha):
+    1 - g_-(t) = (1 - e^(-(2-alpha) s t))^(1/(2-alpha)), written without
+    the cancellation of forming 1 - (...) near 0."""
+    a = spec.alpha
+    s = spec.c / measure.gamma_constant(a)
+    return -math.expm1(math.log1p(-math.exp(-(2.0 - a) * s * t)) / (2.0 - a))
+
+
+# g_-(t) below about 1e-10: the Osgood integrand's R(1 - z) cancels for z
+# = s^k near 1, and the quadrature reports roundoff
+TINY_G = [(measure.reference_spec(), 50.0),
+          (measure.LevyMeasureSpec.tilted_power(10.0, 1.5, 1.0),
+           2.0 * math.log(2.0)),
+          (measure.LevyMeasureSpec.tilted_power(20.0, 1.75, 1.0), 1.0)]
+
+
+def test_stable_minimal_is_the_oracle(ref_spec):
+    got = riccati.minimal_solution(ref_spec, 20.0)
+    assert abs(got - stable_minimal(ref_spec, 20.0)) <= 1e-6 * got
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureFailure,
+                   reason="R(1 - z) cancels in the Osgood integrand")
+@pytest.mark.parametrize("spec, t", TINY_G)
+def test_minimal_solution_below_1e_10(spec, t):
+    want = stable_minimal(spec, t)
+    assert abs(riccati.minimal_solution(spec, t) - want) <= 1e-6 * want
+
+
+def _outcome(f, *args):
+    """f's value as its bits, or the type and message of what it raises."""
+    try:
+        return struct.pack("<d", f(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+NO_KERNEL = (None, simulate.FanOutEngine("python", "no kernel: patched"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.floats(min_value=1e-3, max_value=1e3),
+       alpha=st.floats(min_value=1.0, max_value=2.0, exclude_min=True,
+                       exclude_max=True) | st.just(1.999),
+       t=st.floats(min_value=0.0, max_value=60.0))
+@example(c=measure.gamma_constant(1.5), alpha=1.5, t=50.0)
+@example(c=10.0, alpha=1.5, t=2.0 * math.log(2.0))
+@example(c=20.0, alpha=1.75, t=1.0)
+@example(c=1.0, alpha=1.999, t=60.0)
+def test_compiled_osgood_equals_python(c, alpha, t):
+    spec = measure.LevyMeasureSpec.tilted_power(c, alpha, 1.0)
+    compiled = _outcome(riccati.minimal_solution, spec, t)
+    with mock.patch.object(simulate, "_kernel", lambda: NO_KERNEL):
+        assert _outcome(riccati.minimal_solution, spec, t) == compiled
+
+
+def test_osgood_integrand_is_the_closure(ref_spec):
+    # jumplm_osgood gives the Python integrand's bits, and flags (with a
+    # NaN) the points where the closure divides by a zero R
+    lib = simulate._kernel()[0]
+    if lib is None:
+        pytest.skip("no kernel")
+    rz = measure.r_callables(ref_spec)[1]
+    k, limit0 = 2.0, 1.5
+    data = riccati._OsgoodData(k, limit0, *measure._closed_form(ref_spec), 0)
+    for s in (1e-200, 1e-100, 1e-3, 0.1, 0.5, 0.999, 1.0 - 2.0 ** -53):
+        z = s ** k
+        want = limit0 if z < 1e-250 else k * s ** (k - 1.0) / (-rz(z))
+        got = lib.jumplm_osgood(s, ctypes.byref(data))
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    assert not data.failed
+    data.am1 = 1.0
+    assert math.isnan(lib.jumplm_osgood(0.5, ctypes.byref(data)))
+    assert data.failed
+
+
+def test_flagged_integrand_runs_in_python(ref_spec):
+    # with alpha - 1 = 1, R(1 - z) of the compiled integrand is 0 at every
+    # point: each quadrature is flagged and integrated again in Python
+    if simulate._kernel()[0] is None:
+        pytest.skip("no kernel")
+    rz = measure.r_callables(ref_spec)[1]
+    scale = measure._closed_form(ref_spec)[0]
+    flagged = riccati._osgood_integral(rz, (scale, 1.0))
+    python = riccati._osgood_integral(rz)
+    for lower in (1e-6, 0.25, 0.5, 0.9):
+        assert _outcome(flagged, lower) == _outcome(python, lower)
+
+
+def test_minimal_solution_runs_on_the_kernel(ref_spec, monkeypatch):
+    # the compiled integrand leaves rz to the local exponent's three calls
+    if simulate._kernel()[0] is None:
+        pytest.skip("no kernel")
+    riccati.classify(ref_spec)
+    r, rz = measure.r_callables(ref_spec)
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return rz(z)
+
+    monkeypatch.setattr(measure, "r_callables", lambda spec: (r, counting))
+    assert riccati.minimal_solution(ref_spec, 1.0) == GOLDEN_MINIMAL[1.0]
+    assert calls == [1e-7, 1e-9, 1e-8]
+
+
+def test_one_quadrature_callers_load_no_kernel(ref_spec, tabulated_spec,
+                                               monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kernel or LowLevelCallable used")
+
+    monkeypatch.setattr(simulate, "_kernel", forbidden)
+    monkeypatch.setattr(scipy, "LowLevelCallable", forbidden)
+    true_power = measure.LevyMeasureSpec.tilted_power(1.0, 1.5, 2.0)
+    for spec in (tabulated_spec, true_power):
+        assert riccati.minimal_solution(spec, 1.0) == 1.0
+    assert riccati.minimal_solution(ref_spec, 0.0) == 1.0
+    assert (riccati.classify.__wrapped__(ref_spec).osgood_value
+            == GOLDEN_CLASSIFY["ref"][1])
+    assert riccati.time_map(ref_spec, 0.75) == pytest.approx(2.0 * math.log(2.0),
+                                                             rel=1e-9)
