@@ -34,11 +34,6 @@
  * Python's "%.17g,%.17g\n" % event does, byte for byte, by exact integer
  * arithmetic, for the events its range covers (see format_g17), on
  * threads that claim paths as jumplm_run_paths's do.
- *
- * The file also holds jumplm_osgood, the integrand of the Osgood integral
- * that riccati.minimal_solution hands to scipy's quad, with the Python
- * closure's operations in its order, so each quadrature is the closure's
- * to the bit.
  */
 #include <math.h>
 #include <pthread.h>
@@ -553,31 +548,4 @@ void jumplm_format_block(const double *events, const int64_t *offsets,
 {
     rows_block b = {events, offsets, count, text, lengths, 0};
     on_threads(format_paths, &b, count, threads);
-}
-
-/* The data of jumplm_osgood: the constants riccati._osgood_integral fixes
- * for a spec, and a flag the integrand sets. */
-typedef struct {
-    double k, limit0, scale, am1;
-    int failed;
-} osgood;
-
-/* riccati._osgood_integral's integrand over measure's closed form
- * R(1 - z) = scale (z - z^am1), as scipy's quad takes a LowLevelCallable
- * "double (double, void *)": k s^(k-1) / -R(1 - z) at z = s^k, and limit0
- * where z < 1e-250.  Where the closure would raise (R rounds to 0) or its
- * value is not finite, sets failed and returns NaN; the caller then runs
- * the quadrature again on the closure. */
-double jumplm_osgood(double s, void *data)
-{
-    osgood *o = data;
-    double z = pow(s, o->k);
-    if (z < 1e-250)
-        return o->limit0;
-    double v = o->k * pow(s, o->k - 1.0) / -(o->scale * (z - pow(z, o->am1)));
-    if (!isfinite(v)) {
-        o->failed = 1;
-        return NAN;
-    }
-    return v;
 }

@@ -2,8 +2,9 @@
 
 Every command reads a measure-spec JSON file, writes plot-ready CSV or
 JSON, and is deterministic given its recorded manifest.  Exit codes:
-0 success, 2 inconclusive/degenerate verdicts, 1 on schema or validation
-failures and failed verification rows.
+0 success, 2 for a degenerate verdict (defect-curve on a measure that is
+not Strict), 1 on schema or validation failures and failed verification
+rows.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def main():
 @main.command()
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
 def classify(config):
-    """Classify the measure: Strict, TrueMartingale, or Inconclusive."""
+    """Classify the measure: Strict or TrueMartingale."""
     cls = riccati.classify(measure.spec_from_json(config))
     out = {
         "verdict": cls.verdict,
@@ -87,7 +88,6 @@ def classify(config):
     out = {k: v if not isinstance(v, float) or math.isfinite(v) else None
            for k, v in out.items()}
     click.echo(json.dumps(out, sort_keys=True, indent=2))
-    sys.exit(0 if cls.verdict != riccati.INCONCLUSIVE else 2)
 
 
 @main.command("riccati")

@@ -231,12 +231,7 @@ def estimate_survival(untilted: LevyMeasureSpec, x0: float, t: float,
     infinite-variance e^{X_t} statistic into a bounded indicator.
     """
     config = config or default_config()
-    tilted = measure.tilted_spec(untilted)
-    cls = riccati.classify(tilted)
-    if cls.verdict == riccati.INCONCLUSIVE:
-        raise InvalidConfig(
-            "survival experiment needs a classified companion measure")
-    g_minus = riccati.minimal_solution(tilted, t)
+    g_minus = riccati.minimal_solution(measure.tilted_spec(untilted), t)
     theory = math.exp(x0 * (g_minus - 1.0))
     ends = _collect("explosive", untilted, x0, t, config, n_paths, n_workers)
     stopped = int(np.count_nonzero(ends == simulate.END_MAX_EVENTS))

@@ -3,26 +3,26 @@
 The scalar autonomous ODE governs the exponential moments of the jump
 process.  Initial values u < 1 have a unique solution; at u = 1 the
 equation can lose uniqueness, and the non-constant ("minimal") branch
-through 1 carries the true expectation of the exponential process.  The
-classifier decides between the two regimes from the behavior of R near 1.
+through 1 carries the true expectation of the exponential process.
 
-The minimal branch inverts the Osgood time map -int du/R(u) by a root
-search of a dozen quadratures.  Where R has measure's closed form, these
-integrate a compiled copy of the integrand from simulate's kernel, with
-the same bits as the Python one; classify and time_map, one quadrature
-each, keep the Python integrand and so load no kernel.
+By the paper's integral criterion the process is a strict local
+martingale exactly when 1/R is integrable at 1.  Among validated specs
+that is the tilted power with beta = 1 and 1 < alpha < 2 (see classify),
+where R(1 - z) = s (z - z^(alpha-1)) and w = (1 - g)^(2-alpha) solves a
+linear ODE: the verdict, the minimal branch and its time map are closed
+forms there.  time_map keeps the quadrature of the integral itself, an
+independent check of them.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 import numpy as np
 # scipy is imported where it is used, as in measure
 
-from . import measure, simulate
+from . import measure
 from .errors import (DivergentIntegral, DomainError, QuadratureFailure,
                      StepSizeUnderflow)
 from .measure import LevyMeasureSpec
@@ -40,11 +40,7 @@ __all__ = [
 
 STRICT = "Strict"
 TRUE_MARTINGALE = "TrueMartingale"
-INCONCLUSIVE = "Inconclusive"
 
-# half-width of the band around exponent 1 that classify leaves to the
-# slope test at 1 instead of the fitted exponent
-_MARGIN = 0.05
 # relative tolerance of the Runge-Kutta integration in solve
 _TOL = 1e-10
 
@@ -123,12 +119,14 @@ def solve(spec: LevyMeasureSpec, u0: float, t_end: float) -> RiccatiSolution:
 def _fit_exponent(r):
     """Log-log fit of |R(1-z)| ~ C * z^p on z in [1e-6, 1e-2].
 
-    Returns (p, stderr).
+    Returns (p, stderr).  Raises QuadratureFailure where R(1-z) does not
+    come out negative, as a validated measure's R is: the quadrature R
+    has cancelled, as near alpha = 2, where b grows like Gamma(2 - alpha).
     """
     zs = np.geomspace(1e-6, 1e-2, 9)
     vals = np.array([-r(1.0 - z) for z in zs])
     if np.any(vals <= 0):
-        raise DomainError("R(1-z) must be negative near 1 for a validated measure")
+        raise QuadratureFailure("R(1-z) is not negative near 1 to rounding")
     x = np.log(zs)
     y = np.log(vals)
     n = len(x)
@@ -140,15 +138,7 @@ def _fit_exponent(r):
     return p, stderr
 
 
-class _OsgoodData(ctypes.Structure):
-    """The data block of _kernel.c's jumplm_osgood."""
-
-    _fields_ = [("k", ctypes.c_double), ("limit0", ctypes.c_double),
-                ("scale", ctypes.c_double), ("am1", ctypes.c_double),
-                ("failed", ctypes.c_int)]
-
-
-def _osgood_integral(rz, closed=None):
+def _osgood_integral(rz):
     """The map lower -> -int_{lower}^1 du / R(u), with the endpoint
     singularity removed.
 
@@ -157,14 +147,6 @@ def _osgood_integral(rz, closed=None):
     exponent is estimated locally at z ~ 1e-8, where the power law is much
     cleaner than on the fit grid used for classification.  The exponent
     and the integrand are fixed here, once, for every call of the map.
-
-    With closed, measure._closed_form's (scale, alpha - 1) for rz, and a
-    kernel that loads, the map integrates _kernel.c's jumplm_osgood: the
-    closure's arithmetic compiled, so the same bits without a Python call
-    per point.  Where that quadrature raises, or the integrand met a value
-    the closure raises on, the map integrates the closure again, so its
-    errors stay the closure's.  Building the compiled integrand imports
-    cffi when it is installed.
     """
     v7, v9 = -rz(1e-7), -rz(1e-9)
     if v7 <= 0 or v9 <= 0:
@@ -181,74 +163,55 @@ def _osgood_integral(rz, closed=None):
             return limit0
         return k * s ** (k - 1.0) / (-rz(z))
 
-    def quad(f, s_hi):
-        return measure._quad(f, 0.0, s_hi, epsrel=1e-11, epsabs=1e-14,
-                             tolerate=1e-8)
-
-    lib = None if closed is None else simulate._kernel()[0]
-    if lib is not None:
-        from scipy import LowLevelCallable
-        data = _OsgoodData(k, limit0, *closed, 0)
-        compiled = LowLevelCallable(lib.jumplm_osgood, ctypes.cast(
-            ctypes.pointer(data), ctypes.c_void_p))
-
     def integral(lower):
-        s_hi = (1.0 - lower) ** (1.0 - p)
-        if lib is not None:
-            data.failed = 0
-            try:
-                value = quad(compiled, s_hi)
-            except QuadratureFailure:
-                pass
-            else:
-                if not data.failed:
-                    return value
-        return quad(integrand, s_hi)
+        return measure._quad(integrand, 0.0, (1.0 - lower) ** (1.0 - p),
+                             epsrel=1e-11, epsabs=1e-14, tolerate=1e-8)
 
     return integral
 
 
 @lru_cache(maxsize=128)
 def classify(spec: LevyMeasureSpec) -> Classification:
-    """Decide Strict vs TrueMartingale from the local exponent of R at 1.
+    """Decide Strict vs TrueMartingale by the integral criterion.
 
-    |R(1-z)| ~ C z^p: p < 1 (with margin) and a convergent reciprocal
-    integral means the exponential process is a strict local martingale;
-    a finite nonzero left derivative of R at 1 (p ~ 1) means it is a true
-    martingale.  Inside the margin, and when the fit says p < 1 but the
-    local exponent at z ~ 1e-8 is ~1, the slope -R(1-z)/z at z = 1e-4..1e-6
-    decides: TrueMartingale when it settles, Inconclusive otherwise.
-    When quadrature cannot evaluate R near 1 to tolerance the verdict is
-    Inconclusive, with NaN for whatever exponent fit was not reached.
+    The exponential process is a strict local martingale exactly when 1/R
+    is integrable at 1.  Among validated specs that holds exactly for the
+    tilted power with beta = 1 and 1 < alpha < 2, the specs with
+    measure's closed form R(1 - z) = s (z - z^(alpha-1)), s = c/C(alpha):
+    every other validated spec has int xi (e^xi - 1) mu(dxi) < inf (a
+    tilted power with beta > 1, or a table with tilt_rate > 1), so R'(1-)
+    is finite, and positive since R is convex with R < 0 on (0, 1) and
+    R(1) = 0, and 1/R is not integrable.  So the verdict is read off the
+    spec, and osgood_value is the closed-form time map T(1/2), with q =
+    2 - alpha: T(x) = -log1p(-(1 - x)^q) / (s q); it is inf for a true
+    martingale.
+
+    The log-log fit of |R(1-z)| ~ C z^p on z in [1e-6, 1e-2] is reported
+    as evidence: p = alpha - 1 on the Strict family and p ~ 1 elsewhere,
+    except near beta = 1, where the power law crosses over to the linear
+    slope only near z ~ beta - 1 and the fit reads about 0.11-0.41 for a
+    true martingale.  Where quadrature cannot evaluate R near 1 to
+    tolerance the exponent fields are NaN; the verdict stands.
     """
     measure.validate(spec)
-    r, rz = measure.r_callables(spec)
-    p = stderr = math.nan
     try:
-        p, stderr = _fit_exponent(r)
-        if p < 1.0 - _MARGIN:
-            try:
-                return Classification(STRICT, _osgood_integral(rz)(0.5), p,
-                                      stderr)
-            except DivergentIntegral:
-                # R turns linear below the fit grid, as for beta just above 1
-                # where the crossover sits near z ~ beta - 1
-                pass
-        elif p >= 1.0 + _MARGIN:
-            return Classification(TRUE_MARTINGALE, math.inf, p, stderr)
-        # p ~ 1: true martingale iff R'(1-) settles to a finite nonzero slope
-        ratios = [-r(1.0 - z) / z for z in (1e-4, 1e-5, 1e-6)]
+        p, stderr = _fit_exponent(measure.r_callables(spec)[0])
     except QuadratureFailure:
-        return Classification(INCONCLUSIVE, math.inf, p, stderr)
-    if ratios[-1] > 0 and abs(ratios[-1] - ratios[-2]) < 0.05 * abs(ratios[-1]):
+        p = stderr = math.nan
+    closed = measure._closed_form(spec)
+    if closed is None:
         return Classification(TRUE_MARTINGALE, math.inf, p, stderr)
-    return Classification(INCONCLUSIVE, math.inf, p, stderr)
+    s, am1 = closed
+    q = 1.0 - am1
+    return Classification(STRICT, -math.log1p(-0.5 ** q) / (s * q), p, stderr)
 
 
 def time_map(spec: LevyMeasureSpec, x: float) -> float:
     """T(x) = -int_x^1 du / R(u), the time the minimal branch takes to reach x.
 
     Only finite in the strict regime; raises DivergentIntegral otherwise.
+    This is the quadrature of the paper's integral, independent of the
+    closed forms classify and minimal_solution use.
     """
     if not (0.0 < x < 1.0):
         raise DomainError(f"time_map needs x in (0, 1), got {x}")
@@ -262,36 +225,19 @@ def time_map(spec: LevyMeasureSpec, x: float) -> float:
 def minimal_solution(spec: LevyMeasureSpec, t: float) -> float:
     """The non-constant branch g_-(t, 1) through the initial value 1.
 
-    Computed by monotone inversion of the time map, which is well posed
-    even though direct integration from 1 would stick to the constant
-    branch.  For true-martingale measures returns 1.0 (the only branch).
-    The time map is built once for the root search; where R has a closed
-    form, it integrates the kernel's compiled integrand, so this may build
-    or load simulate's kernel (see _osgood_integral).
+    On the Strict family w = (1 - g)^q, q = 2 - alpha, solves the linear
+    ODE w' = q s (1 - w) from w(0) = 0, so
+    g_-(t) = -expm1(log1p(-e^(-q s t)) / q), written so that neither
+    1 - g near 0 nor g near 0 cancels.  For true-martingale measures
+    returns 1.0 (the only branch).
     """
     if t < 0:
         raise DomainError(f"t must be nonnegative, got {t}")
     if classify(spec).verdict != STRICT or t == 0.0:
         return 1.0
-    time_to = _osgood_integral(measure.r_callables(spec)[1],
-                               measure._closed_form(spec))
-
-    def shifted(x):
-        return time_to(x) - t
-
-    hi = 1.0 - 1e-13
-    if shifted(hi) >= 0.0:
-        # g_-(t) lies above the bracket, within 1 - hi (about 1e-13) of hi
-        return hi
-    # T(x) -> inf as x -> 0 (R also vanishes there), so walk the lower
-    # bracket down geometrically instead of starting near zero
-    lo = 0.5
-    while shifted(lo) < 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise DomainError(f"minimal solution underflows at t={t}")
-    from scipy import optimize
-    return float(optimize.brentq(shifted, lo, hi, xtol=1e-13, rtol=1e-14))
+    s, am1 = measure._closed_form(spec)
+    q = 1.0 - am1
+    return -math.expm1(math.log1p(-math.exp(-q * s * t)) / q)
 
 
 def expected_value(spec: LevyMeasureSpec, x0: float, t: float, u: float) -> float:

@@ -319,12 +319,10 @@ def _kernel():
         lib.jumplm_ppoly.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
         lib.jumplm_format_block.argtypes = [ptr, ptr, i64, ptr, ptr,
                                             ctypes.c_int]
-        lib.jumplm_osgood.argtypes = [f64, ptr]
         lib.jumplm_run_paths.restype = i64
         lib.jumplm_take.restype = None
         lib.jumplm_ppoly.restype = None
         lib.jumplm_format_block.restype = None
-        lib.jumplm_osgood.restype = f64
         engine = FanOutEngine("kernel", str(path))
     _log.debug("Monte Carlo fan-out engine: %s (%s)", engine.name,
                engine.detail)

@@ -2,6 +2,9 @@ import dataclasses
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +82,40 @@ def test_estimate_survival(ref_spec):
     # Bernoulli standard error
     assert est.stderr == pytest.approx(
         math.sqrt(est.mean * (1.0 - est.mean) / est.n_paths), rel=1e-12)
+
+
+def test_estimate_survival_tiny_g_minus():
+    # g_-(2 ln 2) of tilted_power(10, 1.5, 1) is below 1e-10, where the
+    # theory is still the closed form, exp(g_- - 1)
+    spec = measure.LevyMeasureSpec.tilted_power(10.0, 1.5, 1.0)
+    s = 10.0 / measure.gamma_constant(1.5)
+    g_minus = -math.expm1(math.log1p(-math.exp(-0.5 * s * T_HALF)) / 0.5)
+    cfg = EngineConfig(eps=1e-3, seed=46, cap=1e5)
+    est = montecarlo.estimate_survival(measure.untilted_spec(spec), 1.0,
+                                       T_HALF, n_paths=200, config=cfg)
+    assert est.theory == math.exp(g_minus - 1.0)
+
+
+def test_survival_theory_loads_no_scipy():
+    # classify, minimal_solution and the survival experiment on the
+    # reference are closed forms and the kernel: scipy and cffi stay
+    # unloaded, and with them the half second of their import
+    code = ("import math, sys\n"
+            "import jumplm.cli\n"
+            "from jumplm import measure, montecarlo, riccati\n"
+            "from jumplm.simulate import EngineConfig\n"
+            "ref = measure.reference_spec()\n"
+            "riccati.classify(ref)\n"
+            "riccati.minimal_solution(ref, 2.0 * math.log(2.0))\n"
+            "montecarlo.estimate_survival(\n"
+            "    measure.untilted_spec(ref), 1.0, 2.0 * math.log(2.0), 200,\n"
+            "    EngineConfig(eps=1e-2, seed=1, cap=1e5))\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.startswith(('scipy', 'cffi')))\n"
+            "assert loaded == [], loaded[:5]\n")
+    src = os.path.dirname(os.path.dirname(measure.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_estimate_survival_t0(ref_spec):
@@ -284,8 +321,7 @@ def test_report_is_reproducible(ref_spec):
 
 
 def test_survival_needs_classified_companion():
-    # a measure whose tilted companion the classifier cannot place should
-    # be rejected, but any validated strict one must be accepted
+    # every validated companion has a verdict; the reference's is Strict
     untilted = measure.untilted_spec(measure.reference_spec())
     tilted = measure.tilted_spec(untilted)
     assert riccati.classify(tilted).verdict == riccati.STRICT
