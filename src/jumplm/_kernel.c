@@ -14,7 +14,12 @@
  * buffer cannot grow, the path stops with an end code above END_MAX_EVENTS
  * and the caller runs it again in Python.
  *
- * A call runs its block on up to `threads` threads, the calling one and
+ * jumplm_run_paths takes one job record, which simulate._Job mirrors: a
+ * block of paths, the engine's inputs, the jump sampler and the six
+ * columns it writes.  A call runs paths first .. count-1 of the block and
+ * returns the next first; the caller calls again until that is count.
+ *
+ * A call runs its paths on up to `threads` threads, the calling one and
  * threads - 1 it starts.  Each thread claims the next path index, one at
  * a time, and runs that path alone: event counts are heavy-tailed, so a
  * fixed split would leave threads idle.  Path i draws from its own
@@ -26,8 +31,8 @@
  *
  * The threads of a call share one budget of EVENT_BUDGET events.  A
  * thread claims no more paths once the call has spent it, and finishes
- * the path it holds, so a call returns a prefix: paths 0 .. k-1 of its
- * block are written and none after them, k >= 1.  A long block takes
+ * the path it holds, so a call that returns k has written paths first ..
+ * k-1 and none after them, k > first.  A long block takes
  * several calls, and Python can act on Ctrl-C between them.
  *
  * jumplm_format_block writes the CSV rows of a recorded block's paths as
@@ -110,50 +115,6 @@ static double ppoly(const double *x, const double *c, int64_t m, double u)
     return res;
 }
 
-void jumplm_ppoly(const double *x, const double *c, int64_t m,
-                  const double *u, double *out, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++)
-        out[i] = ppoly(x, c, m, u[i]);
-}
-
-/* measure._TableSampler (m > 0) or measure._RejectionSampler */
-typedef struct {
-    const double *x, *c;
-    int64_t m;
-    double eps, inv_pow, beta;
-} sampler;
-
-static double jump(const sampler *j, stream *s)
-{
-    if (j->m > 0)
-        return ppoly(j->x, j->c, j->m, uniform(s));
-    for (;;) {
-        /* pow is +inf at u = 0 and on overflow: the scalar rule */
-        double xi = j->eps * pow(uniform(s), j->inv_pow);
-        if (j->beta == 0.0 || uniform(s) < exp(-j->beta * (xi - j->eps)))
-            return xi;
-    }
-}
-
-/* exp as math.exp: a finite argument with an infinite result raises */
-#define EXP_OR_STOP(var, arg)                   \
-    do {                                        \
-        double a_ = (arg);                      \
-        var = exp(a_);                          \
-        if (isinf(var) && isfinite(a_))         \
-            return END_EXP_RANGE;               \
-    } while (0)
-
-/* log as math.log: 0, negative numbers and -inf raise */
-#define LOG_OR_STOP(var, arg)                   \
-    do {                                        \
-        double a_ = (arg);                      \
-        if (a_ <= 0.0)                          \
-            return END_LOG_DOMAIN;              \
-        var = log(a_);                          \
-    } while (0)
-
 /* A recording path's buffer: jump k's t and xi at at[2k] and at[2k+1].
  * One of up to MALLOC_ROOM jumps comes from malloc; a longer one is
  * mapped on its own, so that freeing it gives its pages back at once, and
@@ -196,15 +157,72 @@ static int grow(record **r)
     return 1;
 }
 
-/* events, when not NULL, holds NULL or the record of the path's jumps,
- * which it grows as they come; the caller drops it, also when the path
- * stops on an error. */
-static int run_path(stream *s, const sampler *j, double x0, double t_end,
-                    double lam, double delta, double cap, int64_t max_events,
-                    int explosive, double *t_out, double *x_out,
-                    int64_t *n_out, double *terminal, record **events)
+/* Paths first .. count-1 of the block start .. start+count-1 of seed
+ * key0 (the seed mod 2^64), on up to threads threads; simulate._Job
+ * mirrors it field for field. */
+typedef struct {
+    uint64_t key0;
+    int64_t start, first, count;
+    double x0, t_end, lam, delta, cap;
+    int64_t max_events;
+    int32_t explosive, threads;
+    /* measure._TableSampler, ppoly's m pieces on breaks with coefs, when
+     * m > 0; otherwise measure._RejectionSampler */
+    const double *breaks, *coefs;
+    int64_t m;
+    double eps, inv_pow, beta;
+    /* the columns, entry i for path i (see jumplm_run_paths) */
+    int8_t *end;
+    double *t, *x;
+    int64_t *n;
+    double *terminal;
+    record **events;
+} job;
+
+static double jump(const job *j, stream *s)
 {
-    double t = 0.0, x = x0, decay, e_draw, dt, shrink;
+    if (j->m > 0)
+        return ppoly(j->breaks, j->coefs, j->m, uniform(s));
+    for (;;) {
+        /* pow is +inf at u = 0 and on overflow: the scalar rule */
+        double xi = j->eps * pow(uniform(s), j->inv_pow);
+        if (j->beta == 0.0 || uniform(s) < exp(-j->beta * (xi - j->eps)))
+            return xi;
+    }
+}
+
+/* exp as math.exp: a finite argument with an infinite result raises */
+#define EXP_OR_STOP(var, arg)                   \
+    do {                                        \
+        double a_ = (arg);                      \
+        var = exp(a_);                          \
+        if (isinf(var) && isfinite(a_))         \
+            return END_EXP_RANGE;               \
+    } while (0)
+
+/* log as math.log: 0, negative numbers and -inf raise */
+#define LOG_OR_STOP(var, arg)                   \
+    do {                                        \
+        double a_ = (arg);                      \
+        if (a_ <= 0.0)                          \
+            return END_LOG_DOMAIN;              \
+        var = log(a_);                          \
+    } while (0)
+
+/* Runs path i of the job and returns its end code.  At an end up to
+ * END_MAX_EVENTS it writes the path's t, x and n, and at END_HORIZON its
+ * terminal value; where it stops on an error it writes none of them.  A
+ * recording path grows events[i], NULL on entry, as its jumps come; the
+ * caller drops it, also when the path stops on an error. */
+static int run_path(const job *j, int64_t i)
+{
+    stream s = {0, j->key0, (uint64_t)(j->start + i), {0, 0, 0, 0}, 4};
+    record **events = j->events ? &j->events[i] : NULL;
+    const double t_end = j->t_end, lam = j->lam, delta = j->delta,
+                 cap = j->cap;
+    const int64_t max_events = j->max_events;
+    const int explosive = j->explosive;
+    double t = 0.0, x = j->x0, decay, e_draw, dt, shrink;
     int64_t n = 0, room = 0;
     int end;
     if (delta == 0.0)
@@ -212,11 +230,11 @@ static int run_path(stream *s, const sampler *j, double x0, double t_end,
     for (;;) {
         EXP_OR_STOP(decay, -delta * (t_end - t));
         double horizon_mass = x * lam * (1.0 - decay) / delta;
-        LOG_OR_STOP(e_draw, 1.0 - uniform(s));
+        LOG_OR_STOP(e_draw, 1.0 - uniform(&s));
         e_draw = -e_draw;
         if (e_draw >= horizon_mass) {
             /* the terminal x * exp(-delta * (t_end - t)) */
-            *terminal = x * decay;
+            j->terminal[i] = x * decay;
             end = END_HORIZON;
             break;
         }
@@ -227,7 +245,7 @@ static int run_path(stream *s, const sampler *j, double x0, double t_end,
         t += dt;
         EXP_OR_STOP(shrink, -delta * dt);
         x *= shrink;
-        double xi = jump(j, s);
+        double xi = jump(j, &s);
         x += xi;
         if (events) {
             if (n == room) {
@@ -248,44 +266,28 @@ static int run_path(stream *s, const sampler *j, double x0, double t_end,
             break;
         }
     }
-    *t_out = t, *x_out = x, *n_out = n;
+    j->t[i] = t, j->x[i] = x, j->n[i] = n;
     return end;
 }
 
-/* one call's block of paths, shared by its threads */
-typedef struct {
-    uint64_t key0;
-    int64_t start, count;
-    double x0, t_end, lam, delta, cap;
-    int64_t max_events;
-    int explosive;
-    sampler j;
-    int8_t *end;
-    double *t, *xs;
-    int64_t *n;
-    double *terminal;
-    record **events;
-    atomic_int_fast64_t next, spent;    /* path to claim; events spent */
-} block;
+/* one call's job, the path to claim and the events spent, shared by its
+ * threads */
+typedef struct { const job *j; atomic_int_fast64_t next, spent; } block;
 
-/* Claims and runs paths of the block until none is left or the budget is
+/* Claims and runs paths of the job until none is left or the budget is
  * spent; a claimed path always runs to its end. */
 static void *run_block(void *arg)
 {
     block *b = arg;
+    const job *j = b->j;
     while (atomic_load(&b->spent) < EVENT_BUDGET) {
         int64_t i = atomic_fetch_add(&b->next, 1);
-        if (i >= b->count)
+        if (i >= j->count)
             break;
-        stream s = {0, b->key0, (uint64_t)(b->start + i), {0, 0, 0, 0}, 4};
-        b->t[i] = b->xs[i] = b->terminal[i] = NAN;
-        b->n[i] = -1;
-        b->end[i] = (int8_t)run_path(&s, &b->j, b->x0, b->t_end, b->lam,
-                                     b->delta, b->cap, b->max_events,
-                                     b->explosive, &b->t[i], &b->xs[i],
-                                     &b->n[i], &b->terminal[i],
-                                     b->events ? &b->events[i] : NULL);
-        atomic_fetch_add(&b->spent, 1 + (b->n[i] > 0 ? b->n[i] : 0));
+        j->t[i] = j->x[i] = j->terminal[i] = NAN;
+        j->n[i] = -1;
+        j->end[i] = (int8_t)run_path(j, i);
+        atomic_fetch_add(&b->spent, 1 + (j->n[i] > 0 ? j->n[i] : 0));
     }
     return NULL;
 }
@@ -317,28 +319,19 @@ static void on_threads(void *(*work)(void *), void *arg, int64_t count,
         pthread_join(helper[k], NULL);
 }
 
-/* Paths start .. start+count-1 of seed key0 (the seed mod 2^64); path i
- * draws from Philox(key=[key0, i]).  For each path: the end code, and the
- * loop's last t, x and jump count; the terminal value at END_HORIZON.
- * With events NULL nothing is recorded; otherwise events[i], NULL on
- * entry, takes the buffer path i records all its jumps in (see run_path),
- * for jumplm_take to move and free.  Runs on up to threads threads (see
- * on_threads).  Returns the number of paths run: all count of them, or
- * fewer once EVENT_BUDGET events are spent, and at least one. */
-int64_t jumplm_run_paths(uint64_t key0, int64_t start, int64_t count,
-                         double x0, double t_end, double lam, double delta,
-                         double cap, int64_t max_events, int explosive,
-                         const double *x, const double *c, int64_t m,
-                         double eps, double inv_pow, double beta,
-                         int8_t *end, double *t, double *xs, int64_t *n,
-                         double *terminal, record **events, int threads)
+/* Runs paths first .. count-1 of the job; path i draws from
+ * Philox(key=[key0, start + i]) and writes entry i of each column: its
+ * end code, the loop's last t, x and jump count (NaN and -1 where it
+ * stops on an error), and its terminal value (NaN but at END_HORIZON).
+ * Unless events is NULL, events[i], NULL on entry, takes the buffer path i
+ * records its jumps in, for jumplm_take to move and free.  Returns the
+ * next first: count, or less once EVENT_BUDGET events are spent. */
+int64_t jumplm_run_paths(const job *j)
 {
-    block b = {key0, start, count, x0, t_end, lam, delta, cap, max_events,
-               explosive, {x, c, m, eps, inv_pow, beta}, end, t, xs, n,
-               terminal, events, 0, 0};
-    on_threads(run_block, &b, count, threads);
+    block b = {j, j->first, 0};
+    on_threads(run_block, &b, j->count - j->first, j->threads);
     int64_t claimed = atomic_load(&b.next);
-    return claimed < count ? claimed : count;
+    return claimed < j->count ? claimed : j->count;
 }
 
 /* Moves the jumps that jumplm_run_paths recorded in held[0 .. count-1]

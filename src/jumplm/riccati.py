@@ -86,10 +86,10 @@ def solve(spec: LevyMeasureSpec, u0: float, t_end: float) -> RiccatiSolution:
     finite-difference residual of the dense output, is computed when it
     is first read.
     """
-    if u0 >= 1.0:
+    if not (u0 < 1.0):
         raise DomainError(f"solve requires u0 < 1 strictly, got {u0}")
-    if t_end < 0:
-        raise DomainError(f"t_end must be nonnegative, got {t_end}")
+    if not (0.0 <= t_end < math.inf):
+        raise DomainError(f"t_end must be finite and nonnegative, got {t_end}")
     if t_end == 0.0:
         return RiccatiSolution(u0, 0,
                                _dense=lambda t: np.full_like(np.asarray(t, float), u0),
@@ -147,6 +147,9 @@ def _osgood_integral(rz):
     exponent is estimated locally at z ~ 1e-8, where the power law is much
     cleaner than on the fit grid used for classification.  The exponent
     and the integrand are fixed here, once, for every call of the map.
+    Below z = 1e-250 the integrand is not evaluated: the map raises
+    QuadratureFailure where the integral there, estimated from the local
+    power law at 1e-250, exceeds 1e-9 of the result (alpha near 2).
     """
     v7, v9 = -rz(1e-7), -rz(1e-9)
     if v7 <= 0 or v9 <= 0:
@@ -156,16 +159,25 @@ def _osgood_integral(rz):
         raise DivergentIntegral(f"local exponent {p} leaves 1/R non-integrable")
     k = 1.0 / (1.0 - p)
     limit0 = -k * 1e-8 ** p / rz(1e-8)
+    floor = 1e-250
+    v0, v1 = -rz(floor), -rz(10.0 * floor)
+    p0 = math.log(v1 / v0) / math.log(10.0) if min(v0, v1) > 0 else 1.0
+    tail = floor / ((1.0 - p0) * v0) if p0 < 1.0 else math.inf
 
     def integrand(s):
         z = s ** k
-        if z < 1e-250:
+        if z < floor:
             return limit0
         return k * s ** (k - 1.0) / (-rz(z))
 
     def integral(lower):
-        return measure._quad(integrand, 0.0, (1.0 - lower) ** (1.0 - p),
-                             epsrel=1e-11, epsabs=1e-14, tolerate=1e-8)
+        value = measure._quad(integrand, 0.0, (1.0 - lower) ** (1.0 - p),
+                              epsrel=1e-11, epsabs=1e-14, tolerate=1e-8)
+        if not tail <= 1e-9 * value:
+            raise QuadratureFailure(
+                f"an estimated {tail / value:.2g} of the time map at {lower} "
+                f"lies below 1 - u = {floor}, beyond the quadrature")
+        return value
 
     return integral
 
@@ -231,7 +243,7 @@ def minimal_solution(spec: LevyMeasureSpec, t: float) -> float:
     1 - g near 0 nor g near 0 cancels.  For true-martingale measures
     returns 1.0 (the only branch).
     """
-    if t < 0:
+    if not (t >= 0):
         raise DomainError(f"t must be nonnegative, got {t}")
     if classify(spec).verdict != STRICT or t == 0.0:
         return 1.0
@@ -247,7 +259,7 @@ def expected_value(spec: LevyMeasureSpec, x0: float, t: float, u: float) -> floa
     if u == 1.0:
         g = minimal_solution(spec, t)
     else:
-        g = float(solve(spec, u, t)(t)) if t > 0 else u
+        g = u if t == 0.0 else float(solve(spec, u, t)(t))
     return math.exp(x0 * g)
 
 

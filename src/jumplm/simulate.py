@@ -27,11 +27,12 @@ simulate_path and simulate_explosive_path run a block of one, on one
 thread; block_csvs, behind `jumplm simulate`, runs a block of many on
 threads and records every path's events.  A recording path grows its own
 event buffer in the kernel as it runs, so every path runs once, whatever
-its length.  _run_engine, the reference, runs the paths the scalar loop
-raises on, and all of them when there is no kernel.  The kernel formats
-a recorded block's rows, the bytes "%.17g" gives, on threads;
-export_path_csv and block_csvs format them in Python without a kernel or
-where the kernel's formatter does not reach.
+its length.  A kernel call takes one job record, _Job.  _run_engine, the
+reference, runs the paths the scalar loop raises on, and all of them
+when there is no kernel.  The kernel formats a recorded block's rows,
+the bytes "%.17g" gives, on threads; block_csvs formats them in Python
+without a kernel or where the kernel's formatter does not reach, and
+export_path_csv always does.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import os
 import pathlib
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -116,14 +117,7 @@ class EngineConfig:
 
 @dataclass
 class Path:
-    """One realized trajectory: jump events plus inter-jump decay.
-
-    A path the engines recorded also keeps its events as one (2, n) array,
-    for export_path_csv to format; it is not an argument, so a path
-    built by hand or by dataclasses.replace has none, and it takes no part
-    in equality or repr.  Export changed events from such a new path, not
-    by editing events in place.
-    """
+    """One realized trajectory: jump events plus inter-jump decay."""
 
     x0: float
     events: List[Tuple[float, float]]
@@ -133,9 +127,6 @@ class Path:
     exploded: bool = False
     explosion_time: Optional[float] = None
     terminal: Optional[float] = None
-    # the events as a (2, n) array, times then sizes
-    _recorded: Optional[np.ndarray] = field(default=None, init=False,
-                                            compare=False, repr=False)
 
 
 def _uniforms(seed: int, index: int):
@@ -203,7 +194,7 @@ def _rates(spec: LevyMeasureSpec, x0: float, t_end: float, eps: float,
     """
     if not (x0 > 0):
         raise DomainError(f"x0 must be positive, got {x0}")
-    if t_end < 0:
+    if not (t_end >= 0):
         raise DomainError(f"t_end must be nonnegative, got {t_end}")
     if not explosive:
         mom = measure.validate(spec)
@@ -254,6 +245,26 @@ class FanOutEngine:
 
     name: str
     detail: str
+
+
+class _Job(ctypes.Structure):
+    """The job record jumplm_run_paths takes, field for field as _kernel.c
+    lays it out: the block, the engine's inputs, the jump sampler and the
+    addresses of the columns the kernel writes."""
+
+    _fields_ = [
+        ("key0", ctypes.c_uint64),
+        *((name, ctypes.c_int64) for name in ("start", "first", "count")),
+        *((name, ctypes.c_double)
+          for name in ("x0", "t_end", "lam", "delta", "cap")),
+        ("max_events", ctypes.c_int64),
+        ("explosive", ctypes.c_int32), ("threads", ctypes.c_int32),
+        ("breaks", ctypes.c_void_p), ("coefs", ctypes.c_void_p),
+        ("m", ctypes.c_int64),
+        *((name, ctypes.c_double) for name in ("eps", "inv_pow", "beta")),
+        *((name, ctypes.c_void_p)
+          for name in ("end", "t", "x", "n", "terminal", "events")),
+    ]
 
 
 _KERNEL_SOURCE = pathlib.Path(__file__).with_name("_kernel.c")
@@ -311,17 +322,13 @@ def _kernel():
         reason = getattr(exc, "stderr", None) or exc    # cc's own message
         lib, engine = None, FanOutEngine("python", f"no kernel: {reason}")
     else:
-        f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
-        lib.jumplm_run_paths.argtypes = (
-            [ctypes.c_uint64, i64, i64] + [f64] * 5 + [i64, ctypes.c_int]
-            + [ptr, ptr, i64] + [f64] * 3 + [ptr] * 6 + [ctypes.c_int])
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        lib.jumplm_run_paths.argtypes = [ctypes.POINTER(_Job)]
         lib.jumplm_take.argtypes = [ptr, ptr, i64, ptr]
-        lib.jumplm_ppoly.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
         lib.jumplm_format_block.argtypes = [ptr, ptr, i64, ptr, ptr,
                                             ctypes.c_int]
         lib.jumplm_run_paths.restype = i64
         lib.jumplm_take.restype = None
-        lib.jumplm_ppoly.restype = None
         lib.jumplm_format_block.restype = None
         engine = FanOutEngine("kernel", str(path))
     _log.debug("Monte Carlo fan-out engine: %s (%s)", engine.name,
@@ -359,34 +366,35 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
         return _PathEnds(np.empty(count, np.int8), np.empty(count),
                          np.empty(count), np.empty(count, np.int64),
                          np.empty(count), None, None)
+    job = _Job(key0=config.seed % 2 ** 64, start=start, count=count, x0=x0,
+               t_end=t_end, lam=lam, delta=delta, cap=config.cap,
+               max_events=config.max_events, explosive=explosive,
+               threads=threads)
     sampler = measure.make_jump_sampler(spec, config.eps)
     if isinstance(sampler, measure._TableSampler):
-        x = np.ascontiguousarray(sampler._inv.x, dtype=float)
-        c = np.ascontiguousarray(sampler._inv.c, dtype=float)
-        assert c.shape == (4, x.size - 1)
-        jump = (x.ctypes.data, c.ctypes.data, x.size - 1, 0.0, 0.0, 0.0)
+        breaks = np.ascontiguousarray(sampler._inv.x, dtype=float)
+        coefs = np.ascontiguousarray(sampler._inv.c, dtype=float)
+        assert coefs.shape == (4, breaks.size - 1)
+        job.breaks, job.coefs = breaks.ctypes.data, coefs.ctypes.data
+        job.m = breaks.size - 1
     else:
-        jump = (None, None, 0, sampler.eps, sampler._inv_pow, sampler._beta)
-    key0 = config.seed % 2 ** 64
-    # one buffer and one address: the t, x, n and terminal columns, the
-    # int8 end codes, then, with record, the address of each path's event
-    # buffer (NULL, the bits of 0.0, until the path runs) and the offsets
-    # of the paths' events
+        job.eps, job.inv_pow, job.beta = (sampler.eps, sampler._inv_pow,
+                                          sampler._beta)
+    # one buffer: the t, x, n and terminal columns, the int8 end codes,
+    # then, with record, the address of each path's event buffer (NULL,
+    # the bits of 0.0, until the path runs) and the offsets of the paths'
+    # events
     words = 4 * count + (count + 7) // 8
     buf = np.zeros(words + 2 * count + 1) if record else np.empty(words)
     base = buf.ctypes.data
-    held = base + 8 * words if record else None
+    job.t, job.x, job.n, job.terminal = (base + 8 * k * count
+                                         for k in range(4))
+    job.end = base + 32 * count
+    held = job.events = base + 8 * words if record else None
     events = offsets = None
     try:
-        done = 0
-        while done < count:
-            col = base + 8 * done
-            done += lib.jumplm_run_paths(
-                key0, start + done, count - done, x0, t_end, lam, delta,
-                config.cap, config.max_events, explosive, *jump,
-                base + 32 * count + done, col, col + 8 * count,
-                col + 16 * count, col + 24 * count,
-                None if held is None else held + 8 * done, threads)
+        while job.first < count:
+            job.first = lib.jumplm_run_paths(job)
         t, x, n, terminal = buf[:4 * count].reshape(4, count)
         n = n.view(np.int64)
         if record:
@@ -408,7 +416,8 @@ def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
     """The ends of paths start .. start+count-1, for an engine whose
     inputs _rates checked: the kernel, then _run_engine for each path the
     kernel stopped where the scalar loop raises (for every path when there
-    is no kernel), so errors and their messages are the scalar loop's.
+    is no kernel), so errors and their messages are the scalar loop's; a
+    conservative path at max_events raises its MaxEventsExceeded here.
     With record, the events of the paths _run_engine ran are its own."""
     lib = _kernel()[0]
     out = _kernel_run(lib, spec, x0, t_end, config, start, count, lam,
@@ -422,6 +431,9 @@ def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
                 if out.end.max(initial=0) > last else ())
     runs = {}       # with record, the events of the paths run here
     for i in redo:
+        if lib is not None and out.end[i] == END_MAX_EVENTS:
+            raise MaxEventsExceeded(
+                f"conservative path reached {config.max_events} events")
         events, t, x, n, exploded, _ = _run_engine(
             spec, x0, t_end, config, start + int(i), record, lam, delta,
             explosive)
@@ -449,18 +461,15 @@ def _path(spec, x0, t_end, config, path_index, record, explosive) -> Path:
     lam, delta = _rates(spec, x0, t_end, config.eps, explosive)
     out = _fan_out(spec, x0, t_end, config, path_index, 1, lam, delta,
                    explosive, record)
-    events, recorded = [], None
+    events = []
     if record:
-        recorded = out.events.reshape(2, -1)
-        t, xi = recorded.tolist()
+        t, xi = out.events.reshape(2, -1).tolist()
         events = list(zip(t, xi))
     exploded = bool(out.end[0] != END_HORIZON)
-    path = Path(x0=x0, events=events, decay_rate=delta, t_end=t_end,
+    return Path(x0=x0, events=events, decay_rate=delta, t_end=t_end,
                 eps=config.eps, exploded=exploded,
                 explosion_time=float(out.t[0]) if exploded else None,
                 terminal=None if exploded else float(out.terminal[0]))
-    path._recorded = recorded
-    return path
 
 
 def conservative_terminals(spec: LevyMeasureSpec, x0: float, t_end: float,
@@ -548,16 +557,6 @@ def _format_block(events, offsets, threads=1) -> List[Optional[bytes]]:
             for at, k in zip(offsets.tolist(), lengths.tolist())]
 
 
-def _format_rows(recorded) -> Optional[str]:
-    """The rows of a (2, n) array of event times and sizes, formatted by
-    the kernel; None without a kernel, or when a value lies outside the
-    range of the kernel's formatter."""
-    recorded = np.ascontiguousarray(recorded, dtype=float)
-    rows = _format_block(recorded,
-                         np.array([0, recorded.shape[1]], np.int64))[0]
-    return None if rows is None else rows.decode("ascii")
-
-
 def _python_rows(events) -> str:
     """The rows of (t, xi) pairs as Python's % formats them."""
     return "".join(["%.17g,%.17g\n" % ev for ev in events])
@@ -577,18 +576,10 @@ def _csv_head(x0, decay_rate, eps, exploded, t_end, explosion_time) -> str:
 
 def export_path_csv(path: Path, stream) -> None:
     """Write one path in the interchange format, commented header and
-    events, in one write.
-
-    The rows of a path the kernel recorded are formatted by the kernel,
-    byte for byte as Python's "%.17g" formats them; those of any other
-    path, or with a value the kernel's formatter does not cover, by
-    Python.
-    """
-    rows = None if path._recorded is None else _format_rows(path._recorded)
-    if rows is None:
-        rows = _python_rows(path.events)
+    events, in one write."""
     stream.write(_csv_head(path.x0, path.decay_rate, path.eps, path.exploded,
-                           path.t_end, path.explosion_time) + rows)
+                           path.t_end, path.explosion_time)
+                 + _python_rows(path.events))
 
 
 def block_csvs(spec: LevyMeasureSpec, x0: float, t_end: float,

@@ -67,6 +67,17 @@ def test_estimate_mgf_variance_warning(ref_spec, cfg):
     assert est.variance_warning
 
 
+@pytest.mark.parametrize("estimate", ["estimate_mean", "estimate_mgf",
+                                      "estimate_survival"])
+def test_estimates_reject_a_nan_horizon(ref_spec, cfg, estimate):
+    args = (0.5,) if estimate == "estimate_mgf" else ()
+    spec = (measure.untilted_spec(ref_spec) if estimate == "estimate_survival"
+            else ref_spec)
+    with pytest.raises(DomainError):
+        getattr(montecarlo, estimate)(spec, 1.0, math.nan, *args,
+                                      n_paths=10, config=cfg)
+
+
 def test_estimate_mgf_rejects_u_above_one(ref_spec, cfg):
     with pytest.raises(DomainError):
         montecarlo.estimate_mgf(ref_spec, 1.0, 1.0, 1.2, n_paths=100, config=cfg)

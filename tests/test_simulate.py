@@ -522,6 +522,34 @@ def test_recorded_conservative_max_events(ref_spec, monkeypatch):
         assert simulate.simulate_path(ref_spec, 1.0, 2.0, cfg, i) == path
 
 
+def test_conservative_max_events_raises_from_the_kernel(ref_spec,
+                                                      monkeypatch):
+    # the kernel's END_MAX_EVENTS raises MaxEventsExceeded itself; the
+    # scalar loop does not run the path again only to raise
+    _kernel_lib()
+
+    def scalar(*args):
+        raise AssertionError("scalar loop ran")
+
+    monkeypatch.setattr(simulate, "_run_engine", scalar)
+    cfg = simulate.EngineConfig(eps=1e-2, seed=9, max_events=5)
+    for fn in (simulate.simulate_path, lambda *a: simulate.block_csvs(
+            *a, 0, 8, False, 2)):
+        with pytest.raises(MaxEventsExceeded,
+                           match="^conservative path reached 5 events$"):
+            fn(ref_spec, 1e3, 1.0, cfg)
+
+
+@pytest.mark.parametrize("explosive", [False, True])
+def test_nan_horizon_raises_domain_error(ref_spec, explosive):
+    fn = simulate.simulate_explosive_path if explosive else \
+        simulate.simulate_path
+    spec = measure.untilted_spec(ref_spec) if explosive else ref_spec
+    cfg = simulate.EngineConfig(eps=1e-2)
+    with pytest.raises(DomainError, match="t_end must be nonnegative"):
+        fn(spec, 1.0, math.nan, cfg)
+
+
 class _CountingKernel:
     """A kernel that counts its jumplm_run_paths calls, the paths each
     ran and the jumps of all of them; with most, a call runs at most most
@@ -533,12 +561,14 @@ class _CountingKernel:
     def __getattr__(self, name):
         return getattr(self.lib, name)
 
-    def jumplm_run_paths(self, *args):
+    def jumplm_run_paths(self, job):
+        first, count = job.first, job.count
         if self.most is not None:
-            args = (*args[:2], min(args[2], self.most), *args[3:])
-        k = self.lib.jumplm_run_paths(*args)
-        n = (ctypes.c_int64 * k).from_address(args[19])   # the n column
-        self.runs.append(k)
+            job.count = min(count, first + self.most)
+        k = self.lib.jumplm_run_paths(job)
+        job.count = count
+        n = (ctypes.c_int64 * (k - first)).from_address(job.n + 8 * first)
+        self.runs.append(k - first)
         self.events += sum(max(v, 0) for v in n)
         return k
 
@@ -578,6 +608,21 @@ def test_recorded_path_takes_one_call_in_its_room(ref_spec, monkeypatch):
                                                  False))
 
 
+def _job(cfg, sampler, start, count, x0, t_end, lam, delta, threads, out,
+         events):
+    """A conservative job on a rejection sampler for paths start ..
+    start+count-1, from its first path, writing the columns out (end, t,
+    x, n, terminal) and, unless events is None, the event buffers there."""
+    columns = dict(zip(("end", "t", "x", "n", "terminal"),
+                       (a.ctypes.data for a in out)))
+    return simulate._Job(
+        key0=cfg.seed, start=start, count=count, x0=x0, t_end=t_end,
+        lam=lam, delta=delta, cap=cfg.cap, max_events=cfg.max_events,
+        explosive=False, threads=threads, eps=sampler.eps,
+        inv_pow=sampler._inv_pow, beta=sampler._beta, events=events,
+        **columns)
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_kernel_records_only_in_each_paths_room(ref_spec, threads):
     # path i records all its n_i events in a buffer of its own, and
@@ -593,11 +638,9 @@ def test_kernel_records_only_in_each_paths_room(ref_spec, threads):
         out = [np.empty(count, np.int8), *(np.empty(count) for _ in range(2)),
                np.empty(count, np.int64), np.empty(count)]
         held = np.zeros(count, np.uintp)
-        k = lib.jumplm_run_paths(
-            cfg.seed, 5, count, x0, t_end, lam, delta, cfg.cap,
-            cfg.max_events, False, None, None, 0, sampler.eps,
-            sampler._inv_pow, sampler._beta, *(a.ctypes.data for a in out),
-            held.ctypes.data, threads)
+        k = lib.jumplm_run_paths(_job(
+            cfg, sampler, 5, count, x0, t_end, lam, delta, threads, out,
+            held.ctypes.data))
         counts = out[3].tolist()
         assert k == count and (min(counts) > 2 if t_end else
                                counts == [0] * count)
@@ -851,10 +894,8 @@ def test_kernel_threads_block_spans_calls(ref_spec):
         out = [np.full(16, -9, np.int8), np.full(16, -9.0),
                np.full(16, -9.0), np.full(16, -9, np.int64),
                np.full(16, -9.0)]
-        k = lib.jumplm_run_paths(
-            cfg.seed, 3, 16, 1e5, 1.0, lam, delta, cfg.cap, cfg.max_events,
-            False, None, None, 0, sampler.eps, sampler._inv_pow,
-            sampler._beta, *(a.ctypes.data for a in out), None, threads)
+        k = lib.jumplm_run_paths(_job(cfg, sampler, 3, 16, 1e5, 1.0, lam,
+                                      delta, threads, out, None))
         assert 1 <= k <= 16 and (k < 16 or threads > 3)
         assert [a[:k].tobytes() for a in out] == [a[:k].tobytes()
                                                   for a in one[:5]]
@@ -890,10 +931,44 @@ def test_path_repr_is_engine_independent(ref_spec, tabulated_spec,
     assert "np.float64" not in "".join(on_kernel)
 
 
-def test_kernel_ppoly_matches_scipy(tabulated_spec):
+@pytest.fixture(scope="module")
+def kernel_harness(tmp_path_factory):
+    """kernel_harness.c, which includes _kernel.c, compiled and loaded."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    lib = tmp_path_factory.mktemp("harness") / "harness.so"
+    res = subprocess.run(
+        [*simulate._CC, "-Wall", "-Wextra", "-Werror", "-I",
+         str(simulate._KERNEL_SOURCE.parent), "-o", str(lib),
+         os.path.join(os.path.dirname(__file__), "kernel_harness.c"), "-lm"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    lib = ctypes.CDLL(str(lib))
+    ptr = ctypes.c_void_p
+    lib.harness_ppoly.argtypes = [ptr, ptr, ctypes.c_int64, ptr, ptr,
+                                  ctypes.c_int64]
+    lib.harness_ppoly.restype = None
+    return lib
+
+
+def test_kernel_job_layout_matches_ctypes(kernel_harness):
+    # simulate._Job names every field of _kernel.c's job, in its order, at
+    # its offset, and is as large
+    lib = kernel_harness
+    count = ctypes.c_int64.in_dll(lib, "harness_count").value
+    names = (ctypes.c_char_p * count).in_dll(lib, "harness_fields")
+    offsets = (ctypes.c_int64 * count).in_dll(lib, "harness_offsets")
+    assert [(name.decode(), at) for name, at in zip(names, offsets)] == \
+        [(name, getattr(simulate._Job, name).offset)
+         for name, _ in simulate._Job._fields_]
+    assert ctypes.c_int64.in_dll(lib, "harness_size").value == \
+        ctypes.sizeof(simulate._Job)
+
+
+def test_kernel_ppoly_matches_scipy(tabulated_spec, kernel_harness):
     # the C port of PPoly evaluation against the table sampler's
     # PchipInterpolator: uniforms, every breakpoint and its neighbours
-    lib = _kernel_lib()
+    lib = kernel_harness
     rng = np.random.Generator(np.random.Philox(key=[5, 0]))
     for spec, eps in ((tabulated_spec, 1e-2), (tabulated_spec, 1e-3),
                       (_KERNEL_CASES["low-acceptance"][0], 0.05)):
@@ -902,8 +977,8 @@ def test_kernel_ppoly_matches_scipy(tabulated_spec):
         u = np.concatenate([rng.random(100_000), np.nextafter(x, -np.inf), x,
                             np.nextafter(x, np.inf)])
         got = np.empty_like(u)
-        lib.jumplm_ppoly(x.ctypes.data, c.ctypes.data, x.size - 1,
-                         u.ctypes.data, got.ctypes.data, u.size)
+        lib.harness_ppoly(x.ctypes.data, c.ctypes.data, x.size - 1,
+                          u.ctypes.data, got.ctypes.data, u.size)
         assert np.array_equal(got.view(np.int64), inv(u).view(np.int64))
 
 
@@ -917,15 +992,23 @@ def _csv(path):
     return buf.getvalue()
 
 
+def _kernel_rows(events):
+    """The rows the kernel's formatter gives for (t, xi) pairs, held as a
+    block's (2, n) array, as block_csvs has them formatted; None where it
+    leaves them to Python."""
+    recorded = np.array(events, dtype=float).reshape(-1, 2).T.copy()
+    rows = simulate._format_block(
+        recorded, np.array([0, recorded.shape[1]], np.int64))[0]
+    return None if rows is None else rows.decode("ascii")
+
+
 def _kernel_csv_rows(events):
-    """The rows export_path_csv writes for events held as the kernel's
-    (2, n) array, and what the kernel's formatter gave for them (None when
-    it left them to Python)."""
+    """The rows export_path_csv writes for events, and what the kernel's
+    formatter gave for them (None when it left them to Python)."""
     path = simulate.Path(x0=1.0, events=events, decay_rate=1.0, t_end=1.0,
                          eps=1e-2)
-    path._recorded = np.array(events, dtype=float).reshape(-1, 2).T.copy()
     rows = _csv(path).split("time,size\n", 1)[1]
-    return rows, simulate._format_rows(path._recorded)
+    return rows, _kernel_rows(events)
 
 
 def _in_kernel_range(v):
@@ -1002,30 +1085,32 @@ def test_recorded_path_outside_kernel_range_is_formatted_by_python():
         measure.LevyMeasureSpec.tilted_power(1.0, 1.01, 1.0))
     cfg = simulate.EngineConfig(eps=1e-2, seed=0)
     path = simulate.simulate_explosive_path(untilted, 1.0, 1.0, cfg, 1176)
-    assert path.events[-1][1] == math.inf and path._recorded is not None
-    assert simulate._format_rows(path._recorded) is None
+    assert path.events[-1][1] == math.inf
+    assert _kernel_rows(path.events) is None
     assert _csv(path).endswith("time,size\n" + _python_rows(path.events))
     csvs = simulate.block_csvs(untilted, 1.0, 1.0, cfg, 1170, 10, True, 2)
     assert csvs[6] == _csv(path).encode()
 
 
 def test_hand_built_path_writes_the_same_csv(ref_spec):
-    # a Path built from the same fields has no kernel array, and its CSV,
+    # a Path built from the same fields holds nothing more, and its CSV,
     # formatted by Python, is the kernel's byte for byte
     _kernel_lib()
     untilted = measure.untilted_spec(ref_spec)
     cfg = simulate.EngineConfig(eps=1e-2, seed=20261018, cap=1e5)
+    t_end = 2.0 * math.log(2.0)
     for i in (14, 25):      # 518 events up to an explosion; 411 events
-        path = simulate.simulate_explosive_path(untilted, 1.0,
-                                                2.0 * math.log(2.0), cfg, i)
+        path = simulate.simulate_explosive_path(untilted, 1.0, t_end, cfg, i)
         by_hand = simulate.Path(**{f.name: getattr(path, f.name)
                                    for f in dataclasses.fields(path)
                                    if f.init})
-        assert path._recorded is not None and by_hand._recorded is None
-        assert dataclasses.replace(path)._recorded is None
+        assert all(f.init for f in dataclasses.fields(path))
+        assert dataclasses.replace(path) == path
         assert by_hand == path and repr(by_hand) == repr(path)
-        assert simulate._format_rows(path._recorded) is not None
+        assert _kernel_rows(path.events) is not None
         assert _csv(by_hand) == _csv(path)
+        assert simulate.block_csvs(untilted, 1.0, t_end, cfg, i, 1, True) \
+            == [_csv(by_hand).encode()]
 
 
 def _export_outcome(fn):
