@@ -9,9 +9,10 @@ By the paper's integral criterion the process is a strict local
 martingale exactly when 1/R is integrable at 1.  Among validated specs
 that is the tilted power with beta = 1 and 1 < alpha < 2 (see classify),
 where R(1 - z) = s (z - z^(alpha-1)) and w = (1 - g)^(2-alpha) solves a
-linear ODE: the verdict, the minimal branch and its time map are closed
-forms there.  time_map keeps the quadrature of the integral itself, an
-independent check of them.
+linear ODE: the verdict, the whole flow (expected_value and the minimal
+branch) and the time map are closed forms there.  solve stays the
+Runge-Kutta integration on every spec, and time_map keeps the quadrature
+of the integral itself: each is an independent check of the closed forms.
 """
 
 from __future__ import annotations
@@ -78,6 +79,31 @@ class Classification:
     exponent_stderr: float
 
 
+def _check_flow(u0, t_end):
+    """The flow from u0 is unique for u0 < 1, on a finite t_end >= 0."""
+    if not (u0 < 1.0):
+        raise DomainError(f"solve requires u0 < 1 strictly, got {u0}")
+    if not (0.0 <= t_end < math.inf):
+        raise DomainError(f"t_end must be finite and nonnegative, got {t_end}")
+
+
+def _closed_flow(closed, u0: float, t: float) -> float:
+    """g(t, u0) on the Strict family, for u0 <= 1 and t >= 0.
+
+    closed is measure._closed_form(spec), (s, alpha - 1).  With q = 2 - alpha,
+    w = (1 - g)^q solves w' = q s (1 - w), so w = 1 + a e^(-q s t) with
+    a = (1 - u0)^q - 1, and g = -expm1(log1p(a e^(-q s t)) / q), written so
+    that neither 1 - g near 0 nor g near 0 cancels.  At u0 = 1, a = -1 gives
+    the minimal branch; there e^(-q s t) rounds to 1 for q s t below 2^-53,
+    and g is 1 to an ulp.
+    """
+    s, am1 = closed
+    q = 1.0 - am1
+    a = -1.0 if u0 == 1.0 else math.expm1(q * math.log1p(-u0))
+    z = a * math.exp(-q * s * t)
+    return 1.0 if z == -1.0 else -math.expm1(math.log1p(z) / q)
+
+
 def solve(spec: LevyMeasureSpec, u0: float, t_end: float) -> RiccatiSolution:
     """Integrate dg/dt = R(g), g(0) = u0, over [0, t_end].
 
@@ -86,10 +112,7 @@ def solve(spec: LevyMeasureSpec, u0: float, t_end: float) -> RiccatiSolution:
     finite-difference residual of the dense output, is computed when it
     is first read.
     """
-    if not (u0 < 1.0):
-        raise DomainError(f"solve requires u0 < 1 strictly, got {u0}")
-    if not (0.0 <= t_end < math.inf):
-        raise DomainError(f"t_end must be finite and nonnegative, got {t_end}")
+    _check_flow(u0, t_end)
     if t_end == 0.0:
         return RiccatiSolution(u0, 0,
                                _dense=lambda t: np.full_like(np.asarray(t, float), u0),
@@ -106,7 +129,10 @@ def solve(spec: LevyMeasureSpec, u0: float, t_end: float) -> RiccatiSolution:
     def residual():
         # central-difference residual at interior midpoints
         grid = np.linspace(0.0, t_end, 201)
-        h = min(1e-4, t_end / 1000.0)
+        # where t_end / 1000 underflows, the smallest positive step: the
+        # dense output is then constant to rounding, and the residual is
+        # max |R(g)|
+        h = max(min(1e-4, t_end / 1000.0), math.ulp(0.0))
         mids = 0.5 * (grid[:-1] + grid[1:])
         deriv = (dense(mids + h)[0] - dense(mids - h)[0]) / (2.0 * h)
         return float(np.max(np.abs(deriv - [r(g) for g in dense(mids)[0]])))
@@ -237,29 +263,36 @@ def time_map(spec: LevyMeasureSpec, x: float) -> float:
 def minimal_solution(spec: LevyMeasureSpec, t: float) -> float:
     """The non-constant branch g_-(t, 1) through the initial value 1.
 
-    On the Strict family w = (1 - g)^q, q = 2 - alpha, solves the linear
-    ODE w' = q s (1 - w) from w(0) = 0, so
-    g_-(t) = -expm1(log1p(-e^(-q s t)) / q), written so that neither
-    1 - g near 0 nor g near 0 cancels.  For true-martingale measures
+    On the Strict family it is the closed-form flow from u0 = 1, where
+    w = (1 - g)^q, q = 2 - alpha, starts at w(0) = 0:
+    g_-(t) = -expm1(log1p(-e^(-q s t)) / q).  For true-martingale measures
     returns 1.0 (the only branch).
     """
     if not (t >= 0):
         raise DomainError(f"t must be nonnegative, got {t}")
-    if classify(spec).verdict != STRICT or t == 0.0:
+    if classify(spec).verdict != STRICT:
         return 1.0
-    s, am1 = measure._closed_form(spec)
-    q = 1.0 - am1
-    return -math.expm1(math.log1p(-math.exp(-q * s * t)) / q)
+    return _closed_flow(measure._closed_form(spec), 1.0, t)
 
 
 def expected_value(spec: LevyMeasureSpec, x0: float, t: float, u: float) -> float:
-    """E[exp(u * X_t)] = exp(x0 * g(t, u)), with the minimal branch at u = 1."""
+    """E[exp(u * X_t)] = exp(x0 * g(t, u)), with the minimal branch at u = 1.
+
+    On the Strict family g is the closed-form flow; on every other spec
+    solve integrates it.
+    """
     if u > 1.0:
         raise DomainError(f"exponential moment undefined for u > 1, got {u}")
+    closed = measure._closed_form(spec)
     if u == 1.0:
         g = minimal_solution(spec, t)
+    elif t == 0.0:
+        g = u
+    elif closed is None:
+        g = float(solve(spec, u, t)(t))
     else:
-        g = u if t == 0.0 else float(solve(spec, u, t)(t))
+        _check_flow(u, t)
+        g = _closed_flow(closed, u, t)
     return math.exp(x0 * g)
 
 

@@ -129,6 +129,24 @@ def test_survival_theory_loads_no_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_mgf_theory_loads_no_ode_solver():
+    # the theory of estimate_mgf on the reference is the closed-form flow:
+    # scipy.integrate, with optimize and linalg, and cffi stay unloaded;
+    # scipy.special still comes in for the sampler's tail intensity
+    code = ("import sys\n"
+            "from jumplm import measure, montecarlo\n"
+            "from jumplm.simulate import EngineConfig\n"
+            "montecarlo.estimate_mgf(measure.reference_spec(), 1.0, 1.0, 0.5,\n"
+            "                        500, EngineConfig(eps=1e-4, seed=1))\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith(\n"
+            "    ('scipy.integrate', 'scipy.optimize', 'cffi')))\n"
+            "assert loaded == [], loaded[:5]\n"
+            "assert 'scipy.special' in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(measure.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_estimate_survival_t0(ref_spec):
     untilted = measure.untilted_spec(ref_spec)
     cfg = EngineConfig(eps=1e-2, seed=44, cap=1e5)

@@ -1,6 +1,7 @@
 import math
 import struct
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,58 @@ def test_solution_matches_closed_form_property(u, t):
     assert abs(float(sol(t)) - closed_g(t, u)) <= 1e-7
 
 
+STRICT_SPEC = dict(
+    c=st.floats(min_value=1e-2, max_value=50.0),
+    alpha=st.floats(min_value=1.01, max_value=1.99, exclude_min=True,
+                    exclude_max=True),
+    u0=st.floats(min_value=-50.0, max_value=0.999),
+    t=st.floats(min_value=0.0, max_value=10.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**STRICT_SPEC)
+@example(c=50.0, alpha=1.989, u0=-50.0, t=10.0)
+@example(c=1e-2, alpha=1.011, u0=0.999, t=1e-300)
+def test_closed_flow_matches_solve_property(c, alpha, u0, t):
+    # expected_value's closed-form flow on a random Strict spec against
+    # the Runge-Kutta solve (rtol 1e-10 per step), within 1e-8 relative;
+    # from u0 = 1 the same formula is the minimal branch, to the bit
+    spec = measure.LevyMeasureSpec.tilted_power(c, alpha, 1.0)
+    want = math.exp(float(riccati.solve(spec, u0, t)(t)))
+    assert riccati.expected_value(spec, 1.0, t, u0) == pytest.approx(
+        want, rel=1e-8)
+    closed = measure._closed_form(spec)
+    assert (riccati._closed_flow(closed, 1.0, t)
+            == riccati.minimal_solution(spec, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.floats(min_value=1e-3, max_value=1e6), **STRICT_SPEC)
+@example(k=1e6, c=50.0, alpha=1.989, u0=-50.0, t=10.0)
+def test_scaling_identity_property(k, c, alpha, u0, t):
+    # R is linear in the measure, so the flow on k mu at t is the flow on
+    # mu at k t: the closed forms agree to 1e-12 relative, and scaling
+    # leaves the verdict alone
+    spec = measure.LevyMeasureSpec.tilted_power(c, alpha, 1.0)
+    scaled = spec.scaled(k)
+    assert riccati.classify(scaled).verdict == riccati.STRICT
+    assert riccati.expected_value(scaled, 1.0, t, u0) == pytest.approx(
+        riccati.expected_value(spec, 1.0, k * t, u0), rel=1e-12)
+
+
+@pytest.mark.parametrize("u", [-50.0, 0.999999])
+def test_expected_value_on_stiff_spec(u):
+    # R of this spec is 1e6 times that of a unit one: the Runge-Kutta solve
+    # takes minutes and millions of steps here, the closed form neither
+    spec = measure.LevyMeasureSpec.tilted_power(1e6, 1.99, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        started = time.perf_counter()
+        value = riccati.expected_value(spec, 1.0, 5.0, u)
+        assert time.perf_counter() - started < 0.1
+    assert math.isfinite(value)
+
+
 @settings(max_examples=15, deadline=None)
 @given(t1=st.floats(min_value=0.1, max_value=3.0),
        t2=st.floats(min_value=0.1, max_value=3.0))
@@ -259,19 +312,24 @@ def test_residual_is_computed_on_first_read(tabulated_spec, monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(u0=st.floats(min_value=-2.0, max_value=1.0, exclude_max=True),
        t_end=st.floats(min_value=0.0, max_value=5.0, exclude_min=True))
+@example(u0=-2.0, t_end=5e-324)
+@example(u0=0.5, t_end=2e-321)
 def test_lazy_residual_matches_eager_formula(u0, t_end):
     # the eager residual solve used to compute, written out: the lazy one
-    # must give the same bits (NaN included, where h underflows to 0)
+    # must give the same bits, and a finite value with no warning where
+    # t_end / 1000 underflows to 0 and the step is the smallest float
     spec = measure.reference_spec()
     sol = riccati.solve(spec, u0, t_end)
     r, _ = measure.r_callables(spec)
-    with np.errstate(all="ignore"):
-        grid = np.linspace(0.0, t_end, 201)
-        h = min(1e-4, t_end / 1000.0)
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        deriv = (sol(mids + h) - sol(mids - h)) / (2.0 * h)
-        want = float(np.max(np.abs(deriv - [r(g) for g in sol(mids)])))
+    grid = np.linspace(0.0, t_end, 201)
+    h = min(1e-4, t_end / 1000.0) or math.ulp(0.0)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    deriv = (sol(mids + h) - sol(mids - h)) / (2.0 * h)
+    want = float(np.max(np.abs(deriv - [r(g) for g in sol(mids)])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = sol.max_residual
+    assert math.isfinite(got)
     assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
@@ -303,8 +361,10 @@ def test_minimal_solution_below_1e_10(spec, t):
 
 
 def test_minimal_solution_at_the_ends(ref_spec):
-    # g_- within an ulp of 1, and past the underflow of e^(-q s t)
+    # g_- within an ulp of 1, and past the underflow of e^(-q s t); below
+    # t ~ 1e-16, e^(-q s t) rounds to 1, and g_- is 1 with no ValueError
     assert riccati.minimal_solution(ref_spec, 1e-12) == 1.0
+    assert riccati.minimal_solution(ref_spec, 1e-300) == 1.0
     assert riccati.minimal_solution(ref_spec, 1e4) == 0.0
 
 
