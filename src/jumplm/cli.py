@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import secrets
 import sys
 import time
@@ -55,6 +56,16 @@ def _resolve_seed(seed):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _emit(lines, out) -> None:
+    """Write the lines, each ended by a newline, to out or to stdout."""
+    text = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
 class _Group(click.Group):
@@ -104,12 +115,7 @@ def riccati_cmd(config, u0, t_end, steps, out):
     lines = ["t,g"]
     for t in grid:
         lines.append(f"{_fmt(t)},{_fmt(float(sol(t)))}")
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(lines, out)
 
 
 @main.command("defect-curve")
@@ -130,12 +136,7 @@ def defect_curve(config, x0, t_max, steps, out):
         es = math.exp(x0 * g) - 1.0
         defect = (math.exp(x0) - 1.0) - es
         lines.append(f"{_fmt(float(t))},{_fmt(g)},{_fmt(es)},{_fmt(defect)}")
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(lines, out)
 
 
 # paths jumplm simulate runs, records and formats as one block, each path
@@ -157,18 +158,15 @@ BLOCK_PATHS = 64
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 def simulate_cmd(config, x0, t_end, eps, seed, paths, explosive, cap, out_dir):
     """Write one CSV per simulated path plus a manifest."""
-    import os
-
     spec = measure.spec_from_json(config)
     seed = _resolve_seed(seed)
     started = time.monotonic()
     cfg = EngineConfig(eps=eps, seed=seed, cap=cap)
-    threads = min(simulate._usable_cpus(), simulate.MAX_THREADS)
     os.makedirs(out_dir, exist_ok=True)
     for start in range(0, paths, BLOCK_PATHS):
         csvs = simulate.block_csvs(spec, x0, t_end, cfg, start,
                                    min(BLOCK_PATHS, paths - start),
-                                   explosive, threads)
+                                   explosive)
         for i, csv in enumerate(csvs, start):
             with open(os.path.join(out_dir, f"path_{i:05d}.csv"), "wb") as fh:
                 fh.write(csv)
@@ -216,8 +214,6 @@ def _parse_grid(text):
 def verify(subcommand, config, x0, t, t_grid, u, paths, eps, eps_list, cap,
            seed, workers, out):
     """Run one Monte Carlo verification experiment and report z-scores."""
-    import os
-
     spec = measure.spec_from_json(config)
     seed = _resolve_seed(seed)
     cfg = EngineConfig(eps=eps, seed=seed, cap=cap)
@@ -289,12 +285,7 @@ def lemma_check(alpha_grid, u_grid, out):
             g1 = measure.lemma_a1_residual(a, uu)
             worst = max(worst, g1, g2)
             lines.append(f"{_fmt(a)},{_fmt(uu)},{_fmt(g1)},{_fmt(g2)}")
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(lines, out)
     sys.exit(0 if worst <= 1e-8 else 1)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 # scipy takes over half a second to import, so each function imports the
@@ -328,21 +328,11 @@ def _closed_form(spec: LevyMeasureSpec):
     return spec.c / gamma_constant(spec.alpha), spec.alpha - 1.0
 
 
-def _closed_form_rz(spec: LevyMeasureSpec):
-    """z -> R(1 - z) in closed form, or None when the spec has none.
-
-    It is evaluated in z, since forming 1 - z would corrupt the local power
-    law for z below ~1e-9.
-    """
-    closed = _closed_form(spec)
-    if closed is None:
-        return None
+def _closed_rz(closed, z: float) -> float:
+    """R(1 - z) = scale * (z - z^(alpha-1)), closed = _closed_form(spec),
+    in z: forming 1 - z would corrupt the power law for z below ~1e-9."""
     scale, am1 = closed
-
-    def rz(z):
-        return scale * (z - z ** am1)
-
-    return rz
+    return scale * (z - z ** am1)
 
 
 def r_function(spec: LevyMeasureSpec, u: float, method: str = "auto") -> float:
@@ -356,11 +346,11 @@ def r_function(spec: LevyMeasureSpec, u: float, method: str = "auto") -> float:
         raise DomainError(f"R(u) is only defined for u <= 1, got u={u}")
     if method not in ("auto", "closed", "quad"):
         raise InvalidParameter(f"unknown method {method!r}")
-    rz = _closed_form_rz(spec)
-    if method == "closed" and rz is None:
+    closed = _closed_form(spec)
+    if method == "closed" and closed is None:
         raise InvalidParameter("closed form available only for tilted power with beta=1")
-    if rz is not None and method != "quad":
-        return rz(1.0 - u)
+    if closed is not None and method != "quad":
+        return _closed_rz(closed, 1.0 - u)
     b = validate(spec).b
     integral = integrate_against(
         spec, lambda xi: math.expm1(u * xi) - u * xi,
@@ -374,8 +364,9 @@ def r_callables(spec: LevyMeasureSpec):
     With a closed form both evaluate it in z.  Otherwise every call of R
     goes through r_function by quadrature, and R(1 - z) forms 1 - z.
     """
-    rz = _closed_form_rz(spec)
-    if rz is not None:
+    closed = _closed_form(spec)
+    if closed is not None:
+        rz = partial(_closed_rz, closed)
         return (lambda u: rz(1.0 - u)), rz
 
     def r(u):

@@ -136,31 +136,15 @@ class ExperimentReport:
 # Path fan-out
 # ---------------------------------------------------------------------------
 
-def _collect(kind: str, spec: LevyMeasureSpec, x0: float, t_end: float,
-             config: EngineConfig, n_paths: int,
-             n_workers: Optional[int] = None) -> np.ndarray:
-    """Terminal values (conservative) or end codes (explosive) of paths
-    0 .. n_paths-1, simulated in this process as one block.
-
-    With the kernel, n_workers is how many threads its calls run on: by
-    default one per CPU this process may run on, and at most
-    simulate.MAX_THREADS and n_paths.  Without it the Python loop runs
-    every path and n_workers is ignored.  Every path draws from its own
-    stream, so results are bit-identical across thread counts.
-    """
+def _collect(spec: LevyMeasureSpec, x0: float, t_end: float,
+             config: EngineConfig, n_paths: int, explosive: bool,
+             n_workers: Optional[int] = None) -> simulate.PathEnds:
+    """The ends of paths 0 .. n_paths-1, as one block of simulate.fan_out
+    on n_workers threads: the same bits on any number of them."""
     if n_paths < 2:
         raise InvalidConfig(f"need at least 2 paths, got {n_paths}")
-    if n_workers is not None and n_workers < 1:
-        raise InvalidConfig(f"workers must be >= 1, got {n_workers}")
-    kernel = simulate.fan_out_engine().name == "kernel"
-    cpus = simulate._usable_cpus() if n_workers is None else n_workers
-    threads = min(cpus, n_paths, simulate.MAX_THREADS) if kernel else 1
-    _log.debug("fan-out: %d %s paths on %s", n_paths, kind,
-               f"{threads} kernel threads" if kernel
-               else "the Python loop in this process")
-    engine = (simulate.conservative_terminals if kind == "conservative"
-              else simulate.explosive_ends)
-    return engine(spec, x0, t_end, config, 0, n_paths, threads)
+    return simulate.fan_out(spec, x0, t_end, config, 0, n_paths, explosive,
+                            n_workers)
 
 
 def _make_estimate(samples: np.ndarray, theory: float,
@@ -203,7 +187,8 @@ def estimate_mgf(spec: LevyMeasureSpec, x0: float, t: float, u: float,
     if u == 0.0:
         return McEstimate(mean=1.0, stderr=0.0, n_paths=n_paths,
                           theory=1.0, z_score=0.0)
-    terminals = _collect("conservative", spec, x0, t, config, n_paths, n_workers)
+    terminals = _collect(spec, x0, t, config, n_paths, False,
+                         n_workers).terminal
     samples = np.exp(u * terminals)
     return _make_estimate(samples, theory, variance_warning=u > U_MAX_ACCEPTED)
 
@@ -216,7 +201,8 @@ def estimate_mean(spec: LevyMeasureSpec, x0: float, t: float,
     config = config or default_config()
     mom = measure.validate(spec)
     theory = x0 * math.exp(-mom.b * t)
-    terminals = _collect("conservative", spec, x0, t, config, n_paths, n_workers)
+    terminals = _collect(spec, x0, t, config, n_paths, False,
+                         n_workers).terminal
     return _make_estimate(terminals, theory)
 
 
@@ -233,7 +219,7 @@ def estimate_survival(untilted: LevyMeasureSpec, x0: float, t: float,
     config = config or default_config()
     g_minus = riccati.minimal_solution(measure.tilted_spec(untilted), t)
     theory = math.exp(x0 * (g_minus - 1.0))
-    ends = _collect("explosive", untilted, x0, t, config, n_paths, n_workers)
+    ends = _collect(untilted, x0, t, config, n_paths, True, n_workers).end
     stopped = int(np.count_nonzero(ends == simulate.END_MAX_EVENTS))
     if stopped:
         _log.warning("%d of %d explosive paths reached max_events=%d and "
@@ -311,8 +297,8 @@ def bias_sweep(spec: LevyMeasureSpec, x0: float, t: float, u: float,
     history = []
     for eps in eps_list:
         cfg = replace(config, eps=eps)
-        terminals = _collect("conservative", spec, x0, t, cfg, n_paths,
-                             n_workers)
+        terminals = _collect(spec, x0, t, cfg, n_paths, False,
+                             n_workers).terminal
         samples = terminals if u == 0.0 else np.exp(u * terminals)
         est = _make_estimate(samples, theory,
                              variance_warning=u > U_MAX_ACCEPTED)

@@ -8,10 +8,12 @@ through 1 carries the true expectation of the exponential process.
 By the paper's integral criterion the process is a strict local
 martingale exactly when 1/R is integrable at 1.  Among validated specs
 that is the tilted power with beta = 1 and 1 < alpha < 2 (see classify),
-where R(1 - z) = s (z - z^(alpha-1)) and w = (1 - g)^(2-alpha) solves a
-linear ODE: the verdict, the whole flow (expected_value and the minimal
-branch) and the time map are closed forms there.  solve stays the
-Runge-Kutta integration on every spec, and time_map keeps the quadrature
+the specs for which measure._closed_form is not None: classify,
+time_map and minimal_solution decide Strict by that test on a validated
+spec.  There R(1 - z) = s (z - z^(alpha-1)) and w = (1 - g)^(2-alpha)
+solves a linear ODE, so the verdict's T(1/2) and the whole flow
+(expected_value and the minimal branch) are closed forms.  solve stays
+the Runge-Kutta integration on every spec, and time_map the quadrature
 of the integral itself: each is an independent check of the closed forms.
 """
 
@@ -164,50 +166,6 @@ def _fit_exponent(r):
     return p, stderr
 
 
-def _osgood_integral(rz):
-    """The map lower -> -int_{lower}^1 du / R(u), with the endpoint
-    singularity removed.
-
-    Takes R(1-z) as a function of z.  Substitutes 1 - u = s^(1/(1-p)) so
-    that for |R(1-z)| ~ C z^p the integrand is bounded at s = 0; the
-    exponent is estimated locally at z ~ 1e-8, where the power law is much
-    cleaner than on the fit grid used for classification.  The exponent
-    and the integrand are fixed here, once, for every call of the map.
-    Below z = 1e-250 the integrand is not evaluated: the map raises
-    QuadratureFailure where the integral there, estimated from the local
-    power law at 1e-250, exceeds 1e-9 of the result (alpha near 2).
-    """
-    v7, v9 = -rz(1e-7), -rz(1e-9)
-    if v7 <= 0 or v9 <= 0:
-        raise DomainError("R must be negative just below 1")
-    p = math.log(v7 / v9) / math.log(1e2)
-    if p >= 1.0 - 1e-3:
-        raise DivergentIntegral(f"local exponent {p} leaves 1/R non-integrable")
-    k = 1.0 / (1.0 - p)
-    limit0 = -k * 1e-8 ** p / rz(1e-8)
-    floor = 1e-250
-    v0, v1 = -rz(floor), -rz(10.0 * floor)
-    p0 = math.log(v1 / v0) / math.log(10.0) if min(v0, v1) > 0 else 1.0
-    tail = floor / ((1.0 - p0) * v0) if p0 < 1.0 else math.inf
-
-    def integrand(s):
-        z = s ** k
-        if z < floor:
-            return limit0
-        return k * s ** (k - 1.0) / (-rz(z))
-
-    def integral(lower):
-        value = measure._quad(integrand, 0.0, (1.0 - lower) ** (1.0 - p),
-                              epsrel=1e-11, epsabs=1e-14, tolerate=1e-8)
-        if not tail <= 1e-9 * value:
-            raise QuadratureFailure(
-                f"an estimated {tail / value:.2g} of the time map at {lower} "
-                f"lies below 1 - u = {floor}, beyond the quadrature")
-        return value
-
-    return integral
-
-
 @lru_cache(maxsize=128)
 def classify(spec: LevyMeasureSpec) -> Classification:
     """Decide Strict vs TrueMartingale by the integral criterion.
@@ -249,15 +207,46 @@ def time_map(spec: LevyMeasureSpec, x: float) -> float:
 
     Only finite in the strict regime; raises DivergentIntegral otherwise.
     This is the quadrature of the paper's integral, independent of the
-    closed forms classify and minimal_solution use.
+    closed forms classify and minimal_solution use.  1 - u = s^(1/(1-p))
+    bounds the integrand at s = 0 for |R(1-z)| ~ C z^p, with p estimated
+    at z ~ 1e-8, where the power law is cleaner than on classify's fit
+    grid.  Below z = 1e-250 the integrand is not evaluated: raises
+    QuadratureFailure where the local power law there puts 1e-9 or more
+    of the result (alpha near 2).
     """
     if not (0.0 < x < 1.0):
         raise DomainError(f"time_map needs x in (0, 1), got {x}")
-    cls = classify(spec)
-    if cls.verdict != STRICT:
+    measure.validate(spec)
+    if measure._closed_form(spec) is None:
         raise DivergentIntegral(
-            f"time map diverges: measure classified {cls.verdict}")
-    return _osgood_integral(measure.r_callables(spec)[1])(x)
+            f"time map diverges: measure classified {TRUE_MARTINGALE}")
+    rz = measure.r_callables(spec)[1]
+    v7, v9 = -rz(1e-7), -rz(1e-9)
+    if v7 <= 0 or v9 <= 0:
+        raise DomainError("R must be negative just below 1")
+    p = math.log(v7 / v9) / math.log(1e2)
+    if p >= 1.0 - 1e-3:
+        raise DivergentIntegral(f"local exponent {p} leaves 1/R non-integrable")
+    k = 1.0 / (1.0 - p)
+    limit0 = -k * 1e-8 ** p / rz(1e-8)
+    floor = 1e-250
+    v0, v1 = -rz(floor), -rz(10.0 * floor)
+    p0 = math.log(v1 / v0) / math.log(10.0) if min(v0, v1) > 0 else 1.0
+    tail = floor / ((1.0 - p0) * v0) if p0 < 1.0 else math.inf
+
+    def integrand(s):
+        z = s ** k
+        if z < floor:
+            return limit0
+        return k * s ** (k - 1.0) / (-rz(z))
+
+    value = measure._quad(integrand, 0.0, (1.0 - x) ** (1.0 - p),
+                          epsrel=1e-11, epsabs=1e-14, tolerate=1e-8)
+    if not tail <= 1e-9 * value:
+        raise QuadratureFailure(
+            f"an estimated {tail / value:.2g} of the time map at {x} "
+            f"lies below 1 - u = {floor}, beyond the quadrature")
+    return value
 
 
 def minimal_solution(spec: LevyMeasureSpec, t: float) -> float:
@@ -270,9 +259,9 @@ def minimal_solution(spec: LevyMeasureSpec, t: float) -> float:
     """
     if not (t >= 0):
         raise DomainError(f"t must be nonnegative, got {t}")
-    if classify(spec).verdict != STRICT:
-        return 1.0
-    return _closed_flow(measure._closed_form(spec), 1.0, t)
+    measure.validate(spec)
+    closed = measure._closed_form(spec)
+    return 1.0 if closed is None else _closed_flow(closed, 1.0, t)
 
 
 def expected_value(spec: LevyMeasureSpec, x0: float, t: float, u: float) -> float:
@@ -281,7 +270,7 @@ def expected_value(spec: LevyMeasureSpec, x0: float, t: float, u: float) -> floa
     On the Strict family g is the closed-form flow; on every other spec
     solve integrates it.
     """
-    if u > 1.0:
+    if not (u <= 1.0):
         raise DomainError(f"exponential moment undefined for u > 1, got {u}")
     closed = measure._closed_form(spec)
     if u == 1.0:

@@ -19,10 +19,11 @@ Every path runs on _kernel.c, the same loop compiled on first use into
 ${XDG_CACHE_HOME:-~/.cache}/jumplm: the same Philox streams, the scalar
 loop's operations in its order and the libm exp, log and pow that math
 calls, so every path ends, and records its events, bit for bit as
-_run_engine does.  The Monte Carlo fan-out (conservative_terminals,
-explosive_ends) runs a block of paths per call, on as many threads as it
-is given, each claiming the next path; since every path has its own
-stream, the results are the same bits on any number of threads.
+_run_engine does.  The Monte Carlo fan-out, fan_out, runs a block of
+paths per call, on as many threads as it is given, each claiming the next
+path, and returns the whole per-path record, PathEnds: each path's end
+code, last t, x and jump count, and terminal value.  Since every path has
+its own stream, the results are the same bits on any number of threads.
 simulate_path and simulate_explosive_path run a block of one, on one
 thread; block_csvs, behind `jumplm simulate`, runs a block of many on
 threads and records every path's events.  A recording path grows its own
@@ -64,8 +65,8 @@ __all__ = [
     "EXPLODED",
     "simulate_path",
     "simulate_explosive_path",
-    "conservative_terminals",
-    "explosive_ends",
+    "fan_out",
+    "PathEnds",
     "END_HORIZON", "END_CAP", "END_MAX_EVENTS",
     "FanOutEngine",
     "fan_out_engine",
@@ -194,6 +195,8 @@ def _rates(spec: LevyMeasureSpec, x0: float, t_end: float, eps: float,
     """
     if not (x0 > 0):
         raise DomainError(f"x0 must be positive, got {x0}")
+    if x0 == math.inf:
+        raise DomainError(f"x0 must be finite, got {x0}")
     if not (t_end >= 0):
         raise DomainError(f"t_end must be nonnegative, got {t_end}")
     if not explosive:
@@ -228,14 +231,6 @@ END_HORIZON, END_CAP, END_MAX_EVENTS = 0, 1, 2
 
 # the most threads a kernel call runs a block on, as in _kernel.c
 MAX_THREADS = 64
-
-
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -346,15 +341,15 @@ def fan_out_engine() -> FanOutEngine:
 # events of path i as the (2, n_i) array, times then sizes, at
 # events[2 * offsets[i]:2 * offsets[i + 1]] (both None unless recorded;
 # n_i is 0 for a path the kernel stopped on an error)
-_PathEnds = collections.namedtuple("_PathEnds",
-                                   "end t x n terminal events offsets")
+PathEnds = collections.namedtuple("PathEnds",
+                                  "end t x n terminal events offsets")
 
 
 def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
-                explosive, record=False, threads=1) -> _PathEnds:
+                explosive, record=False, threads=1) -> PathEnds:
     """Paths start .. start+count-1 on the kernel lib, each call on up to
     threads threads; without a kernel (lib None), the arrays for _fan_out
-    to fill.  With record, also every path's events (see _PathEnds).
+    to fill.  With record, also every path's events (see PathEnds).
 
     A kernel call returns after about 2^22 events, so Ctrl-C stops a
     long block between calls.  A recording path keeps its events in a
@@ -363,9 +358,9 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
     frees the buffers however the calls end.
     """
     if lib is None:
-        return _PathEnds(np.empty(count, np.int8), np.empty(count),
-                         np.empty(count), np.empty(count, np.int64),
-                         np.empty(count), None, None)
+        return PathEnds(np.empty(count, np.int8), np.empty(count),
+                        np.empty(count), np.empty(count, np.int64),
+                        np.empty(count), None, None)
     job = _Job(key0=config.seed % 2 ** 64, start=start, count=count, x0=x0,
                t_end=t_end, lam=lam, delta=delta, cap=config.cap,
                max_events=config.max_events, explosive=explosive,
@@ -407,12 +402,12 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
         if record:      # moves the events, once every path ran, and frees
             lib.jumplm_take(held, held + 8 * count, count,
                             None if events is None else events.ctypes.data)
-    return _PathEnds(buf[4 * count:words].view(np.int8)[:count], t, x, n,
-                     terminal, events, offsets)
+    return PathEnds(buf[4 * count:words].view(np.int8)[:count], t, x, n,
+                    terminal, events, offsets)
 
 
 def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
-             record=False, threads=1) -> _PathEnds:
+             record=False, threads=1) -> PathEnds:
     """The ends of paths start .. start+count-1, for an engine whose
     inputs _rates checked: the kernel, then _run_engine for each path the
     kernel stopped where the scalar loop raises (for every path when there
@@ -472,35 +467,42 @@ def _path(spec, x0, t_end, config, path_index, record, explosive) -> Path:
                 terminal=None if exploded else float(out.terminal[0]))
 
 
-def conservative_terminals(spec: LevyMeasureSpec, x0: float, t_end: float,
-                           config: EngineConfig, start: int,
-                           count: int, threads: int = 1) -> np.ndarray:
-    """Terminal values of conservative paths start .. start+count-1, on up
-    to threads kernel threads.
+def _threads(threads: Optional[int], count: int) -> int:
+    """The fan-out's thread count: by default one per CPU this process may
+    run on; at most MAX_THREADS and count."""
+    if threads is None:
+        try:
+            threads = len(os.sched_getaffinity(0))
+        except AttributeError:      # no affinity call on this platform
+            threads = os.cpu_count() or 1
+    elif threads < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {threads}")
+    return min(threads, MAX_THREADS, count)
 
-    Equal bit for bit, on any number of threads, to simulate_path(spec,
-    x0, t_end, config, i, record=False).terminal for each i; raises what
-    simulate_path raises on the first path that raises, MaxEventsExceeded
-    with the same message when a path reaches config.max_events.
+
+def fan_out(spec: LevyMeasureSpec, x0: float, t_end: float,
+            config: EngineConfig, start: int, count: int, explosive: bool,
+            threads: Optional[int] = None) -> PathEnds:
+    """The ends of conservative (with explosive, explosive) paths
+    start .. start+count-1, on up to threads kernel threads: by default
+    one per CPU this process may run on, at most MAX_THREADS and count.
+    Without a kernel the Python loop runs every path.
+
+    Equal bit for bit, on any number of threads, to simulate_path (or
+    simulate_explosive_path) with record=False for each path, and raises
+    what that raises on the first path that raises.  end is END_HORIZON,
+    END_CAP or END_MAX_EVENTS as the path ended; terminal is NaN for an
+    exploded path.
     """
-    lam, delta = _rates(spec, x0, t_end, config.eps, explosive=False)
+    threads = _threads(threads, count)
+    lam, delta = _rates(spec, x0, t_end, config.eps, explosive)
+    kernel = fan_out_engine().name == "kernel"
+    _log.debug("fan-out: %d %s paths on %s", count,
+               "explosive" if explosive else "conservative",
+               f"{threads} kernel threads" if kernel
+               else "the Python loop in this process")
     return _fan_out(spec, x0, t_end, config, start, count, lam, delta,
-                    explosive=False, threads=threads).terminal
-
-
-def explosive_ends(untilted: LevyMeasureSpec, x0: float, t_end: float,
-                   config: EngineConfig, start: int,
-                   count: int, threads: int = 1) -> np.ndarray:
-    """End codes of explosive paths start .. start+count-1 (int8), on up
-    to threads kernel threads.
-
-    END_HORIZON for a path alive at t_end, END_CAP for one that crossed
-    config.cap and END_MAX_EVENTS for one stopped at config.max_events
-    jumps; simulate_explosive_path marks the latter two exploded.
-    """
-    lam, delta = _rates(untilted, x0, t_end, config.eps, explosive=True)
-    return _fan_out(untilted, x0, t_end, config, start, count, lam, delta,
-                    explosive=True, threads=threads).end
+                    explosive, threads=threads)
 
 
 def simulate_explosive_path(untilted: LevyMeasureSpec, x0: float, t_end: float,
@@ -541,7 +543,7 @@ def evaluate(path: Path, t: float):
 
 def _format_block(events, offsets, threads=1) -> List[Optional[bytes]]:
     """The rows "%.17g,%.17g\\n" % event of each path of a recorded block
-    (see _PathEnds), formatted by the kernel on up to threads threads, as
+    (see PathEnds), formatted by the kernel on up to threads threads, as
     ASCII; None for a path whose values the kernel's formatter does not
     reach, and for every path without a kernel."""
     lib = _kernel()[0]
@@ -584,16 +586,19 @@ def export_path_csv(path: Path, stream) -> None:
 
 def block_csvs(spec: LevyMeasureSpec, x0: float, t_end: float,
                config: EngineConfig, start: int, count: int,
-               explosive: bool, threads: int = 1) -> List[bytes]:
+               explosive: bool,
+               threads: Optional[int] = None) -> List[bytes]:
     """The CSVs export_path_csv writes for simulate_explosive_path (or,
     without explosive, simulate_path) of paths start .. start+count-1, as
     ASCII bytes.
 
     The block is simulated, recorded and formatted by the kernel on up to
-    threads threads, with the same bytes; rows the kernel's formatter does
-    not reach, and every path without a kernel, are formatted by Python.
-    Raises what the first path to raise raises, before any CSV is made.
+    threads threads (_threads), with the same bytes; rows the kernel's
+    formatter does not reach, and every path without a kernel, are
+    formatted by Python.  Raises what the first path to raise raises,
+    before any CSV is made.
     """
+    threads = _threads(threads, count)
     lam, delta = _rates(spec, x0, t_end, config.eps, explosive)
     out = _fan_out(spec, x0, t_end, config, start, count, lam, delta,
                    explosive, record=True, threads=threads)

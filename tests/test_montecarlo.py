@@ -186,11 +186,11 @@ def test_fan_out_runs_on_kernel_threads_or_in_process(ref_spec, monkeypatch,
 
     def collect(n_paths, n_workers):
         caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="jumplm.montecarlo"):
-            got = montecarlo._collect("conservative", ref_spec, 1.0, 1.0, cfg,
-                                      n_paths, n_workers)
+        with caplog.at_level(logging.DEBUG, logger="jumplm.simulate"):
+            got = montecarlo._collect(ref_spec, 1.0, 1.0, cfg, n_paths,
+                                      False, n_workers).terminal
         return got, [r.getMessage() for r in caplog.records
-                     if r.name == "jumplm.montecarlo"]
+                     if r.name == "jumplm.simulate"]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     threaded, log = collect(4500, 3)
@@ -215,6 +215,22 @@ def test_collect_rejects_non_positive_workers(ref_spec, n_workers):
                                  EngineConfig(eps=1e-2, seed=1), n_workers)
 
 
+@pytest.mark.parametrize("call", [
+    lambda spec, cfg: simulate.simulate_path(spec, math.inf, 1.0, cfg),
+    lambda spec, cfg: simulate.simulate_explosive_path(
+        measure.untilted_spec(spec), math.inf, 1.0, cfg),
+    lambda spec, cfg: simulate.fan_out(spec, math.inf, 1.0, cfg, 0, 2, False),
+    lambda spec, cfg: simulate.fan_out(measure.untilted_spec(spec), math.inf,
+                                       1.0, cfg, 0, 2, True),
+    lambda spec, cfg: montecarlo.estimate_mean(spec, math.inf, 1.0, 2, cfg),
+], ids=["path", "explosive-path", "fan-out", "explosive-fan-out", "mean"])
+def test_infinite_x0_raises_domain_error(ref_spec, call):
+    # a conservative path from x0 = inf would run to max_events, and an
+    # explosive one explode at t = 0: neither starts
+    with pytest.raises(DomainError, match="^x0 must be finite, got inf$"):
+        call(ref_spec, EngineConfig(eps=1e-2, seed=1))
+
+
 @st.composite
 def _split(draw):
     """n_paths and the sorted starts of the later blocks of a split of
@@ -234,36 +250,38 @@ def _split(draw):
        n_workers=st.sampled_from([None, 1, 3]), threads=st.integers(1, 3))
 def test_collect_equals_any_split(ref_spec, kind, kernel, split, seed,
                                   n_workers, threads):
-    # every path draws from its own stream, so the one block of _collect is
-    # the bytes of consecutive blocks over any split of its paths, on any
-    # thread counts; max_events = 50 stops some explosive paths, and
-    # cap = 2 with max_events = 5 ends about a third of them each way, so
-    # that swapping two paths changes their end codes two times in three
+    # every path draws from its own stream, so each column of the one
+    # block of _collect (end codes, last t, x and jump counts, terminals)
+    # is the bytes of consecutive blocks over any split of its paths, on
+    # any thread counts; max_events = 50 stops some explosive paths, and
+    # cap = 2 with max_events = 5 ends about a third of them each way
     if kernel and simulate.fan_out_engine().name != "kernel":
         pytest.skip(simulate.fan_out_engine().detail)
     n_paths, cuts = split
-    if kind == "conservative":
+    explosive = kind != "conservative"
+    if not explosive:
         spec, t_end = ref_spec, 1.0
         cfg = EngineConfig(eps=1e-2, seed=seed)
-        engine = simulate.conservative_terminals
     else:
         spec, t_end = measure.untilted_spec(ref_spec), T_HALF
         cap, max_events = (1e5, 50) if kind == "explosive" else (2.0, 5)
         cfg = EngineConfig(eps=1e-2, seed=seed, cap=cap,
                            max_events=max_events)
-        engine = simulate.explosive_ends
-        kind = "explosive"
     bounds = [0, *cuts, n_paths]
     with pytest.MonkeyPatch.context() as mp:
         if not kernel:
             mp.setattr(simulate, "_kernel", lambda: (
                 None, simulate.FanOutEngine("python", "disabled")))
-        got = montecarlo._collect(kind, spec, 1.0, t_end, cfg, n_paths,
+        got = montecarlo._collect(spec, 1.0, t_end, cfg, n_paths, explosive,
                                   n_workers)
-        want = np.concatenate([engine(spec, 1.0, t_end, cfg, a, b - a,
-                                      threads)
-                               for a, b in zip(bounds, bounds[1:])])
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        blocks = [simulate.fan_out(spec, 1.0, t_end, cfg, a, b - a,
+                                   explosive, threads)
+                  for a, b in zip(bounds, bounds[1:])]
+    for column in ("end", "t", "x", "n", "terminal"):
+        have = getattr(got, column)
+        want = np.concatenate([getattr(out, column) for out in blocks])
+        assert have.dtype == want.dtype, column
+        assert have.tobytes() == want.tobytes(), column
 
 
 def test_collect_table_sampler_matches_paths():
@@ -271,7 +289,7 @@ def test_collect_table_sampler_matches_paths():
     # arrays, the single-path view one uniform at a time
     spec = measure.LevyMeasureSpec.tilted_power(1.0, 1.05, 200.0)
     cfg = EngineConfig(eps=0.05, seed=3)
-    got = montecarlo._collect("conservative", spec, 7e6, 1.0, cfg, 200)
+    got = montecarlo._collect(spec, 7e6, 1.0, cfg, 200, False).terminal
     want = [simulate.simulate_path(spec, 7e6, 1.0, cfg, i,
                                    record=False).terminal
             for i in range(200)]
@@ -364,21 +382,24 @@ def test_collect_without_kernel(monkeypatch, ref_spec):
     conservative_cfg = EngineConfig(eps=1e-3, seed=8)
     runs = [("explosive", untilted, T_HALF, explosive_cfg),
             ("conservative", ref_spec, 1.0, conservative_cfg)]
-    want = [montecarlo._collect(kind, spec, 1.0, t, cfg, 500)
-            for kind, spec, t, cfg in runs]
+    def collect(kind, spec, t, cfg):
+        out = montecarlo._collect(spec, 1.0, t, cfg, 500, kind == "explosive")
+        return out.end if kind == "explosive" else out.terminal
+
+    want = [collect(*run) for run in runs]
     assert set(want[0].tolist()) == {simulate.END_HORIZON, simulate.END_CAP,
                                      simulate.END_MAX_EVENTS}
     monkeypatch.setattr(simulate, "_kernel", lambda: (
         None, simulate.FanOutEngine("python", "disabled")))
     assert simulate.fan_out_engine().name == "python"
     for (kind, spec, t, cfg), arr in zip(runs, want):
-        got = montecarlo._collect(kind, spec, 1.0, t, cfg, 500)
+        got = collect(kind, spec, t, cfg)
         assert got.dtype == arr.dtype and np.array_equal(got, arr)
     with pytest.raises(MaxEventsExceeded,
                        match="^conservative path reached 3 events$"):
-        montecarlo._collect("conservative", ref_spec, 1.0, 1.0,
+        montecarlo._collect(ref_spec, 1.0, 1.0,
                             dataclasses.replace(conservative_cfg,
-                                                max_events=3), 500)
+                                                max_events=3), 500, False)
 
 
 def test_survival_counts_max_events_stops(ref_spec, caplog):

@@ -10,7 +10,7 @@ from scipy import integrate
 
 from jumplm import measure, riccati, simulate
 from jumplm.errors import (DivergentIntegral, DomainError, JumplmError,
-                           QuadratureFailure)
+                           NonIntegrableTail, QuadratureFailure)
 
 
 def closed_g(t, u):
@@ -408,11 +408,13 @@ def test_time_map_agrees_or_raises_near_alpha_2(alpha):
     lambda spec: riccati.minimal_solution(spec, math.nan),
     lambda spec: riccati.expected_value(spec, 1.0, math.nan, 0.5),
     lambda spec: riccati.expected_value(spec, 1.0, math.nan, 1.0),
+    lambda spec: riccati.expected_value(spec, 1.0, 0.0, math.nan),
 ], ids=["solve-nan", "solve-inf", "solve-u0-nan", "minimal-nan",
-        "expected-nan", "expected-nan-at-1"])
+        "expected-nan", "expected-nan-at-1", "expected-u-nan-at-0"])
 def test_non_finite_horizons_raise_domain_error(ref_spec, call):
     # a NaN horizon, and an infinite one for the ODE, is no time to
-    # integrate to; it neither hangs nor gives a number
+    # integrate to, and a NaN u no moment to take, even at t = 0; it
+    # neither hangs nor gives a number
     with pytest.raises(DomainError):
         call(ref_spec)
 
@@ -434,3 +436,32 @@ def test_one_quadrature_callers_load_no_kernel(ref_spec, tabulated_spec,
             == GOLDEN_CLASSIFY["ref"][1])
     assert riccati.time_map(ref_spec, 0.75) == pytest.approx(2.0 * math.log(2.0),
                                                              rel=1e-9)
+
+
+# time_map(ref_spec, x) at x = 1/4, 1/2 and 3/4, to the bit
+GOLDEN_TIME_MAP = {0.25: 4.020210154969527, 0.5: 2.455894354599031,
+                   0.75: 1.3862943611198904}
+
+
+def test_strict_is_decided_without_classify(ref_spec, tabulated_spec,
+                                            monkeypatch):
+    # minimal_solution and time_map read Strict off measure._closed_form of
+    # the validated spec: classify and its exponent fit are not consulted
+    def forbidden(spec):
+        raise AssertionError("classify called")
+
+    monkeypatch.setattr(riccati, "classify", forbidden)
+    for t, g in GOLDEN_MINIMAL.items():
+        assert riccati.minimal_solution(ref_spec, t) == g
+    for x, t in GOLDEN_TIME_MAP.items():
+        assert riccati.time_map(ref_spec, x) == t
+    assert riccati.minimal_solution(tabulated_spec, 1.0) == 1.0
+    with pytest.raises(DivergentIntegral, match="^time map diverges: "
+                       "measure classified TrueMartingale$"):
+        riccati.time_map(tabulated_spec, 0.5)
+    not_valid = measure.LevyMeasureSpec.tilted_power(1.0, 1.5, 0.5)
+    for call in (riccati.minimal_solution, riccati.time_map):
+        with pytest.raises(NonIntegrableTail) as raised:
+            call(not_valid, 0.5)
+        assert str(raised.value) == ("int_1^inf e^xi mu(dxi) diverges for "
+                                     "beta=0.5 < 1")

@@ -267,7 +267,7 @@ def test_conservative_terminals_match_simulate_path(
             "tilted": measure.LevyMeasureSpec.tilted_power(0.7, 1.3, 2.0),
             "tabulated": tabulated_spec}[name]
     cfg = simulate.EngineConfig(eps=eps, seed=seed)
-    got = simulate.conservative_terminals(spec, x0, t_end, cfg, start, count)
+    got = simulate.fan_out(spec, x0, t_end, cfg, start, count, False).terminal
     assert np.array_equal(
         got, _scalar_terminals(spec, x0, t_end, cfg, start, count))
 
@@ -275,7 +275,7 @@ def test_conservative_terminals_match_simulate_path(
 def test_conservative_terminals_long_streams(ref_spec):
     # eps = 1e-4 at x0 = 4: many paths outrun their first row of uniforms
     cfg = simulate.EngineConfig(eps=1e-4, seed=5)
-    got = simulate.conservative_terminals(ref_spec, 4.0, 1.0, cfg, 0, 20)
+    got = simulate.fan_out(ref_spec, 4.0, 1.0, cfg, 0, 20, False).terminal
     assert np.array_equal(got,
                           _scalar_terminals(ref_spec, 4.0, 1.0, cfg, 0, 20))
 
@@ -286,7 +286,7 @@ def test_conservative_terminals_infinite_proposals():
     # in the scalar loop, and beta = 1 rejects it
     spec = measure.LevyMeasureSpec.tilted_power(1.0, 1.01, 1.0)
     cfg = simulate.EngineConfig(eps=1e-2, seed=1)
-    got = simulate.conservative_terminals(spec, 1000.0, 1.0, cfg, 0, 60)
+    got = simulate.fan_out(spec, 1000.0, 1.0, cfg, 0, 60, False).terminal
     assert got[1] == 2.2079233543599667e-41
     assert np.array_equal(got, _scalar_terminals(spec, 1000.0, 1.0, cfg, 0, 60))
 
@@ -298,10 +298,10 @@ def test_conservative_terminals_max_events(ref_spec):
     tight = dataclasses.replace(cfg, max_events=most)
     with pytest.raises(MaxEventsExceeded,
                        match=f"^conservative path reached {most} events$"):
-        simulate.conservative_terminals(ref_spec, 1.0, 2.0, tight, 0, 40)
+        simulate.fan_out(ref_spec, 1.0, 2.0, tight, 0, 40, False)
     loose = dataclasses.replace(cfg, max_events=most + 1)
     assert np.array_equal(
-        simulate.conservative_terminals(ref_spec, 1.0, 2.0, loose, 0, 40),
+        simulate.fan_out(ref_spec, 1.0, 2.0, loose, 0, 40, False).terminal,
         _scalar_terminals(ref_spec, 1.0, 2.0, cfg, 0, 40))
 
 
@@ -870,8 +870,8 @@ def test_kernel_threads_match_one_thread(name, explosive, tabulated_spec,
     if not explosive and stop_delta is None:
         # a path at max_events raises the scalar loop's error and message
         def terminals(threads):
-            return lambda: simulate.conservative_terminals(
-                spec, x0, t_end, cfg, start, count, threads)
+            return lambda: simulate.fan_out(
+                spec, x0, t_end, cfg, start, count, False, threads).terminal
         assert _outcome(terminals(3)) == _outcome(terminals(1))
 
 
