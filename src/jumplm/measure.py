@@ -16,8 +16,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 # scipy takes over half a second to import, so each function imports the
-# submodule it uses: closed-form paths, such as simulating an untilted
-# power, never load it
+# submodule it uses.  The tilted power's tail intensity and small-jump
+# mean are incomplete gammas computed here (_upper_gamma, _lower_gamma),
+# so simulating a tilted power whose jumps Pareto rejection draws never
+# loads it
 
 from .errors import (
     DomainError,
@@ -375,9 +377,79 @@ def r_callables(spec: LevyMeasureSpec):
     return r, (lambda z: r(1.0 - z))
 
 
+# stands in for a zero denominator in the modified Lentz method
+_LENTZ_TINY = 1e-300
+# terms of the series below x = 1: the k-th is at most e/k! of the sum,
+# and e/20! < 1e-18
+_SERIES_TERMS = 20
+
+
+def _upper_gamma(s: float, x: float) -> float:
+    """Gamma(s, x) = int_x^inf t^(s-1) e^-t dt for -1 < s < 2 and x > 0.
+
+    From x = 1 on, Legendre's continued fraction (DLMF 8.9) by the
+    modified Lentz method, until a step leaves it unchanged: within about
+    150 steps there.  Below 1, Gamma(s, 1) from it plus
+    int_x^1 t^(s-1) e^-t dt, expanded in e^-t as
+    sum_k (-1)^k / k! * (1 - x^(s+k)) / (s+k) (the series of DLMF 8.7,
+    taken from x to 1).  Each (1 - x^p) / p is an expm1, and -log(x) at
+    p = 0, so nothing cancels for s at or near 0, where Gamma(0, x) is
+    E_1(x), or near -1.
+    """
+    if x >= 1.0:
+        scale = math.exp(-x)
+        if scale == 0.0:        # and Gamma(s, x) ~ x^(s-1) e^-x < 1e-320
+            return 0.0
+        b = f = x + 1.0 - s      # > 0, as x >= 1 and s < 2
+        c, d, delta, i = f, 0.0, 0.0, 0
+        while delta != 1.0:
+            i += 1
+            a = -i * (i - s)
+            b += 2.0
+            d = b + a * d
+            d = 1.0 / (d if d != 0.0 else _LENTZ_TINY)
+            c = b + a / c
+            if c == 0.0:
+                c = _LENTZ_TINY
+            delta = c * d
+            f *= delta
+        return x ** s * scale / f
+    log_x = math.log(x)
+    total, term = 0.0, 1.0
+    for k in range(_SERIES_TERMS):
+        p = s + k
+        total += term * (-log_x if p == 0.0 else -math.expm1(p * log_x) / p)
+        term = -term / (k + 1)
+    return _upper_gamma(s, 1.0) + total
+
+
+def _lower_gamma(s: float, x: float) -> float:
+    """gamma(s, x) = int_0^x t^(s-1) e^-t dt for 0 < s < 2 and x > 0.
+
+    Below x = 1, the series x^s e^-x sum_k x^k / (s (s+1) ... (s+k)) of
+    DLMF 8.7, whose terms are all positive; from 1 on,
+    Gamma(s) - Gamma(s, x), which loses at most two bits there.
+    """
+    if x >= 1.0:
+        return math.gamma(s) - _upper_gamma(s, x)
+    total, term = 0.0, 1.0 / s
+    for k in range(1, _SERIES_TERMS + 1):
+        total += term
+        term *= x / (s + k)
+    return x ** s * math.exp(-x) * total
+
+
 @lru_cache(maxsize=1024)
 def tail_intensity(spec: LevyMeasureSpec, eps: float) -> float:
-    """Lambda(eps) = mu([eps, inf)), the truncated jump intensity."""
+    """Lambda(eps) = mu([eps, inf)), the truncated jump intensity.
+
+    For a tilted power with beta > 0 this is c beta^(alpha-1)
+    Gamma(1-alpha, beta eps).  Gamma(1-alpha, x) comes from Gamma(2-alpha, x)
+    by the recurrence (Gamma(2-alpha, x) - x^(1-alpha) e^-x) / (1-alpha)
+    where that difference keeps at least half of its larger term, which
+    holds at small x unless alpha is near 1; elsewhere (alpha at or near 1,
+    and large x, where the two terms cancel) _upper_gamma gives it directly.
+    """
     if not (eps > 0):
         raise DomainError(f"eps must be positive, got {eps}")
     if spec.kind == "tilted_power":
@@ -386,14 +458,14 @@ def tail_intensity(spec: LevyMeasureSpec, eps: float) -> float:
             if a <= 1.0:
                 raise DomainError("untilted power tail diverges for alpha <= 1")
             return c * eps ** (1.0 - a) / (a - 1.0)
-        from scipy import special
         x = bta * eps
-        if a == 1.0:
-            return float(c * special.exp1(x))
-        # Gamma(1-a, x) via the recurrence from Gamma(2-a, x), 2-a in (0, 1)
-        g_upper = math.gamma(2.0 - a) * special.gammaincc(2.0 - a, x)
-        g_1ma = (g_upper - x ** (1.0 - a) * math.exp(-x)) / (1.0 - a)
-        return float(c * bta ** (a - 1.0) * g_1ma)
+        g_upper = _upper_gamma(2.0 - a, x)
+        head = x ** (1.0 - a) * math.exp(-x)
+        if abs(g_upper - head) > 0.5 * max(g_upper, head):
+            g_1ma = (g_upper - head) / (1.0 - a)
+        else:
+            g_1ma = _upper_gamma(1.0 - a, x)
+        return c * bta ** (a - 1.0) * g_1ma
     if spec.tilt_rate <= 0.0:
         raise DomainError("tabulated measure without tilt has divergent tail mass")
     return integrate_against(spec, lambda xi: 1.0, lower=eps)
@@ -401,16 +473,18 @@ def tail_intensity(spec: LevyMeasureSpec, eps: float) -> float:
 
 @lru_cache(maxsize=1024)
 def small_jump_mean(spec: LevyMeasureSpec, eps: float) -> float:
-    """m(eps) = int_0^eps xi mu(dxi), the mean drift of truncated jumps."""
+    """m(eps) = int_0^eps xi mu(dxi), the mean drift of truncated jumps.
+
+    For a tilted power with beta > 0 this is
+    c beta^(alpha-2) gamma(2-alpha, beta eps), by _lower_gamma.
+    """
     if not (eps > 0):
         raise DomainError(f"eps must be positive, got {eps}")
     if spec.kind == "tilted_power":
         a, bta, c = spec.alpha, spec.beta, spec.c
         if bta == 0.0:
             return c * eps ** (2.0 - a) / (2.0 - a)
-        from scipy import special
-        return float(c * bta ** (a - 2.0) * math.gamma(2.0 - a)
-                     * special.gammainc(2.0 - a, bta * eps))
+        return c * bta ** (a - 2.0) * _lower_gamma(2.0 - a, bta * eps)
     return integrate_against(spec, lambda xi: xi, upper=eps)
 
 

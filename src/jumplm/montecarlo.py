@@ -178,15 +178,14 @@ def estimate_mgf(spec: LevyMeasureSpec, x0: float, t: float, u: float,
     The sample variance of e^{uX} needs the 2u-exponential moment, which
     exists only up to u = 1/2; estimates with u > 1/2 are flagged with
     variance_warning and excluded from pass/fail accounting downstream.
+    At u = 0 every sample is 1 and the estimate is exact, but the paths
+    still run, so its inputs are checked as at any other u.
     """
     if u > 1.0:
         raise DomainError(f"exponential moment undefined for u > 1, got {u}")
     config = config or default_config()
     measure.validate(spec)
     theory = riccati.expected_value(spec, x0, t, u)
-    if u == 0.0:
-        return McEstimate(mean=1.0, stderr=0.0, n_paths=n_paths,
-                          theory=1.0, z_score=0.0)
     terminals = _collect(spec, x0, t, config, n_paths, False,
                          n_workers).terminal
     samples = np.exp(u * terminals)

@@ -272,6 +272,8 @@ def expected_value(spec: LevyMeasureSpec, x0: float, t: float, u: float) -> floa
     """
     if not (u <= 1.0):
         raise DomainError(f"exponential moment undefined for u > 1, got {u}")
+    if not math.isfinite(x0):
+        raise DomainError(f"x0 must be finite, got {x0}")
     closed = measure._closed_form(spec)
     if u == 1.0:
         g = minimal_solution(spec, t)

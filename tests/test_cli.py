@@ -293,9 +293,10 @@ def test_lemma_check_grid_error_lines(runner, args, line):
     assert res.output == line + "\n"
 
 
-def test_help_and_explosive_simulate_load_no_scipy(tmp_path, untilted_json):
-    # scipy and the process pool are imported on first use: the import,
-    # --help and an explosive simulation of an untilted power reach neither
+def _run_loading_no_scipy(tmp_path, *commands):
+    """Run each command line through jumplm.cli.main in one fresh process,
+    checking that it exits 0 and that no scipy module or process pool has
+    been imported after the import of jumplm and after each command."""
     code = ("import sys\n"
             "import jumplm, jumplm.cli\n"
             "def loaded():\n"
@@ -308,12 +309,28 @@ def test_help_and_explosive_simulate_load_no_scipy(tmp_path, untilted_json):
             "    except SystemExit as exc:\n"
             "        assert exc.code == 0, (args, exc.code)\n"
             "    assert loaded() == [], (args, loaded()[:5])\n")
-    simulate = (f"simulate {untilted_json} --explosive --eps 1e-2 --cap 1e5 "
-                f"--seed 1 --paths 3 --out-dir {tmp_path / 'out'}")
     src = os.path.dirname(os.path.dirname(measure.__file__))
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"), PYTHONPATH=src)
-    subprocess.run([sys.executable, "-c", code, "--help", simulate], env=env,
+    subprocess.run([sys.executable, "-c", code, *commands], env=env,
                    check=True, stdout=subprocess.DEVNULL)
+
+
+def test_help_and_explosive_simulate_load_no_scipy(tmp_path, untilted_json):
+    # scipy and the process pool are imported on first use: the import,
+    # --help and an explosive simulation of an untilted power reach neither
+    simulate = (f"simulate {untilted_json} --explosive --eps 1e-2 --cap 1e5 "
+                f"--seed 1 --paths 3 --out-dir {tmp_path / 'out'}")
+    _run_loading_no_scipy(tmp_path, "--help", simulate)
+    assert (tmp_path / "out" / "path_00002.csv").exists()
+
+
+def test_tilted_simulate_and_verify_mean_load_no_scipy(tmp_path, ref_json):
+    # the reference's Lambda(eps) and m(eps) (beta = 1) are incomplete
+    # gammas computed in measure, and verify mean's theory is x0 e^(-b t)
+    simulate = (f"simulate {ref_json} --eps 1e-3 --seed 1 --paths 3 "
+                f"--out-dir {tmp_path / 'out'}")
+    mean = f"verify mean {ref_json} --eps 1e-3 --paths 2000 --seed 1"
+    _run_loading_no_scipy(tmp_path, simulate, mean)
     assert (tmp_path / "out" / "path_00002.csv").exists()
 
 

@@ -3,8 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import stats
+from hypothesis import example, given, settings, strategies as st
+from scipy import integrate, special, stats
 
 from jumplm import measure
 from jumplm.errors import (
@@ -121,6 +121,62 @@ def test_tail_intensity_reference(ref_spec):
 def test_small_jump_mean_reference(ref_spec):
     assert measure.small_jump_mean(ref_spec, 1.0) == pytest.approx(
         math.erf(1.0) / 2.0, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@example(s=0.0, x=1e-12)
+@example(s=2.0 ** -52, x=700.0)
+@example(s=0.5, x=1.0)
+@example(s=2.0 - 2.0 ** -52, x=1e-12)
+@given(s=st.one_of(st.just(0.0), st.floats(2.0 ** -52, 2.0, exclude_max=True)),
+       x=st.floats(1e-12, 700.0))
+def test_incomplete_gamma_matches_scipy(s, x):
+    # 1e-12 relative wherever scipy's regularized value is a normal float;
+    # at x = 700 scipy's own exp(s ln x - x - lgamma(s)) is good to ~1e-13
+    if s == 0.0:
+        assert measure._upper_gamma(0.0, x) == pytest.approx(
+            special.exp1(x), rel=1e-12, abs=0.0)
+        return
+    g = math.gamma(s)
+    q, p = special.gammaincc(s, x), special.gammainc(s, x)
+    if q >= 1e-300:
+        assert measure._upper_gamma(s, x) == pytest.approx(g * q, rel=1e-12,
+                                                           abs=0.0)
+    if p >= 1e-300:
+        assert measure._lower_gamma(s, x) == pytest.approx(g * p, rel=1e-12,
+                                                           abs=0.0)
+
+
+# beta eps = 500 and 600: (1.2, 100, 6) evaluates the Gamma(-0.2, 600) of
+# (1.2, 1, 600), whose eps lies past integrate_against's split at 30
+@settings(max_examples=60, deadline=None)
+@example(alpha=0.5, beta=100.0, eps=5.0)
+@example(alpha=1.2, beta=100.0, eps=6.0)
+@example(alpha=1.999, beta=0.1, eps=1e-4)
+@example(alpha=1.0 + 1e-8, beta=6.7, eps=5.2)
+@example(alpha=1.0, beta=100.0, eps=7.0)
+@given(alpha=st.one_of(st.just(1.0), st.floats(0.01, 1.999),
+                       st.floats(1.99, 1.999)),
+       beta=st.floats(-1.0, 2.0).map(lambda v: 10.0 ** v),
+       eps=st.floats(-4.0, math.log10(7.0)).map(lambda v: 10.0 ** v))
+def test_truncation_functions_match_quadrature(alpha, beta, eps):
+    # beta eps reaches 700, where the recurrence from Gamma(2 - alpha, x)
+    # to Gamma(1 - alpha, x) would cancel.  Lambda is scaled to 1 (by c)
+    # so that integrate_against's absolute tolerance does not set its
+    # error.  m is checked against QUADPACK's rule for the weight
+    # xi^(1-alpha) (QAWS), which takes the power at 0 exactly:
+    # integrate_against, asked for 1e-11, resolves it only to about 1e-12
+    # (3e-11 at the alpha = 1 + 1e-8 example)
+    spec = measure.LevyMeasureSpec.tilted_power(1.0, alpha, beta)
+    scaled = spec.scaled(1.0 / measure.tail_intensity(spec, eps))
+    assert measure.tail_intensity(scaled, eps) == pytest.approx(
+        measure.integrate_against(scaled, lambda xi: 1.0, lower=eps),
+        rel=1e-12, abs=0.0)
+    quad = integrate.quad(lambda xi: math.exp(-beta * xi), 0.0, eps,
+                          weight="alg", wvar=(1.0 - alpha, 0.0), epsabs=0.0,
+                          epsrel=1e-13, full_output=True)[0]
+    assert measure.small_jump_mean(spec, eps) == pytest.approx(
+        quad, rel=1e-12, abs=0.0)
 
 
 def test_untilted_truncation_functions():

@@ -61,6 +61,20 @@ def test_estimate_mgf_u0_is_exact(ref_spec, cfg):
     assert est.mean == 1.0 and est.stderr == 0.0 and est.z_score == 0.0
 
 
+@pytest.mark.parametrize("u", [0.0, 0.5])
+@pytest.mark.parametrize("x0,n_paths,n_workers,error,message", [
+    (math.inf, 1, 0, DomainError, "x0 must be finite, got inf"),
+    (1.0, 1, 0, InvalidConfig, "need at least 2 paths, got 1"),
+    (1.0, 100, 0, InvalidConfig, "workers must be >= 1, got 0"),
+])
+def test_estimate_mgf_checks_inputs_at_every_u(ref_spec, cfg, u, x0, n_paths,
+                                               n_workers, error, message):
+    # u = 0 has an exact answer, yet raises what any other u raises, in the
+    # same order: each case is also bad in every check after its own
+    with pytest.raises(error, match=f"^{message}$"):
+        montecarlo.estimate_mgf(ref_spec, x0, 1.0, u, n_paths, cfg, n_workers)
+
+
 def test_estimate_mgf_variance_warning(ref_spec, cfg):
     est = montecarlo.estimate_mgf(ref_spec, 1.0, 0.5, 0.9, n_paths=500,
                                   config=cfg)
@@ -130,18 +144,17 @@ def test_survival_theory_loads_no_scipy():
 
 
 def test_mgf_theory_loads_no_ode_solver():
-    # the theory of estimate_mgf on the reference is the closed-form flow:
-    # scipy.integrate, with optimize and linalg, and cffi stay unloaded;
-    # scipy.special still comes in for the sampler's tail intensity
+    # the theory of estimate_mgf on the reference is the closed-form flow,
+    # and the sampler's tail intensity and small-jump mean are incomplete
+    # gammas computed in measure: no scipy module loads, and no cffi
     code = ("import sys\n"
             "from jumplm import measure, montecarlo\n"
             "from jumplm.simulate import EngineConfig\n"
             "montecarlo.estimate_mgf(measure.reference_spec(), 1.0, 1.0, 0.5,\n"
             "                        500, EngineConfig(eps=1e-4, seed=1))\n"
-            "loaded = sorted(m for m in sys.modules if m.startswith(\n"
-            "    ('scipy.integrate', 'scipy.optimize', 'cffi')))\n"
-            "assert loaded == [], loaded[:5]\n"
-            "assert 'scipy.special' in sys.modules\n")
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.startswith(('scipy', 'cffi')))\n"
+            "assert loaded == [], loaded[:5]\n")
     src = os.path.dirname(os.path.dirname(measure.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

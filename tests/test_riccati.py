@@ -183,6 +183,14 @@ def test_expected_value_rejects_u_above_one(ref_spec):
         riccati.expected_value(ref_spec, 1.0, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("u", [0.0, 0.5, 1.0])
+def test_expected_value_rejects_infinite_x0(ref_spec, u):
+    # exp(x0 g) at x0 = inf is NaN at u = 0, where g = 0, and inf or 0
+    # elsewhere
+    with pytest.raises(DomainError, match="^x0 must be finite, got inf$"):
+        riccati.expected_value(ref_spec, math.inf, 1.0, u)
+
+
 @settings(max_examples=20, deadline=None)
 @given(u=st.floats(min_value=-2.0, max_value=0.95),
        t=st.floats(min_value=0.01, max_value=8.0))

@@ -221,6 +221,18 @@ def test_golden_paths(ref_spec):
     assert len(path.events) == 518
 
 
+@pytest.mark.parametrize("eps,rates", [
+    (1e-4, (55.42460015658139, 0.9943582922220751)),
+    (1e-3, (16.859079429743648, 0.98216470413516)),
+    (1e-2, (4.69822094996297, 0.9437685419908575)),
+])
+def test_reference_rates(eps, rates):
+    # (Lambda, delta) to the bit on the reference: the conservative golden
+    # paths and the mgf-conservative benchmark operations run on these
+    assert simulate._rates(measure.reference_spec(), 1.0, 1.0, eps,
+                           False) == rates
+
+
 def test_uniform_stream_is_philox_per_path():
     # 3000 draws cross the 256-draw first block and two 1024-draw blocks
     next_u = simulate._uniforms(12, 34)
@@ -287,7 +299,7 @@ def test_conservative_terminals_infinite_proposals():
     spec = measure.LevyMeasureSpec.tilted_power(1.0, 1.01, 1.0)
     cfg = simulate.EngineConfig(eps=1e-2, seed=1)
     got = simulate.fan_out(spec, 1000.0, 1.0, cfg, 0, 60, False).terminal
-    assert got[1] == 2.2079233543599667e-41
+    assert got[1] == 2.207923354359983e-41
     assert np.array_equal(got, _scalar_terminals(spec, 1000.0, 1.0, cfg, 0, 60))
 
 
@@ -372,7 +384,7 @@ def test_infinite_proposals_complete():
     # beta > 0 rejects them; this path meets at least one
     cfg = simulate.EngineConfig(eps=1e-2, seed=1)
     path = simulate.simulate_path(tilted, 1000.0, 1.0, cfg, 1)
-    assert path.terminal == 2.2079233543599667e-41
+    assert path.terminal == 2.207923354359983e-41
     assert len(path.events) == 49
 
 
