@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, asdict
 
 import click
-import numpy as np
 
 from . import __version__ as VERSION
 from . import measure, montecarlo, riccati, simulate
@@ -110,6 +109,7 @@ def classify(config):
               help="write CSV here instead of stdout")
 def riccati_cmd(config, u0, t_end, steps, out):
     """Solve dg/dt = R(g) and emit the curve as CSV (t, g)."""
+    import numpy as np
     sol = riccati.solve(measure.spec_from_json(config), u0, t_end)
     grid = np.linspace(0.0, t_end, steps + 1)
     lines = ["t,g"]
@@ -126,6 +126,7 @@ def riccati_cmd(config, u0, t_end, steps, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def defect_curve(config, x0, t_max, steps, out):
     """CSV of (t, g_minus, expected_S, defect) for a Strict measure."""
+    import numpy as np
     spec = measure.spec_from_json(config)
     if riccati.classify(spec).verdict != riccati.STRICT:
         click.echo("defect identically zero", err=True)

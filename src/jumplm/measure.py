@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-import numpy as np
-# scipy takes over half a second to import, so each function imports the
-# submodule it uses.  The tilted power's tail intensity and small-jump
-# mean are incomplete gammas computed here (_upper_gamma, _lower_gamma),
-# so simulating a tilted power whose jumps Pareto rejection draws never
-# loads it
+# scipy takes over half a second to import, and numpy over a tenth, so
+# each function imports what it uses.  The tilted power's tail intensity
+# and small-jump mean are incomplete gammas computed here (_upper_gamma,
+# _lower_gamma), so simulating a tilted power whose jumps Pareto rejection
+# draws loads neither
 
 from .errors import (
     DomainError,
@@ -115,6 +114,7 @@ class LevyMeasureSpec:
     def _interp(self):
         interp = getattr(self, "_log_interp", None)
         if interp is None:
+            import numpy as np
             from scipy import interpolate
             xs = np.array([p[0] for p in self.points])
             logd = np.log([p[1] for p in self.points])
@@ -124,6 +124,7 @@ class LevyMeasureSpec:
 
     def density(self, xi):
         """Pointwise density of the measure; vectorized over xi."""
+        import numpy as np
         xi = np.asarray(xi, dtype=float)
         if self.kind == "tilted_power":
             return self.c * np.exp(-self.beta * xi) * xi ** (-self.alpha)
@@ -223,11 +224,13 @@ def integrate_against(spec: LevyMeasureSpec, f, lower: float = 0.0,
     if upper > 1.0:
         a = max(lower, 1.0)
         # split once more so quad's infinite-interval map behaves on the tail
-        if upper == math.inf:
+        if upper == math.inf and a < 30.0:
             total += _quad(g_tail, a, 30.0, epsrel=epsrel)
-            total += _quad(g_tail, 30.0, math.inf, epsrel=epsrel)
-        else:
-            total += _quad(g_tail, a, upper, epsrel=epsrel)
+            a = 30.0
+        # from lower = 30 on the whole integral can lie far below the
+        # absolute tolerance, so only the relative one applies
+        total += _quad(g_tail, a, upper, epsrel=epsrel,
+                       epsabs=0.0 if lower >= 30.0 else _QUAD_EPSABS)
     return total
 
 
@@ -499,6 +502,8 @@ class _TableSampler:
         lam = tail_intensity(spec, eps)
         if not lam > 0:
             raise DomainError(f"tail intensity vanishes at eps={eps}")
+        import numpy as np
+        from scipy import interpolate
         # resolve the tail out to where only ~1e-12 of the mass remains
         hi = eps
         while tail_intensity(spec, hi) > 1e-12 * lam:
@@ -509,7 +514,6 @@ class _TableSampler:
             0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
         cdf /= cdf[-1]
         keep = np.concatenate([[True], np.diff(cdf) > 0])
-        from scipy import interpolate
         self._inv = interpolate.PchipInterpolator(cdf[keep], grid[keep])
 
     def sample(self, next_u) -> float:

@@ -1,10 +1,10 @@
 """Monte Carlo verification experiments against the analytic theory.
 
-Each experiment fans paths out over counter-based RNG streams, aggregates
-with numpy's pairwise summation so the result does not depend on how the
-paths were split across kernel threads, and compares the estimate to a
-theory value recomputed from the Riccati machinery.  Reports serialize to
-JSON and a CSV mirror with a pass/fail flag per row at |z| <= 3.
+Each experiment runs its paths over counter-based RNG streams, counts the
+surviving ones or sums the terminal values with numpy (imported there),
+and compares the estimate to a theory value recomputed from the Riccati
+machinery.  Reports serialize to JSON and a CSV mirror with a pass/fail
+flag per row at |z| <= 3.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import measure, riccati, simulate
 from .errors import DomainError, InvalidConfig
@@ -147,16 +145,19 @@ def _collect(spec: LevyMeasureSpec, x0: float, t_end: float,
                             n_workers)
 
 
-def _make_estimate(samples: np.ndarray, theory: float,
-                   bernoulli: bool = False,
+def _make_estimate(samples, theory: float,
                    variance_warning: bool = False) -> McEstimate:
+    """The mean of the numpy array samples, with its standard error."""
+    import numpy as np
     n = samples.size
     mean = float(np.sum(samples) / n)
-    if bernoulli:
-        stderr = math.sqrt(max(mean * (1.0 - mean), 0.0) / n)
-    else:
-        var = float(np.sum((samples - mean) ** 2) / (n - 1))
-        stderr = math.sqrt(var / n)
+    var = float(np.sum((samples - mean) ** 2) / (n - 1))
+    return _estimate(mean, math.sqrt(var / n), n, theory, variance_warning)
+
+
+def _estimate(mean: float, stderr: float, n: int, theory: float,
+              variance_warning: bool = False) -> McEstimate:
+    """mean +- stderr over n paths, with its z-score against theory."""
     if stderr > 0.0:
         z = (mean - theory) / stderr
     else:
@@ -183,11 +184,12 @@ def estimate_mgf(spec: LevyMeasureSpec, x0: float, t: float, u: float,
     """
     if u > 1.0:
         raise DomainError(f"exponential moment undefined for u > 1, got {u}")
+    import numpy as np
     config = config or default_config()
     measure.validate(spec)
     theory = riccati.expected_value(spec, x0, t, u)
-    terminals = _collect(spec, x0, t, config, n_paths, False,
-                         n_workers).terminal
+    terminals = np.frombuffer(_collect(spec, x0, t, config, n_paths, False,
+                                       n_workers).terminal)
     samples = np.exp(u * terminals)
     return _make_estimate(samples, theory, variance_warning=u > U_MAX_ACCEPTED)
 
@@ -197,11 +199,12 @@ def estimate_mean(spec: LevyMeasureSpec, x0: float, t: float,
                   config: Optional[EngineConfig] = None,
                   n_workers: Optional[int] = None) -> McEstimate:
     """Estimate E[X_t]; the theory value is x0 * exp(-b t)."""
+    import numpy as np
     config = config or default_config()
     mom = measure.validate(spec)
     theory = x0 * math.exp(-mom.b * t)
-    terminals = _collect(spec, x0, t, config, n_paths, False,
-                         n_workers).terminal
+    terminals = np.frombuffer(_collect(spec, x0, t, config, n_paths, False,
+                                       n_workers).terminal)
     return _make_estimate(terminals, theory)
 
 
@@ -219,13 +222,14 @@ def estimate_survival(untilted: LevyMeasureSpec, x0: float, t: float,
     g_minus = riccati.minimal_solution(measure.tilted_spec(untilted), t)
     theory = math.exp(x0 * (g_minus - 1.0))
     ends = _collect(untilted, x0, t, config, n_paths, True, n_workers).end
-    stopped = int(np.count_nonzero(ends == simulate.END_MAX_EVENTS))
+    stopped = ends.count(simulate.END_MAX_EVENTS)
     if stopped:
         _log.warning("%d of %d explosive paths reached max_events=%d and "
                      "were counted as explosions without crossing cap=%g",
                      stopped, n_paths, config.max_events, config.cap)
-    indicators = (ends == simulate.END_HORIZON).astype(float)
-    return _make_estimate(indicators, theory, bernoulli=True)
+    mean = ends.count(simulate.END_HORIZON) / n_paths
+    return _estimate(mean, math.sqrt(max(mean * (1.0 - mean), 0.0) / n_paths),
+                     n_paths, theory)
 
 
 def supermartingale_sweep(spec: LevyMeasureSpec, x0: float,
@@ -281,6 +285,7 @@ def bias_sweep(spec: LevyMeasureSpec, x0: float, t: float, u: float,
     fails when its difference exceeds the previous one beyond the combined
     3-sigma noise of the three estimates involved.
     """
+    import numpy as np
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InvalidConfig(f"eps_list must be strictly decreasing, got {eps_list}")
@@ -296,8 +301,8 @@ def bias_sweep(spec: LevyMeasureSpec, x0: float, t: float, u: float,
     history = []
     for eps in eps_list:
         cfg = replace(config, eps=eps)
-        terminals = _collect(spec, x0, t, cfg, n_paths, False,
-                             n_workers).terminal
+        terminals = np.frombuffer(_collect(spec, x0, t, cfg, n_paths, False,
+                                           n_workers).terminal)
         samples = terminals if u == 0.0 else np.exp(u * terminals)
         est = _make_estimate(samples, theory,
                              variance_warning=u > U_MAX_ACCEPTED)

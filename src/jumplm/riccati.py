@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-import numpy as np
-# scipy is imported where it is used, as in measure
+# numpy and scipy are imported where they are used, as in measure
 
 from . import measure
 from .errors import (DivergentIntegral, DomainError, QuadratureFailure,
@@ -114,6 +113,7 @@ def solve(spec: LevyMeasureSpec, u0: float, t_end: float) -> RiccatiSolution:
     finite-difference residual of the dense output, is computed when it
     is first read.
     """
+    import numpy as np
     _check_flow(u0, t_end)
     if t_end == 0.0:
         return RiccatiSolution(u0, 0,
@@ -151,6 +151,7 @@ def _fit_exponent(r):
     come out negative, as a validated measure's R is: the quadrature R
     has cancelled, as near alpha = 2, where b grows like Gamma(2 - alpha).
     """
+    import numpy as np
     zs = np.geomspace(1e-6, 1e-2, 9)
     vals = np.array([-r(1.0 - z) for z in zs])
     if np.any(vals <= 0):

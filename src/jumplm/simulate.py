@@ -19,25 +19,26 @@ Every path runs on _kernel.c, the same loop compiled on first use into
 ${XDG_CACHE_HOME:-~/.cache}/jumplm: the same Philox streams, the scalar
 loop's operations in its order and the libm exp, log and pow that math
 calls, so every path ends, and records its events, bit for bit as
-_run_engine does.  The Monte Carlo fan-out, fan_out, runs a block of
-paths per call, on as many threads as it is given, each claiming the next
-path, and returns the whole per-path record, PathEnds: each path's end
-code, last t, x and jump count, and terminal value.  Since every path has
-its own stream, the results are the same bits on any number of threads.
-simulate_path and simulate_explosive_path run a block of one, on one
-thread; block_csvs, behind `jumplm simulate`, runs a block of many on
-threads and records every path's events.  A recording path grows its own
-event buffer in the kernel as it runs, so every path runs once, whatever
-its length.  A kernel call takes one job record, _Job.  _run_engine, the
-reference, runs the paths the scalar loop raises on, and all of them
-when there is no kernel.  The kernel formats a recorded block's rows,
-the bytes "%.17g" gives, on threads; block_csvs formats them in Python
-without a kernel or where the kernel's formatter does not reach, and
-export_path_csv always does.
+_run_engine does.  The Monte Carlo fan-out, fan_out, runs a block of paths
+per call, on as many threads as it is given, each claiming the next path,
+and returns the whole per-path record, PathEnds: each path's end code,
+last t, x and jump count, and terminal value, in array.array columns.
+Every path has its own stream, so the results are the same bits on any
+number of threads.  simulate_path and simulate_explosive_path run a block
+of one, on one thread; block_csvs, behind `jumplm simulate`, runs a block
+of many on threads and records every path's events.  A recording path
+grows its own event buffer in the kernel as it runs, so every path runs
+once, whatever its length.  A kernel call takes one job record, _Job.
+_run_engine, the reference, runs the paths the scalar loop raises on, and
+all of them when there is no kernel.  The kernel formats a recorded
+block's rows, the bytes "%.17g" gives, on threads; block_csvs formats them
+in Python without a kernel or where the kernel's formatter does not reach,
+and export_path_csv always does.
 """
 
 from __future__ import annotations
 
+import array
 import collections
 import ctypes
 import functools
@@ -51,8 +52,6 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from . import measure
 from .errors import DomainError, InvalidConfig, MaxEventsExceeded
@@ -133,6 +132,7 @@ class Path:
 def _uniforms(seed: int, index: int):
     """next() over one path's uniforms: Philox(key=[seed, index]), drawn
     256 at a time first and 1024 at a time after that."""
+    import numpy as np
     # a uint64 key array: numpy reads a list holding an int >= 2**63 as
     # floats
     gen = np.random.Generator(np.random.Philox(
@@ -336,19 +336,30 @@ def fan_out_engine() -> FanOutEngine:
     return _kernel()[1]
 
 
-# per path: its end code, the event loop's last t, x and jump count, and
-# its terminal value (NaN unless END_HORIZON); for a recorded block, the
-# events of path i as the (2, n_i) array, times then sizes, at
-# events[2 * offsets[i]:2 * offsets[i + 1]] (both None unless recorded;
-# n_i is 0 for a path the kernel stopped on an error)
+# per path, as array.array columns: its end code ('b'), the event loop's
+# last t, x ('d') and jump count ('q'), and its terminal value ('d', NaN
+# unless END_HORIZON); for a recorded block, the n_i events of path i,
+# times then sizes, at events[2 * offsets[i]:2 * offsets[i + 1]] ('d' and
+# 'q'; both None unless recorded; n_i is 0 for a path the kernel stopped
+# on an error)
 PathEnds = collections.namedtuple("PathEnds",
                                   "end t x n terminal events offsets")
+
+
+def _zeros(typecode, count):
+    """An array.array of count zeros."""
+    return array.array(typecode, [0]) * count
+
+
+def _address(column):
+    """Where an array.array's items start (0 if none), or None for None."""
+    return None if column is None else column.buffer_info()[0]
 
 
 def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
                 explosive, record=False, threads=1) -> PathEnds:
     """Paths start .. start+count-1 on the kernel lib, each call on up to
-    threads threads; without a kernel (lib None), the arrays for _fan_out
+    threads threads; without a kernel (lib None), the columns for _fan_out
     to fill.  With record, also every path's events (see PathEnds).
 
     A kernel call returns after about 2^22 events, so Ctrl-C stops a
@@ -357,16 +368,17 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
     jumplm_take moves them into one array once the block is done, and
     frees the buffers however the calls end.
     """
+    out = PathEnds(_zeros("b", count), *(_zeros(code, count)
+                                         for code in "ddqd"), None, None)
     if lib is None:
-        return PathEnds(np.empty(count, np.int8), np.empty(count),
-                        np.empty(count), np.empty(count, np.int64),
-                        np.empty(count), None, None)
+        return out
     job = _Job(key0=config.seed % 2 ** 64, start=start, count=count, x0=x0,
                t_end=t_end, lam=lam, delta=delta, cap=config.cap,
                max_events=config.max_events, explosive=explosive,
                threads=threads)
     sampler = measure.make_jump_sampler(spec, config.eps)
     if isinstance(sampler, measure._TableSampler):
+        import numpy as np
         breaks = np.ascontiguousarray(sampler._inv.x, dtype=float)
         coefs = np.ascontiguousarray(sampler._inv.c, dtype=float)
         assert coefs.shape == (4, breaks.size - 1)
@@ -375,35 +387,25 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
     else:
         job.eps, job.inv_pow, job.beta = (sampler.eps, sampler._inv_pow,
                                           sampler._beta)
-    # one buffer: the t, x, n and terminal columns, the int8 end codes,
-    # then, with record, the address of each path's event buffer (NULL,
-    # the bits of 0.0, until the path runs) and the offsets of the paths'
-    # events
-    words = 4 * count + (count + 7) // 8
-    buf = np.zeros(words + 2 * count + 1) if record else np.empty(words)
-    base = buf.ctypes.data
-    job.t, job.x, job.n, job.terminal = (base + 8 * k * count
-                                         for k in range(4))
-    job.end = base + 32 * count
-    held = job.events = base + 8 * words if record else None
+    job.end, job.t, job.x, job.n, job.terminal = map(_address, out[:5])
+    # with record, the address of each path's event buffer, NULL until
+    # the path runs
+    held = _zeros("Q", count) if record else None
+    job.events = _address(held)
     events = offsets = None
     try:
         while job.first < count:
             job.first = lib.jumplm_run_paths(job)
-        t, x, n, terminal = buf[:4 * count].reshape(4, count)
-        n = n.view(np.int64)
         if record:
-            offsets = buf[words + count:].view(np.int64)
             # n is -1 where the kernel stopped on an error
-            offsets[1:] = list(itertools.accumulate(
-                max(k, 0) for k in n.tolist()))
-            events = np.empty(2 * int(offsets[-1]))
+            offsets = array.array("q", itertools.accumulate(
+                (max(k, 0) for k in out.n), initial=0))
+            events = _zeros("d", 2 * offsets[-1])
     finally:
         if record:      # moves the events, once every path ran, and frees
-            lib.jumplm_take(held, held + 8 * count, count,
-                            None if events is None else events.ctypes.data)
-    return PathEnds(buf[4 * count:words].view(np.int8)[:count], t, x, n,
-                    terminal, events, offsets)
+            lib.jumplm_take(_address(held), _address(offsets), count,
+                            _address(events))
+    return out._replace(events=events, offsets=offsets)
 
 
 def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
@@ -422,15 +424,15 @@ def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
     if lib is None:
         redo = range(count)
     else:   # the max alone, when no path is left over, is the cheaper test
-        redo = (np.flatnonzero(out.end > last)
-                if out.end.max(initial=0) > last else ())
+        redo = ([i for i, end in enumerate(out.end) if end > last]
+                if max(out.end, default=0) > last else ())
     runs = {}       # with record, the events of the paths run here
     for i in redo:
         if lib is not None and out.end[i] == END_MAX_EVENTS:
             raise MaxEventsExceeded(
                 f"conservative path reached {config.max_events} events")
         events, t, x, n, exploded, _ = _run_engine(
-            spec, x0, t_end, config, start + int(i), record, lam, delta,
+            spec, x0, t_end, config, start + i, record, lam, delta,
             explosive)
         out.t[i], out.x[i], out.n[i] = t, x, n
         out.end[i] = (END_HORIZON if not exploded else END_CAP
@@ -439,15 +441,17 @@ def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
         out.terminal[i] = (math.nan if exploded
                            else x * math.exp(-delta * (t_end - t)))
         if record:
-            runs[int(i)] = events
+            runs[i] = events
     if runs:
-        at = out.offsets
-        events = [np.array(runs[i], dtype=float).T.ravel() if i in runs
-                  else out.events[2 * at[i]:2 * at[i + 1]]
-                  for i in range(count)]
-        offsets = np.zeros(count + 1, np.int64)
-        np.cumsum(out.n, out=offsets[1:])
-        out = out._replace(events=np.concatenate(events), offsets=offsets)
+        at, events = out.offsets, array.array("d")
+        for i in range(count):
+            if i in runs:       # times, then sizes
+                for column in zip(*runs[i]):
+                    events.extend(column)
+            else:
+                events.extend(out.events[2 * at[i]:2 * at[i + 1]])
+        out = out._replace(events=events, offsets=array.array(
+            "q", itertools.accumulate(out.n, initial=0)))
     return out
 
 
@@ -458,13 +462,13 @@ def _path(spec, x0, t_end, config, path_index, record, explosive) -> Path:
                    explosive, record)
     events = []
     if record:
-        t, xi = out.events.reshape(2, -1).tolist()
-        events = list(zip(t, xi))
-    exploded = bool(out.end[0] != END_HORIZON)
+        n = out.n[0]
+        events = list(zip(out.events[:n], out.events[n:]))
+    exploded = out.end[0] != END_HORIZON
     return Path(x0=x0, events=events, decay_rate=delta, t_end=t_end,
                 eps=config.eps, exploded=exploded,
-                explosion_time=float(out.t[0]) if exploded else None,
-                terminal=None if exploded else float(out.terminal[0]))
+                explosion_time=out.t[0] if exploded else None,
+                terminal=None if exploded else out.terminal[0])
 
 
 def _threads(threads: Optional[int], count: int) -> int:
@@ -547,16 +551,17 @@ def _format_block(events, offsets, threads=1) -> List[Optional[bytes]]:
     ASCII; None for a path whose values the kernel's formatter does not
     reach, and for every path without a kernel."""
     lib = _kernel()[0]
-    count = offsets.size - 1
+    count = len(offsets) - 1
     if lib is None:
         return [None] * count
-    text = np.empty(48 * int(offsets[-1]), np.uint8)
-    lengths = np.empty(count, np.int64)
-    lib.jumplm_format_block(events.ctypes.data, offsets.ctypes.data, count,
-                            text.ctypes.data, lengths.ctypes.data, threads)
+    text = bytearray(48 * offsets[-1])
+    lengths = _zeros("q", count)
+    lib.jumplm_format_block(_address(events), _address(offsets), count,
+                            (ctypes.c_char * len(text)).from_buffer(text),
+                            _address(lengths), threads)
     text = memoryview(text)
     return [None if k < 0 else bytes(text[48 * at:48 * at + k])
-            for at, k in zip(offsets.tolist(), lengths.tolist())]
+            for at, k in zip(offsets, lengths)]
 
 
 def _python_rows(events) -> str:
@@ -602,15 +607,14 @@ def block_csvs(spec: LevyMeasureSpec, x0: float, t_end: float,
     lam, delta = _rates(spec, x0, t_end, config.eps, explosive)
     out = _fan_out(spec, x0, t_end, config, start, count, lam, delta,
                    explosive, record=True, threads=threads)
-    at = out.offsets.tolist()
+    at = out.offsets
     csvs = []
     for i, (rows, end, t) in enumerate(zip(
-            _format_block(out.events, out.offsets, threads),
-            out.end.tolist(), out.t.tolist())):
+            _format_block(out.events, at, threads), out.end, out.t)):
         if rows is None:
-            times, sizes = out.events[2 * at[i]:2 * at[i + 1]].reshape(
-                2, -1).tolist()
-            rows = _python_rows(zip(times, sizes)).encode("ascii")
+            n = at[i + 1] - at[i]
+            path = out.events[2 * at[i]:2 * at[i + 1]]
+            rows = _python_rows(zip(path[:n], path[n:])).encode("ascii")
         exploded = end != END_HORIZON
         csvs.append(_csv_head(x0, delta, config.eps, exploded, t_end,
                               t if exploded else None).encode("ascii") + rows)

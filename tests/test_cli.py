@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from jumplm import measure, simulate
+from jumplm import measure, montecarlo, simulate
 from jumplm.cli import main
 
 
@@ -293,22 +293,24 @@ def test_lemma_check_grid_error_lines(runner, args, line):
     assert res.output == line + "\n"
 
 
-def _run_loading_no_scipy(tmp_path, *commands):
+def _run_loading_no_scipy(tmp_path, *commands, numpy=False):
     """Run each command line through jumplm.cli.main in one fresh process,
-    checking that it exits 0 and that no scipy module or process pool has
-    been imported after the import of jumplm and after each command."""
+    checking that it exits 0 and that no scipy or numpy module or process
+    pool has been imported after the import of jumplm and after each
+    command; with numpy, the commands may import numpy."""
     code = ("import sys\n"
             "import jumplm, jumplm.cli\n"
-            "def loaded():\n"
+            "def loaded(numpy=False):\n"
             "    return sorted(m for m in sys.modules if m.startswith('scipy')\n"
-            "                  or m == 'concurrent.futures.process')\n"
+            "                  or m == 'concurrent.futures.process'\n"
+            "                  or not numpy and m.split('.')[0] == 'numpy')\n"
             "assert loaded() == [], loaded()[:5]\n"
             "for args in sys.argv[1:]:\n"
             "    try:\n"
             "        jumplm.cli.main(args.split())\n"
             "    except SystemExit as exc:\n"
             "        assert exc.code == 0, (args, exc.code)\n"
-            "    assert loaded() == [], (args, loaded()[:5])\n")
+            f"    assert loaded({numpy}) == [], (args, loaded()[:5])\n")
     src = os.path.dirname(os.path.dirname(measure.__file__))
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"), PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code, *commands], env=env,
@@ -316,8 +318,9 @@ def _run_loading_no_scipy(tmp_path, *commands):
 
 
 def test_help_and_explosive_simulate_load_no_scipy(tmp_path, untilted_json):
-    # scipy and the process pool are imported on first use: the import,
-    # --help and an explosive simulation of an untilted power reach neither
+    # scipy, numpy and the process pool are imported on first use: the
+    # import, --help and an explosive simulation of an untilted power reach
+    # none of them
     simulate = (f"simulate {untilted_json} --explosive --eps 1e-2 --cap 1e5 "
                 f"--seed 1 --paths 3 --out-dir {tmp_path / 'out'}")
     _run_loading_no_scipy(tmp_path, "--help", simulate)
@@ -326,12 +329,49 @@ def test_help_and_explosive_simulate_load_no_scipy(tmp_path, untilted_json):
 
 def test_tilted_simulate_and_verify_mean_load_no_scipy(tmp_path, ref_json):
     # the reference's Lambda(eps) and m(eps) (beta = 1) are incomplete
-    # gammas computed in measure, and verify mean's theory is x0 e^(-b t)
+    # gammas computed in measure, so simulating it loads neither scipy nor
+    # numpy; verify mean's theory is x0 e^(-b t), and its estimate sums
+    # the terminal values with numpy
     simulate = (f"simulate {ref_json} --eps 1e-3 --seed 1 --paths 3 "
                 f"--out-dir {tmp_path / 'out'}")
     mean = f"verify mean {ref_json} --eps 1e-3 --paths 2000 --seed 1"
-    _run_loading_no_scipy(tmp_path, simulate, mean)
+    _run_loading_no_scipy(tmp_path, simulate)
+    _run_loading_no_scipy(tmp_path, mean, numpy=True)
     assert (tmp_path / "out" / "path_00002.csv").exists()
+
+
+def test_verify_survival_loads_no_numpy(tmp_path, ref_json):
+    # the survival theory on the reference is the closed-form minimal
+    # branch, and the estimate counts the paths' end codes
+    survival = (f"verify survival {ref_json} --eps 1e-2 --cap 1e5 "
+                f"--t {2.0 * math.log(2.0)!r} --paths 300 --seed 3")
+    _run_loading_no_scipy(tmp_path, survival)
+
+
+def test_block_csvs_and_survival_need_no_numpy(ref_spec):
+    # with numpy unimportable, a recorded block and a survival estimate on
+    # the reference and its dual run, on the kernel, to the same outputs
+    if simulate.fan_out_engine().name != "kernel":
+        pytest.skip(simulate.fan_out_engine().detail)
+    t_half = 2.0 * math.log(2.0)
+    cfg = simulate.EngineConfig(eps=1e-2, seed=3, cap=1e5)
+    want = (simulate.block_csvs(ref_spec, 1.0, 1.0, cfg, 5, 40, False),
+            montecarlo.estimate_survival(measure.untilted_spec(ref_spec), 1.0,
+                                         t_half, 500, cfg))
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from jumplm import measure, montecarlo, simulate\n"
+            "ref = measure.reference_spec()\n"
+            "cfg = simulate.EngineConfig(eps=1e-2, seed=3, cap=1e5)\n"
+            "print(repr((simulate.block_csvs(ref, 1.0, 1.0, cfg, 5, 40, False),\n"
+            "            montecarlo.estimate_survival(\n"
+            f"                measure.untilted_spec(ref), 1.0, {t_half!r}, 500,\n"
+            "                cfg))))\n")
+    src = os.path.dirname(os.path.dirname(measure.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out == repr(want) + "\n"
 
 
 def test_simulate_csvs_without_kernel(runner, ref_json, untilted_json,

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from jumplm import measure
@@ -177,6 +177,39 @@ def test_truncation_functions_match_quadrature(alpha, beta, eps):
                           epsrel=1e-13, full_output=True)[0]
     assert measure.small_jump_mean(spec, eps) == pytest.approx(
         quad, rel=1e-12, abs=0.0)
+
+
+# the first two used to cancel between [30, lower] and [30, inf): 3.27e-20
+# for Lambda(40) = 4.93e-20, and -1.8e-17 at 600
+@settings(max_examples=60, deadline=None)
+@example(c=1.0, alpha=1.2, beta=1.0, lower=40.0)
+@example(c=1.0, alpha=1.2, beta=1.0, lower=600.0)
+@example(c=1.0, alpha=1.5, beta=1.0, lower=30.0)
+@example(c=2.6, alpha=1.68, beta=0.079, lower=632.6)
+@given(c=st.floats(-1.0, 1.0).map(lambda v: 10.0 ** v),
+       alpha=st.floats(0.01, 1.999),
+       beta=st.floats(0.05, 1.0),
+       lower=st.floats(30.0, 700.0))
+def test_far_tail_quadrature_matches_closed_form(c, alpha, beta, lower):
+    # from lower = 30 on, integrate_against takes [lower, inf) in one piece
+    # to its relative tolerance, 1e-11: Lambda, unscaled, lies far below
+    # the absolute one, 1e-13, there.  Lambda past the normal doubles is
+    # not checked
+    spec = measure.LevyMeasureSpec.tilted_power(c, alpha, beta)
+    lam = measure.tail_intensity(spec, lower)
+    assume(lam > 1e-290)
+    assert measure.integrate_against(spec, lambda xi: 1.0, lower=lower) == \
+        pytest.approx(lam, rel=1e-11, abs=0.0)
+
+
+def test_tabulated_tail_intensity_past_30():
+    # past its last point, 8, the table's density is 2^-8 e^(-2 (xi - 8)),
+    # so Lambda(40) = 2^-9 e^-64; it used to come out as -9.0e-29
+    spec = measure.LevyMeasureSpec.tabulated(
+        [(x, 2.0 ** -x) for x in (0.5, 1.0, 2.0, 4.0, 8.0)], 0.0, 2.0)
+    lam = measure.tail_intensity(spec, 40.0)
+    assert lam > 0.0
+    assert lam == pytest.approx(2.0 ** -9 * math.exp(-64.0), rel=1e-9, abs=0.0)
 
 
 def test_untilted_truncation_functions():

@@ -1,3 +1,4 @@
+import array
 import dataclasses
 import json
 import logging
@@ -5,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -291,7 +293,7 @@ def test_collect_equals_any_split(ref_spec, kind, kernel, split, seed,
                                    explosive, threads)
                   for a, b in zip(bounds, bounds[1:])]
     for column in ("end", "t", "x", "n", "terminal"):
-        have = getattr(got, column)
+        have = np.asarray(getattr(got, column))
         want = np.concatenate([getattr(out, column) for out in blocks])
         assert have.dtype == want.dtype, column
         assert have.tobytes() == want.tobytes(), column
@@ -397,7 +399,7 @@ def test_collect_without_kernel(monkeypatch, ref_spec):
             ("conservative", ref_spec, 1.0, conservative_cfg)]
     def collect(kind, spec, t, cfg):
         out = montecarlo._collect(spec, 1.0, t, cfg, 500, kind == "explosive")
-        return out.end if kind == "explosive" else out.terminal
+        return np.asarray(out.end if kind == "explosive" else out.terminal)
 
     want = [collect(*run) for run in runs]
     assert set(want[0].tolist()) == {simulate.END_HORIZON, simulate.END_CAP,
@@ -437,3 +439,48 @@ def test_survival_counts_max_events_stops(ref_spec, caplog):
         montecarlo.estimate_survival(untilted, 1.0, T_HALF, n_paths=2000,
                                      config=loose)
     assert caplog.records == []
+
+
+def _indicator_estimate(indicators, theory):
+    """The survival estimate as the mean of the 0/1 floats indicators, as
+    _make_estimate(np.array(indicators, float), theory, bernoulli=True)
+    computed it before estimate_survival counted the horizon ends."""
+    samples = np.array(indicators, float)
+    n = samples.size
+    mean = float(np.sum(samples) / n)
+    stderr = math.sqrt(max(mean * (1.0 - mean), 0.0) / n)
+    if stderr > 0.0:
+        z = (mean - theory) / stderr
+    else:
+        z = 0.0 if mean == theory else math.copysign(math.inf, mean - theory)
+    return montecarlo.McEstimate(mean=mean, stderr=stderr, n_paths=n,
+                                 theory=theory, z_score=z)
+
+
+_END_CODES = [simulate.END_HORIZON, simulate.END_CAP, simulate.END_MAX_EVENTS]
+
+
+@settings(max_examples=200, deadline=None)
+@example(ends=[simulate.END_HORIZON] * 2, t=T_HALF)
+@example(ends=[simulate.END_CAP, simulate.END_MAX_EVENTS], t=T_HALF)
+@example(ends=[simulate.END_HORIZON] * 100_000, t=0.0)
+@example(ends=[simulate.END_CAP] * 99_999 + [simulate.END_HORIZON], t=5.0)
+@given(ends=st.one_of(
+    st.lists(st.sampled_from(_END_CODES), min_size=2, max_size=5000),
+    st.builds(lambda code, n: [code] * n, st.sampled_from(_END_CODES),
+              st.integers(2, 5000))),
+    t=st.floats(0.0, 5.0))
+def test_survival_count_equals_indicator_mean(ends, t):
+    # estimate_survival counts the END_HORIZON ends: the count over n is
+    # the bits of the 0/1 floats' pairwise sum over n, and so is every
+    # field computed from it
+    ends = array.array("b", ends)
+    untilted = measure.untilted_spec(measure.reference_spec())
+    with mock.patch.object(montecarlo, "_collect", lambda *args:
+                           simulate.PathEnds(ends, *[None] * 6)):
+        got = montecarlo.estimate_survival(untilted, 1.0, t, len(ends),
+                                           EngineConfig(eps=1e-2))
+    want = _indicator_estimate([e == simulate.END_HORIZON for e in ends],
+                               got.theory)
+    for field in dataclasses.fields(montecarlo.McEstimate):
+        assert getattr(got, field.name) == getattr(want, field.name), field

@@ -1,3 +1,4 @@
+import array
 import contextlib
 import ctypes
 import dataclasses
@@ -438,7 +439,7 @@ def test_kernel_matches_run_engine(name, explosive, tabulated_spec, seed,
     lam, delta = simulate._rates(spec, x0, t_end, eps, explosive)
     got = simulate._kernel_run(_kernel_lib(), spec, x0, t_end, cfg, start,
                                count, lam, delta, explosive)
-    assert np.all(got.end <= simulate.END_MAX_EVENTS)
+    assert np.all(np.asarray(got.end) <= simulate.END_MAX_EVENTS)
     for i in range(count):
         _, t, x, n, exploded, _ = simulate._run_engine(
             spec, x0, t_end, cfg, start + i, False, lam, delta, explosive)
@@ -595,7 +596,7 @@ def test_kernel_block_spans_calls(ref_spec):
     got = simulate._kernel_run(lib, ref_spec, 1e5, 1.0, cfg, 3, 16, lam,
                                delta, False)
     assert len(lib.runs) == 2 and sum(lib.runs) == 16
-    assert got.n.sum() > 2 ** 22
+    assert np.asarray(got.n).sum() > 2 ** 22
     for i in range(16):
         one = simulate._kernel_run(lib, ref_spec, 1e5, 1.0, cfg, 3 + i, 1,
                                    lam, delta, False)
@@ -733,7 +734,8 @@ def test_recorded_blocks_match_run_engine(name, explosive, tabulated_spec,
     loose = cfg if explosive else dataclasses.replace(cfg,
                                                       max_events=10 ** 7)
     for i in range(count):
-        recorded = got.events[2 * got.offsets[i]:2 * got.offsets[i + 1]]
+        recorded = np.asarray(got.events)[
+            2 * got.offsets[i]:2 * got.offsets[i + 1]]
         if got.end[i] > simulate.END_MAX_EVENTS:
             assert got.n[i] == -1 and recorded.size == 0
             with pytest.raises(ArithmeticError):
@@ -874,7 +876,7 @@ def test_kernel_threads_match_one_thread(name, explosive, tabulated_spec,
     one = simulate._kernel_run(lib, spec, x0, t_end, cfg, start, count, lam,
                                delta, explosive)
     if stop_delta is not None:
-        assert np.all(one.end > simulate.END_MAX_EVENTS)
+        assert np.all(np.asarray(one.end) > simulate.END_MAX_EVENTS)
     for threads in (2, 3, 8):
         got = simulate._kernel_run(lib, spec, x0, t_end, cfg, start, count,
                                    lam, delta, explosive, threads=threads)
@@ -1006,11 +1008,11 @@ def _csv(path):
 
 def _kernel_rows(events):
     """The rows the kernel's formatter gives for (t, xi) pairs, held as a
-    block's (2, n) array, as block_csvs has them formatted; None where it
-    leaves them to Python."""
-    recorded = np.array(events, dtype=float).reshape(-1, 2).T.copy()
-    rows = simulate._format_block(
-        recorded, np.array([0, recorded.shape[1]], np.int64))[0]
+    block's events, times then sizes, as block_csvs has them formatted;
+    None where it leaves them to Python."""
+    times, sizes = zip(*events)
+    rows = simulate._format_block(array.array("d", times + sizes),
+                                  array.array("q", [0, len(events)]))[0]
     return None if rows is None else rows.decode("ascii")
 
 
