@@ -1,18 +1,19 @@
-/* The event loop of simulate._run_engine, compiled, for a block of paths.
+/* The event loop of jumplm's simulation, compiled, for a block of paths.
  *
- * Every path repeats the Python loop's operations in its order: +, -, *
- * and / round as Python floats do, and exp, log and pow are the libm
- * functions behind math.exp, math.log and float **, so each path's end
- * state is the Python loop's to the bit.  Build without -ffast-math and
- * with -ffp-contract=off, which keeps a*b + c from becoming an FMA:
+ * Every path repeats the operations of one scalar loop in its order (the
+ * reference loop the tests hold in Python): +, -, * and / round as Python
+ * floats do, and exp, log and pow are the libm functions behind math.exp,
+ * math.log and float **, so each path's end state is that loop's to the
+ * bit.  Build without -ffast-math and with -ffp-contract=off, which keeps
+ * a*b + c from becoming an FMA:
  *
  *     cc -O2 -fPIC -shared -ffp-contract=off -pthread -o kernel.so \
  *         _kernel.c -lm
  *
- * Where the Python loop would raise (a log of a non-positive number, an
+ * Where the scalar loop would raise (a log of a non-positive number, an
  * overflowing exp, a division by zero), and where a recording path's event
- * buffer cannot grow, the path stops with an end code above END_MAX_EVENTS
- * and the caller runs it again in Python.
+ * buffer cannot grow, the path stops with an end code above END_MAX_EVENTS,
+ * and the caller raises a typed error that names the path.
  *
  * jumplm_run_paths takes one job record, which simulate._Job mirrors: a
  * block of paths, the engine's inputs, the jump sampler and the six

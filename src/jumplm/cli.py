@@ -128,7 +128,8 @@ def defect_curve(config, x0, t_max, steps, out):
     """CSV of (t, g_minus, expected_S, defect) for a Strict measure."""
     import numpy as np
     spec = measure.spec_from_json(config)
-    if riccati.classify(spec).verdict != riccati.STRICT:
+    measure.validate(spec)
+    if measure._closed_form(spec) is None:      # as classify decides
         click.echo("defect identically zero", err=True)
         sys.exit(2)
     lines = ["t,g_minus,expected_S,defect"]
@@ -208,8 +209,8 @@ def _parse_grid(text):
 @click.option("--seed", type=int, default=None)
 @click.option("--workers", type=int, default=None,
               help="threads of the compiled kernel for the Monte Carlo "
-                   "fan-out (default: every CPU this process may run on; "
-                   "ignored without a kernel); results do not depend on it")
+                   "fan-out (default: every CPU this process may run on); "
+                   "results do not depend on it")
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="directory for report files (default: report to stdout only)")
 def verify(subcommand, config, x0, t, t_grid, u, paths, eps, eps_list, cap,

@@ -35,3 +35,11 @@ class InvalidConfig(JumplmError, ValueError):
 
 class MaxEventsExceeded(JumplmError, RuntimeError):
     """A simulated path generated more events than the configured guard."""
+
+
+class KernelUnavailable(JumplmError, RuntimeError):
+    """The compiled simulation kernel could not be built or loaded."""
+
+
+class KernelOutOfMemory(JumplmError, MemoryError):
+    """The kernel could not grow a recording path's event buffer."""

@@ -245,7 +245,8 @@ def supermartingale_sweep(spec: LevyMeasureSpec, x0: float,
     3-sigma noise when the measure is classified Strict.
     """
     config = config or default_config()
-    cls = riccati.classify(spec)
+    measure.validate(spec)
+    strict = measure._closed_form(spec) is not None     # as classify decides
     untilted = measure.untilted_spec(spec)
     cap_e = math.exp(x0)
     rows = []
@@ -258,7 +259,7 @@ def supermartingale_sweep(spec: LevyMeasureSpec, x0: float,
         z = surv.z_score
         passed = abs(z) <= Z_THRESHOLD and mean <= cap_e * (
             1.0 + Z_THRESHOLD * (stderr / mean if mean > 0 else 0.0))
-        if cls.verdict == riccati.STRICT and prev is not None and t > prev[0]:
+        if strict and prev is not None and t > prev[0]:
             drop = prev[1] - mean
             noise = Z_THRESHOLD * math.hypot(prev[2], stderr)
             passed = passed and drop > noise

@@ -6,34 +6,33 @@ integrated intensity: no time stepping and no thinning rejections.  Jumps
 below the truncation eps are folded into the decay rate as their mean
 drift, which is exact to first order for these finite-variation measures.
 
-Two engines share the scalar loop _run_engine: the conservative process
-(compensated jumps, decay rate b + tail mean) and the explosive one
-(uncompensated jumps, unit decay minus the small-jump mean), which can hit
-+infinity in finite time and is flagged exploded once it crosses the
-configured cap.  Jump sizes come from measure.make_jump_sampler, which
-picks the sampler once per (spec, eps).  Path i of seed s draws its
-uniforms, in order, from Philox(key=[s, i]), so every path is
-reproducible on its own.
+Two engines share one event loop: the conservative process (compensated
+jumps, decay rate b + tail mean) and the explosive one (uncompensated
+jumps, unit decay minus the small-jump mean), which can hit +infinity in
+finite time and is flagged exploded once it crosses the configured cap.
+Jump sizes come from measure.make_jump_sampler, which picks the sampler
+once per (spec, eps).  Path i of seed s draws its uniforms, in order,
+from Philox(key=[s, i]), so every path is reproducible on its own.
 
-Every path runs on _kernel.c, the same loop compiled on first use into
-${XDG_CACHE_HOME:-~/.cache}/jumplm: the same Philox streams, the scalar
-loop's operations in its order and the libm exp, log and pow that math
-calls, so every path ends, and records its events, bit for bit as
-_run_engine does.  The Monte Carlo fan-out, fan_out, runs a block of paths
-per call, on as many threads as it is given, each claiming the next path,
-and returns the whole per-path record, PathEnds: each path's end code,
-last t, x and jump count, and terminal value, in array.array columns.
-Every path has its own stream, so the results are the same bits on any
-number of threads.  simulate_path and simulate_explosive_path run a block
-of one, on one thread; block_csvs, behind `jumplm simulate`, runs a block
-of many on threads and records every path's events.  A recording path
-grows its own event buffer in the kernel as it runs, so every path runs
-once, whatever its length.  A kernel call takes one job record, _Job.
-_run_engine, the reference, runs the paths the scalar loop raises on, and
-all of them when there is no kernel.  The kernel formats a recorded
-block's rows, the bytes "%.17g" gives, on threads; block_csvs formats them
-in Python without a kernel or where the kernel's formatter does not reach,
-and export_path_csv always does.
+The loop is _kernel.c, compiled with cc on first use into
+${XDG_CACHE_HOME:-~/.cache}/jumplm; without it no path runs, and every
+simulation raises KernelUnavailable with cc's own message.  The Monte
+Carlo fan-out, fan_out, runs a block of paths per call, on as many
+threads as it is given, each claiming the next path, and returns the
+whole per-path record, PathEnds: each path's end code, last t, x and
+jump count, and terminal value, in array.array columns.  Every path has
+its own stream, so the results are the same bits on any number of
+threads.  simulate_path and simulate_explosive_path run a block of one,
+on one thread; block_csvs, behind `jumplm simulate`, runs a block of many
+on threads and records every path's events.  A recording path grows its
+own event buffer in the kernel as it runs, so every path runs once,
+whatever its length.  A kernel call takes one job record, _Job.  A path
+the kernel stops on an error (a log of a non-positive number, an exp past
+the float range, a division by zero, or an event buffer that cannot
+grow) raises a JumplmError that names it.  The kernel formats a recorded
+block's rows, the bytes "%.17g" gives, on threads; block_csvs formats in
+Python the rows the kernel's formatter does not reach, and
+export_path_csv formats every row in Python.
 """
 
 from __future__ import annotations
@@ -54,7 +53,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import measure
-from .errors import DomainError, InvalidConfig, MaxEventsExceeded
+from .errors import (DomainError, InvalidConfig, KernelOutOfMemory,
+                     KernelUnavailable, MaxEventsExceeded)
 from .measure import LevyMeasureSpec
 
 __all__ = [
@@ -67,8 +67,6 @@ __all__ = [
     "fan_out",
     "PathEnds",
     "END_HORIZON", "END_CAP", "END_MAX_EVENTS",
-    "FanOutEngine",
-    "fan_out_engine",
     "evaluate",
     "export_path_csv",
     "block_csvs",
@@ -129,62 +127,6 @@ class Path:
     terminal: Optional[float] = None
 
 
-def _uniforms(seed: int, index: int):
-    """next() over one path's uniforms: Philox(key=[seed, index]), drawn
-    256 at a time first and 1024 at a time after that."""
-    import numpy as np
-    # a uint64 key array: numpy reads a list holding an int >= 2**63 as
-    # floats
-    gen = np.random.Generator(np.random.Philox(
-        key=np.array([seed % 2 ** 64, index], dtype=np.uint64)))
-    sizes = itertools.chain([256], itertools.repeat(1024))
-    return itertools.chain.from_iterable(
-        gen.random(k).tolist() for k in sizes).__next__
-
-
-def _run_engine(spec, x0, t_end, config, path_index, record,
-                lam, delta, explosive):
-    """Shared event loop for both engines.
-
-    Returns (events, t_last, x_last, n_events, exploded, explosion_time).
-    Each event draws one uniform for its waiting time, then the jump size
-    from the sampler measure.make_jump_sampler picked for (spec, eps).
-    """
-    uni = _uniforms(config.seed, path_index)
-    sampler = measure.make_jump_sampler(spec, config.eps)
-    cap = config.cap
-    max_events = config.max_events
-    log, exp, isfinite = math.log, math.exp, math.isfinite
-
-    t, x = 0.0, x0
-    events: List[Tuple[float, float]] = []
-    exploded = False
-    explosion_time = None
-    n = 0
-    while True:
-        horizon_mass = x * lam * (1.0 - exp(-delta * (t_end - t))) / delta
-        e_draw = -log(1.0 - uni())
-        if e_draw >= horizon_mass:
-            break
-        dt = -log(1.0 - e_draw * delta / (x * lam)) / delta
-        t += dt
-        x *= exp(-delta * dt)
-        xi = sampler.sample(uni)
-        x += xi
-        n += 1
-        if record:
-            events.append((t, xi))
-        if explosive:
-            if x > cap or not isfinite(x) or n >= max_events:
-                exploded = True
-                explosion_time = t
-                break
-        elif n >= max_events:
-            raise MaxEventsExceeded(
-                f"conservative path reached {max_events} events")
-    return events, t, x, n, exploded, explosion_time
-
-
 def _rates(spec: LevyMeasureSpec, x0: float, t_end: float, eps: float,
            explosive: bool) -> Tuple[float, float]:
     """Check an engine's inputs; return its (lam, delta).
@@ -224,22 +166,20 @@ def simulate_path(spec: LevyMeasureSpec, x0: float, t_end: float,
 
 
 # How a path of the fan-out ended: it reached t_end, crossed the cap (or
-# left the floats), or made max_events jumps.  _kernel.c uses the same
-# codes, and codes above END_MAX_EVENTS for a path the scalar loop raises on
-# or whose event buffer could not grow.
+# left the floats), or made max_events jumps; or the kernel stopped it on
+# an error.  _kernel.c uses the same codes.
 END_HORIZON, END_CAP, END_MAX_EVENTS = 0, 1, 2
+END_LOG_DOMAIN, END_EXP_RANGE, END_ZERO_DIVISION, END_NO_MEMORY = 3, 4, 5, 6
+
+# what a path the kernel stops on an error raises, by its end code
+_STOPS = {END_LOG_DOMAIN: (DomainError, "a log of a non-positive number"),
+          END_EXP_RANGE: (DomainError, "an exp past the float range"),
+          END_ZERO_DIVISION: (DomainError, "a division by zero"),
+          END_NO_MEMORY: (KernelOutOfMemory,
+                          "no memory to record its events")}
 
 # the most threads a kernel call runs a block on, as in _kernel.c
 MAX_THREADS = 64
-
-
-@dataclass(frozen=True)
-class FanOutEngine:
-    """What runs the Monte Carlo fan-out in this process: "kernel", with
-    the path of the compiled _kernel.c, or "python", with the reason."""
-
-    name: str
-    detail: str
 
 
 class _Job(ctypes.Structure):
@@ -302,8 +242,9 @@ def _build_kernel() -> pathlib.Path:
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel():
-    """(the loaded kernel or None, its FanOutEngine), once per process."""
+def _load():
+    """The loaded kernel, or why it cannot be built or loaded, with cc's
+    own message: decided once per process."""
     try:
         path = _build_kernel()
         try:
@@ -315,25 +256,26 @@ def _kernel():
             lib = ctypes.CDLL(str(path))
     except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
         reason = getattr(exc, "stderr", None) or exc    # cc's own message
-        lib, engine = None, FanOutEngine("python", f"no kernel: {reason}")
-    else:
-        i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        lib.jumplm_run_paths.argtypes = [ctypes.POINTER(_Job)]
-        lib.jumplm_take.argtypes = [ptr, ptr, i64, ptr]
-        lib.jumplm_format_block.argtypes = [ptr, ptr, i64, ptr, ptr,
-                                            ctypes.c_int]
-        lib.jumplm_run_paths.restype = i64
-        lib.jumplm_take.restype = None
-        lib.jumplm_format_block.restype = None
-        engine = FanOutEngine("kernel", str(path))
-    _log.debug("Monte Carlo fan-out engine: %s (%s)", engine.name,
-               engine.detail)
-    return lib, engine
+        return f"simulation needs the compiled kernel: {str(reason).strip()}"
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.jumplm_run_paths.argtypes = [ctypes.POINTER(_Job)]
+    lib.jumplm_take.argtypes = [ptr, ptr, i64, ptr]
+    lib.jumplm_format_block.argtypes = [ptr, ptr, i64, ptr, ptr,
+                                        ctypes.c_int]
+    lib.jumplm_run_paths.restype = i64
+    lib.jumplm_take.restype = None
+    lib.jumplm_format_block.restype = None
+    _log.debug("simulation kernel: %s", path)
+    return lib
 
 
-def fan_out_engine() -> FanOutEngine:
-    """The fan-out's engine here; the first call builds or loads it."""
-    return _kernel()[1]
+def _kernel():
+    """The loaded kernel; the first call builds or loads it.  Raises
+    KernelUnavailable, with cc's own message, where it cannot be."""
+    lib = _load()
+    if isinstance(lib, str):
+        raise KernelUnavailable(lib)
+    return lib
 
 
 # per path, as array.array columns: its end code ('b'), the event loop's
@@ -359,8 +301,8 @@ def _address(column):
 def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
                 explosive, record=False, threads=1) -> PathEnds:
     """Paths start .. start+count-1 on the kernel lib, each call on up to
-    threads threads; without a kernel (lib None), the columns for _fan_out
-    to fill.  With record, also every path's events (see PathEnds).
+    threads threads.  With record, also every path's events (see
+    PathEnds).
 
     A kernel call returns after about 2^22 events, so Ctrl-C stops a
     long block between calls.  A recording path keeps its events in a
@@ -370,8 +312,6 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
     """
     out = PathEnds(_zeros("b", count), *(_zeros(code, count)
                                          for code in "ddqd"), None, None)
-    if lib is None:
-        return out
     job = _Job(key0=config.seed % 2 ** 64, start=start, count=count, x0=x0,
                t_end=t_end, lam=lam, delta=delta, cap=config.cap,
                max_events=config.max_events, explosive=explosive,
@@ -410,48 +350,22 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
 
 def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
              record=False, threads=1) -> PathEnds:
-    """The ends of paths start .. start+count-1, for an engine whose
-    inputs _rates checked: the kernel, then _run_engine for each path the
-    kernel stopped where the scalar loop raises (for every path when there
-    is no kernel), so errors and their messages are the scalar loop's; a
-    conservative path at max_events raises its MaxEventsExceeded here.
-    With record, the events of the paths _run_engine ran are its own."""
-    lib = _kernel()[0]
-    out = _kernel_run(lib, spec, x0, t_end, config, start, count, lam,
+    """The ends of paths start .. start+count-1 on the kernel, for an
+    engine whose inputs _rates checked.  The lowest-index path that the
+    kernel stopped on an error, or a conservative path at max_events,
+    raises: MaxEventsExceeded, or the error _STOPS gives for its end code,
+    naming the path."""
+    out = _kernel_run(_kernel(), spec, x0, t_end, config, start, count, lam,
                       delta, explosive, record, threads)
-    # max_events ends an explosive path and raises in the conservative loop
+    # max_events ends an explosive path and stops a conservative one
     last = END_MAX_EVENTS if explosive else END_CAP
-    if lib is None:
-        redo = range(count)
-    else:   # the max alone, when no path is left over, is the cheaper test
-        redo = ([i for i, end in enumerate(out.end) if end > last]
-                if max(out.end, default=0) > last else ())
-    runs = {}       # with record, the events of the paths run here
-    for i in redo:
-        if lib is not None and out.end[i] == END_MAX_EVENTS:
+    if max(out.end, default=0) > last:
+        i, end = next((i, end) for i, end in enumerate(out.end) if end > last)
+        if end == END_MAX_EVENTS:
             raise MaxEventsExceeded(
                 f"conservative path reached {config.max_events} events")
-        events, t, x, n, exploded, _ = _run_engine(
-            spec, x0, t_end, config, start + i, record, lam, delta,
-            explosive)
-        out.t[i], out.x[i], out.n[i] = t, x, n
-        out.end[i] = (END_HORIZON if not exploded else END_CAP
-                      if x > config.cap or not math.isfinite(x)
-                      else END_MAX_EVENTS)
-        out.terminal[i] = (math.nan if exploded
-                           else x * math.exp(-delta * (t_end - t)))
-        if record:
-            runs[i] = events
-    if runs:
-        at, events = out.offsets, array.array("d")
-        for i in range(count):
-            if i in runs:       # times, then sizes
-                for column in zip(*runs[i]):
-                    events.extend(column)
-            else:
-                events.extend(out.events[2 * at[i]:2 * at[i + 1]])
-        out = out._replace(events=events, offsets=array.array(
-            "q", itertools.accumulate(out.n, initial=0)))
+        error, what = _STOPS[end]
+        raise error(f"path {start + i} stopped: {what}")
     return out
 
 
@@ -490,7 +404,6 @@ def fan_out(spec: LevyMeasureSpec, x0: float, t_end: float,
     """The ends of conservative (with explosive, explosive) paths
     start .. start+count-1, on up to threads kernel threads: by default
     one per CPU this process may run on, at most MAX_THREADS and count.
-    Without a kernel the Python loop runs every path.
 
     Equal bit for bit, on any number of threads, to simulate_path (or
     simulate_explosive_path) with record=False for each path, and raises
@@ -500,11 +413,8 @@ def fan_out(spec: LevyMeasureSpec, x0: float, t_end: float,
     """
     threads = _threads(threads, count)
     lam, delta = _rates(spec, x0, t_end, config.eps, explosive)
-    kernel = fan_out_engine().name == "kernel"
-    _log.debug("fan-out: %d %s paths on %s", count,
-               "explosive" if explosive else "conservative",
-               f"{threads} kernel threads" if kernel
-               else "the Python loop in this process")
+    _log.debug("fan-out: %d %s paths on %d kernel threads", count,
+               "explosive" if explosive else "conservative", threads)
     return _fan_out(spec, x0, t_end, config, start, count, lam, delta,
                     explosive, threads=threads)
 
@@ -549,11 +459,9 @@ def _format_block(events, offsets, threads=1) -> List[Optional[bytes]]:
     """The rows "%.17g,%.17g\\n" % event of each path of a recorded block
     (see PathEnds), formatted by the kernel on up to threads threads, as
     ASCII; None for a path whose values the kernel's formatter does not
-    reach, and for every path without a kernel."""
-    lib = _kernel()[0]
+    reach."""
+    lib = _kernel()
     count = len(offsets) - 1
-    if lib is None:
-        return [None] * count
     text = bytearray(48 * offsets[-1])
     lengths = _zeros("q", count)
     lib.jumplm_format_block(_address(events), _address(offsets), count,
@@ -599,9 +507,8 @@ def block_csvs(spec: LevyMeasureSpec, x0: float, t_end: float,
 
     The block is simulated, recorded and formatted by the kernel on up to
     threads threads (_threads), with the same bytes; rows the kernel's
-    formatter does not reach, and every path without a kernel, are
-    formatted by Python.  Raises what the first path to raise raises,
-    before any CSV is made.
+    formatter does not reach are formatted by Python.  Raises what the
+    first path to raise raises, before any CSV is made.
     """
     threads = _threads(threads, count)
     lam, delta = _rates(spec, x0, t_end, config.eps, explosive)

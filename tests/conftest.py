@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from jumplm import measure
+from jumplm import measure, simulate
+from jumplm.errors import KernelUnavailable
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +18,16 @@ def tabulated_spec():
     pts = [(float(x), float(np.exp(-2.0 * x))) for x in xs]
     return measure.LevyMeasureSpec.tabulated(pts, left_exponent=0.0,
                                              tilt_rate=2.0)
+
+
+@pytest.fixture(scope="session")
+def kernel():
+    """The compiled simulation kernel.  Every test that simulates asks for
+    it, so a host where it cannot be built skips them with the reason."""
+    try:
+        return simulate._kernel()
+    except KernelUnavailable as exc:
+        pytest.skip(str(exc))
 
 
 @pytest.fixture(scope="session")

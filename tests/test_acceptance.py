@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from jumplm import measure, montecarlo, riccati
@@ -105,6 +106,7 @@ def test_criterion_06_nonuniqueness_witness(acceptance_log, ref_spec):
         assert 1.0 - g5 >= 0.01, f"branches too close: {1.0 - g5}"
 
 
+@pytest.mark.usefixtures("kernel")
 def test_criterion_07_monte_carlo_mean(acceptance_log, ref_spec):
     with criterion(acceptance_log, 7, "mean X(1), n=1e5, eps=1e-4, |z| <= 3", 180.0):
         cfg = EngineConfig(eps=1e-4, seed=SEED)
@@ -114,6 +116,7 @@ def test_criterion_07_monte_carlo_mean(acceptance_log, ref_spec):
         assert abs(est.z_score) <= 3.0, f"z = {est.z_score}"
 
 
+@pytest.mark.usefixtures("kernel")
 def test_criterion_08_monte_carlo_mgf(acceptance_log, ref_spec):
     with criterion(acceptance_log, 8, "mgf at u=0.5, n=1e5, |z| <= 3", 180.0):
         cfg = EngineConfig(eps=1e-4, seed=SEED + 1)
@@ -126,6 +129,7 @@ def test_criterion_08_monte_carlo_mgf(acceptance_log, ref_spec):
         assert abs(est.z_score) <= 3.0, f"z = {est.z_score}"
 
 
+@pytest.mark.usefixtures("kernel")
 def test_criterion_09_survival_duality(acceptance_log, ref_spec):
     with criterion(acceptance_log, 9,
                    "strict-LM defect via survival duality, |z| <= 3", 300.0):
@@ -149,6 +153,7 @@ def test_criterion_10_htransform_residuals(acceptance_log, ref_spec):
                 assert res <= 1e-6, f"{name} at x={x}: {res}"
 
 
+@pytest.mark.usefixtures("kernel")
 def test_criterion_11_truncation_bias(acceptance_log, ref_spec):
     with criterion(acceptance_log, 11, "truncation-bias sweep nonincreasing", 600.0):
         cfg = EngineConfig(eps=1e-4, seed=SEED)
@@ -158,6 +163,7 @@ def test_criterion_11_truncation_bias(acceptance_log, ref_spec):
         assert report.all_pass, report.to_csv()
 
 
+@pytest.mark.usefixtures("kernel")
 def test_criterion_12_determinism(acceptance_log, ref_spec, tmp_path):
     with criterion(acceptance_log, 12,
                    "byte-identical outputs across runs and workers", 120.0):

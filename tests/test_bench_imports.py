@@ -5,23 +5,32 @@ benchmark failure rather than a test failure; this guards those names.
 """
 
 import importlib.util
+import inspect
 import pathlib
+import sys
 
 import pytest
 
 import jumplm
+from jumplm import measure, simulate
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    # tracer.py uses only the standard library
-    spec = importlib.util.spec_from_file_location("bench_tracer",
-                                                  BENCH / "tracer.py")
+def _bench_module(name):
+    """bench/<name>.py, loaded on its own: it uses only the standard
+    library.  Its dataclasses need it in sys.modules as it runs."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return _bench_module("tracer")
 
 
 def test_traced_names_exist(tracer):
@@ -44,3 +53,24 @@ def test_names_bench_run_reads_exist(dotted):
     for part in dotted.split("."):
         assert hasattr(obj, part), dotted
         obj = getattr(obj, part)
+
+
+def test_jump_samplers_bench_draws_from_have_sample():
+    # a traced run times sampler.sample(next_u) on the reference at eps
+    # 1e-4 (Pareto rejection) and on the benchmark's table at TABLE_EPS
+    workloads = _bench_module("workloads")
+    table = measure.spec_from_json(workloads.tabulated_json())
+    for spec, eps, kind in (
+            (measure.reference_spec(), 1e-4, measure._RejectionSampler),
+            (table, workloads.TABLE_EPS, measure._TableSampler)):
+        sampler = measure.make_jump_sampler(spec, eps)
+        assert isinstance(sampler, kind)
+        assert callable(getattr(sampler, "sample", None))
+
+
+@pytest.mark.parametrize("name", ["simulate_path", "simulate_explosive_path"])
+def test_one_path_runs_bench_reads_take_record(name):
+    # a traced run records single paths with record=True
+    inspect.signature(getattr(simulate, name)).bind(
+        measure.reference_spec(), 1.0, 1.0, simulate.EngineConfig(eps=1e-2),
+        3, record=True)

@@ -119,6 +119,7 @@ def test_defect_curve_near_one(runner, tmp_path):
     assert g[0] == 1.0 and all(b <= a for a, b in zip(g, g[1:])) and g[-1] < g[1]
 
 
+@pytest.mark.usefixtures("kernel")
 def test_alpha_one_commands(runner, tmp_path):
     p = tmp_path / "a1.json"
     p.write_text(json.dumps(measure.spec_to_json(
@@ -149,6 +150,7 @@ def test_defect_curve_true_martingale_exits_2(runner, tab_json):
     assert "defect identically zero" in res.output
 
 
+@pytest.mark.usefixtures("kernel")
 def test_simulate_deterministic(runner, ref_json, tmp_path):
     args = ["simulate", ref_json, "--x0", "1", "--t-end", "1", "--eps", "1e-2",
             "--seed", "7", "--paths", "2"]
@@ -174,6 +176,7 @@ def test_simulate_seed_out_of_range(runner, ref_json, tmp_path):
             f"error: seed must lie in [-2**63, 2**63), got {seed}\n")
 
 
+@pytest.mark.usefixtures("kernel")
 def test_simulate_t_end_zero(runner, ref_json, tmp_path):
     res = runner.invoke(main, ["simulate", ref_json, "--t-end", "0",
                                "--seed", "1", "--out-dir", str(tmp_path / "z")])
@@ -182,6 +185,7 @@ def test_simulate_t_end_zero(runner, ref_json, tmp_path):
     assert lines[-1] == "time,size"
 
 
+@pytest.mark.usefixtures("kernel")
 def test_simulate_seed_drawn_when_omitted(runner, ref_json, tmp_path):
     res = runner.invoke(main, ["simulate", ref_json, "--t-end", "0.1",
                                "--out-dir", str(tmp_path / "e")])
@@ -197,6 +201,7 @@ def test_simulate_explosive_invalid_eps(runner, untilted_json, tmp_path):
     assert res.exit_code == 1
 
 
+@pytest.mark.usefixtures("kernel")
 def test_verify_mean_t0_exact(runner, ref_json):
     res = runner.invoke(main, ["verify", "mean", ref_json, "--t", "0",
                                "--paths", "100", "--seed", "1"])
@@ -207,6 +212,7 @@ def test_verify_mean_t0_exact(runner, ref_json):
     assert row["z"] == 0.0 and row["pass"]
 
 
+@pytest.mark.usefixtures("kernel")
 def test_verify_mean_small(runner, ref_json, tmp_path):
     out = tmp_path / "rep"
     res = runner.invoke(main, ["verify", "mean", ref_json, "--t", "1",
@@ -220,6 +226,7 @@ def test_verify_mean_small(runner, ref_json, tmp_path):
     assert manifest["seed"] == 5
 
 
+@pytest.mark.usefixtures("kernel")
 def test_verify_mgf_variance_warning_excluded(runner, ref_json):
     res = runner.invoke(main, ["verify", "mgf", ref_json, "--u", "0.9",
                                "--t", "0.5", "--paths", "500", "--eps", "1e-2",
@@ -230,6 +237,7 @@ def test_verify_mgf_variance_warning_excluded(runner, ref_json):
     assert report["rows"][0]["counted"] is False
 
 
+@pytest.mark.usefixtures("kernel")
 def test_verify_survival_small(runner, ref_json):
     res = runner.invoke(main, ["verify", "survival", ref_json,
                                "--t", str(2.0 * math.log(2.0)),
@@ -240,6 +248,7 @@ def test_verify_survival_small(runner, ref_json):
     assert report["rows"][0]["theory"] == pytest.approx(math.exp(-0.25), abs=1e-8)
 
 
+@pytest.mark.usefixtures("kernel")
 def test_verify_survival_reports_do_not_depend_on_workers(runner, ref_json,
                                                           tmp_path):
     # --workers 1 runs each kernel call on one thread, the default on every
@@ -317,6 +326,7 @@ def _run_loading_no_scipy(tmp_path, *commands, numpy=False):
                    check=True, stdout=subprocess.DEVNULL)
 
 
+@pytest.mark.usefixtures("kernel")
 def test_help_and_explosive_simulate_load_no_scipy(tmp_path, untilted_json):
     # scipy, numpy and the process pool are imported on first use: the
     # import, --help and an explosive simulation of an untilted power reach
@@ -327,6 +337,7 @@ def test_help_and_explosive_simulate_load_no_scipy(tmp_path, untilted_json):
     assert (tmp_path / "out" / "path_00002.csv").exists()
 
 
+@pytest.mark.usefixtures("kernel")
 def test_tilted_simulate_and_verify_mean_load_no_scipy(tmp_path, ref_json):
     # the reference's Lambda(eps) and m(eps) (beta = 1) are incomplete
     # gammas computed in measure, so simulating it loads neither scipy nor
@@ -340,19 +351,23 @@ def test_tilted_simulate_and_verify_mean_load_no_scipy(tmp_path, ref_json):
     assert (tmp_path / "out" / "path_00002.csv").exists()
 
 
+@pytest.mark.usefixtures("kernel")
 def test_verify_survival_loads_no_numpy(tmp_path, ref_json):
     # the survival theory on the reference is the closed-form minimal
-    # branch, and the estimate counts the paths' end codes
+    # branch, and the estimate counts the paths' end codes; the
+    # supermartingale sweep is survival estimates, and decides Strict
+    # without classify's exponent fit
     survival = (f"verify survival {ref_json} --eps 1e-2 --cap 1e5 "
                 f"--t {2.0 * math.log(2.0)!r} --paths 300 --seed 3")
-    _run_loading_no_scipy(tmp_path, survival)
+    sweep = (f"verify supermartingale {ref_json} --eps 1e-2 --cap 1e5 "
+             f"--t-grid 0.5,1,2 --paths 300 --seed 3")
+    _run_loading_no_scipy(tmp_path, survival, sweep)
 
 
+@pytest.mark.usefixtures("kernel")
 def test_block_csvs_and_survival_need_no_numpy(ref_spec):
     # with numpy unimportable, a recorded block and a survival estimate on
     # the reference and its dual run, on the kernel, to the same outputs
-    if simulate.fan_out_engine().name != "kernel":
-        pytest.skip(simulate.fan_out_engine().detail)
     t_half = 2.0 * math.log(2.0)
     cfg = simulate.EngineConfig(eps=1e-2, seed=3, cap=1e5)
     want = (simulate.block_csvs(ref_spec, 1.0, 1.0, cfg, 5, 40, False),
@@ -374,46 +389,70 @@ def test_block_csvs_and_survival_need_no_numpy(ref_spec):
     assert out == repr(want) + "\n"
 
 
-def test_simulate_csvs_without_kernel(runner, ref_json, untilted_json,
-                                      tab_json, tmp_path, monkeypatch):
-    # the recorded paths run on the kernel; the Python loop writes the same
-    # bytes: the reference, the explosive dual (with paths that explode and
-    # paths of more than 4,096 events), the tabulated fixture and a
-    # negative seed
-    cases = {
-        "reference": [ref_json, "--eps", "1e-2", "--seed", "7"],
-        "explosive": [untilted_json, "--explosive", "--eps", "1e-2",
-                      "--cap", "1e8", "--t-end", repr(2.0 * math.log(2.0)),
-                      "--seed", "20261018"],
-        "tabulated": [tab_json, "--eps", "1e-2", "--seed", "5"],
-        "negative-seed": [ref_json, "--eps", "1e-2", "--seed", "-3"],
-    }
-
-    def run(engine):
-        files = {}
-        for name, args in cases.items():
-            out = tmp_path / engine / name
-            res = runner.invoke(main, ["simulate", *args, "--paths", "30",
-                                       "--out-dir", str(out)])
-            assert res.exit_code == 0, res.output
-            files.update({(name, p.name): p.read_bytes()
-                          for p in sorted(out.glob("path_*.csv"))})
-        return files
-
-    with_kernel = run("kernel")
-    monkeypatch.setattr(simulate, "_kernel", lambda: (
-        None, simulate.FanOutEngine("python", "disabled")))
-    assert run("python") == with_kernel
-    assert len(with_kernel) == 4 * 30
-    explosive = [v for (name, _), v in with_kernel.items()
-                 if name == "explosive"]
-    assert sum(b"# exploded=true" in v for v in explosive) >= 3
-    assert max(v.count(b"\n") for v in explosive) > 4096
+@pytest.mark.usefixtures("kernel")
+def test_simulate_writes_no_file_when_a_path_stops(runner, ref_json,
+                                                  tmp_path, monkeypatch):
+    # a path the kernel stops on an error (here a decay rate of 0, which no
+    # validated spec gives) ends the command with an error line that names
+    # it, before any CSV or the manifest is written
+    rates = simulate._rates
+    monkeypatch.setattr(simulate, "_rates", lambda *a: (rates(*a)[0], 0.0))
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["simulate", ref_json, "--eps", "1e-2",
+                               "--seed", "1", "--paths", "5", "--out-dir",
+                               str(out)])
+    assert res.exit_code == 1
+    assert res.output == "error: path 0 stopped: a division by zero\n"
+    assert list(out.iterdir()) == []
 
 
-def _interrupt_after_engine_line(args, env, setup=""):
+def test_no_compiler_no_simulation(tmp_path, ref_json):
+    # with no cc on PATH and an empty cache, fan_out and simulate_path
+    # raise KernelUnavailable with the reason, decided once per process;
+    # jumplm simulate and verify survival exit 1 with it, and classify,
+    # which simulates nothing, still runs
+    src = os.path.dirname(os.path.dirname(measure.__file__))
+    env = dict(os.environ, PATH=str(tmp_path / "bin"), PYTHONPATH=src,
+               XDG_CACHE_HOME=str(tmp_path / "cache"))
+    code = ("from jumplm import measure, simulate\n"
+            "from jumplm.errors import KernelUnavailable\n"
+            "spec = measure.reference_spec()\n"
+            "cfg = simulate.EngineConfig(eps=1e-2, seed=1)\n"
+            "for run in (lambda: simulate.fan_out(spec, 1.0, 1.0, cfg, 0, 4,\n"
+            "                                     False),\n"
+            "            lambda: simulate.simulate_path(spec, 1.0, 1.0, cfg)):\n"
+            "    try:\n"
+            "        run()\n"
+            "    except KernelUnavailable as exc:\n"
+            "        print(exc)\n"
+            "assert simulate._load.cache_info().misses == 1\n")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    why, again = res.stdout.splitlines()
+    assert why == again
+    assert why.startswith("simulation needs the compiled kernel: ")
+    assert "'cc'" in why
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nfrom jumplm.cli import main\nmain(sys.argv[1:])\n",
+             *args], env=env, capture_output=True, text=True)
+
+    for args in (["simulate", ref_json, "--eps", "1e-2", "--seed", "1",
+                  "--out-dir", str(tmp_path / "out")],
+                 ["verify", "survival", ref_json, "--eps", "1e-2", "--cap",
+                  "1e5", "--paths", "300", "--seed", "3"]):
+        res = cli(*args)
+        assert (res.returncode, res.stderr) == (1, f"error: {why}\n")
+    res = cli("classify", ref_json)
+    assert res.returncode == 0, res.stderr
+
+
+def _interrupt_after_kernel_line(args, env, setup=""):
     """Run the CLI with args after the Python code setup, send SIGINT 1 s
-    after its engine DEBUG line; return its exit status, the rest of its
+    after its kernel DEBUG line; return its exit status, the rest of its
     stderr and the seconds it took to stop."""
     code = ("import logging, sys\n"
             "logging.basicConfig(level=logging.DEBUG, format='%(message)s')\n"
@@ -426,7 +465,7 @@ def _interrupt_after_engine_line(args, env, setup=""):
     watchdog.start()
     try:
         for line in proc.stderr:
-            if line.startswith("Monte Carlo fan-out engine: "):
+            if line.startswith("simulation kernel: "):
                 break
         time.sleep(1.0)
         assert proc.poll() is None
@@ -441,6 +480,7 @@ def _interrupt_after_engine_line(args, env, setup=""):
     return status, rest, stopped
 
 
+@pytest.mark.usefixtures("kernel")
 def test_ctrl_c_stops_simulate(tmp_path, untilted_json):
     # at the CLI defaults (eps 1e-4, cap 1e12) a block of explosive paths
     # is seconds of kernel time; SIGINT, sent once the simulation has
@@ -451,7 +491,7 @@ def test_ctrl_c_stops_simulate(tmp_path, untilted_json):
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
                PYTHONPATH=src)
     one_cpu = min(os.sched_getaffinity(0))
-    status, rest, stopped = _interrupt_after_engine_line(
+    status, rest, stopped = _interrupt_after_kernel_line(
         ["simulate", untilted_json, "--explosive", "--seed", "1", "--paths",
          "1000", "--out-dir", str(tmp_path / "out")], env,
         f"import os\nos.sched_setaffinity(0, {{{one_cpu}}})\n")
@@ -460,6 +500,7 @@ def test_ctrl_c_stops_simulate(tmp_path, untilted_json):
     assert not list((tmp_path / "out").glob("path_*.csv"))
 
 
+@pytest.mark.usefixtures("kernel")
 def test_ctrl_c_stops_the_fan_out(tmp_path, ref_json):
     # at the CLI defaults (eps 1e-4, cap 1e12) one 4,096-path chunk of
     # verify survival is minutes of kernel time; SIGINT, sent once the
@@ -468,7 +509,7 @@ def test_ctrl_c_stops_the_fan_out(tmp_path, ref_json):
     src = os.path.dirname(os.path.dirname(measure.__file__))
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
                PYTHONPATH=src)
-    status, rest, stopped = _interrupt_after_engine_line(
+    status, rest, stopped = _interrupt_after_kernel_line(
         ["verify", "survival", ref_json, "--t", "0.5", "--seed", "1"], env)
     assert status == 1 and rest.endswith("Aborted!\n"), (status, rest[-500:])
     assert stopped < 5.0, stopped

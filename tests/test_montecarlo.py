@@ -12,9 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracle
 from jumplm import measure, montecarlo, riccati, simulate
-from jumplm.errors import DomainError, InvalidConfig, MaxEventsExceeded
+from jumplm.errors import DomainError, InvalidConfig
 from jumplm.simulate import EngineConfig
+
+# the estimates simulate on the kernel
+pytestmark = pytest.mark.usefixtures("kernel")
 
 T_HALF = 2.0 * math.log(2.0)
 
@@ -190,13 +194,10 @@ def test_worker_determinism(ref_spec):
 
 def test_fan_out_runs_on_kernel_threads_or_in_process(ref_spec, monkeypatch,
                                                      caplog):
-    # with the kernel, n_workers counts the threads of its calls; without
-    # one, the Python loop runs every path in this process and n_workers is
-    # ignored; no process pool starts either way
+    # the fan-out runs in this process, on kernel threads: n_workers counts
+    # the threads of the kernel's calls, and no process pool starts
     import concurrent.futures
 
-    if simulate.fan_out_engine().name != "kernel":
-        pytest.skip(simulate.fan_out_engine().detail)
     cfg = EngineConfig(eps=1e-2, seed=7)
 
     def collect(n_paths, n_workers):
@@ -210,16 +211,9 @@ def test_fan_out_runs_on_kernel_threads_or_in_process(ref_spec, monkeypatch,
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     threaded, log = collect(4500, 3)
     assert log == ["fan-out: 4500 conservative paths on 3 kernel threads"]
+    assert collect(4500, 1)[0].tobytes() == threaded.tobytes()
     assert collect(2, 8)[1] == ["fan-out: 2 conservative paths on 2 kernel "
                                 "threads"]
-    monkeypatch.setattr(simulate, "_kernel", lambda: (
-        None, simulate.FanOutEngine("python", "disabled")))
-    in_process, log = collect(4500, 3)
-    assert log == ["fan-out: 4500 conservative paths on the Python loop in "
-                   "this process"]
-    assert in_process.tobytes() == threaded.tobytes()
-    assert collect(2, None)[1] == ["fan-out: 2 conservative paths on the "
-                                   "Python loop in this process"]
 
 
 @pytest.mark.parametrize("n_workers", [0, -3])
@@ -256,22 +250,21 @@ def _split(draw):
     return n_paths, sorted(cuts)
 
 
-@pytest.mark.parametrize("kernel", [True, False])
+@pytest.mark.parametrize("on_kernel", [True, False])
 @pytest.mark.parametrize("kind", ["conservative", "explosive",
                                   "explosive_all_ends"])
 @settings(max_examples=6, deadline=None)
 @example(split=(9000, [4096, 8192]), seed=42, n_workers=None, threads=1)
 @given(split=_split(), seed=st.integers(-2 ** 63, 2 ** 63 - 1),
        n_workers=st.sampled_from([None, 1, 3]), threads=st.integers(1, 3))
-def test_collect_equals_any_split(ref_spec, kind, kernel, split, seed,
+def test_collect_equals_any_split(ref_spec, kind, on_kernel, split, seed,
                                   n_workers, threads):
     # every path draws from its own stream, so each column of the one
     # block of _collect (end codes, last t, x and jump counts, terminals)
-    # is the bytes of consecutive blocks over any split of its paths, on
-    # any thread counts; max_events = 50 stops some explosive paths, and
-    # cap = 2 with max_events = 5 ends about a third of them each way
-    if kernel and simulate.fan_out_engine().name != "kernel":
-        pytest.skip(simulate.fan_out_engine().detail)
+    # is the bytes of consecutive blocks over any split of its paths: blocks
+    # of fan_out on any thread counts, or (on_kernel False) of the oracle;
+    # max_events = 50 stops some explosive paths, and cap = 2 with
+    # max_events = 5 ends about a third of them each way
     n_paths, cuts = split
     explosive = kind != "conservative"
     if not explosive:
@@ -283,15 +276,12 @@ def test_collect_equals_any_split(ref_spec, kind, kernel, split, seed,
         cfg = EngineConfig(eps=1e-2, seed=seed, cap=cap,
                            max_events=max_events)
     bounds = [0, *cuts, n_paths]
-    with pytest.MonkeyPatch.context() as mp:
-        if not kernel:
-            mp.setattr(simulate, "_kernel", lambda: (
-                None, simulate.FanOutEngine("python", "disabled")))
-        got = montecarlo._collect(spec, 1.0, t_end, cfg, n_paths, explosive,
-                                  n_workers)
-        blocks = [simulate.fan_out(spec, 1.0, t_end, cfg, a, b - a,
-                                   explosive, threads)
-                  for a, b in zip(bounds, bounds[1:])]
+    got = montecarlo._collect(spec, 1.0, t_end, cfg, n_paths, explosive,
+                              n_workers)
+    blocks = [simulate.fan_out(spec, 1.0, t_end, cfg, a, b - a, explosive,
+                               threads) if on_kernel
+              else oracle.fan_out(spec, 1.0, t_end, cfg, a, b - a, explosive)
+              for a, b in zip(bounds, bounds[1:])]
     for column in ("end", "t", "x", "n", "terminal"):
         have = np.asarray(getattr(got, column))
         want = np.concatenate([getattr(out, column) for out in blocks])
@@ -389,34 +379,6 @@ def test_survival_needs_classified_companion():
     assert riccati.classify(tilted).verdict == riccati.STRICT
 
 
-def test_collect_without_kernel(monkeypatch, ref_spec):
-    # the Python fallback gives the kernel's arrays and raises its errors;
-    # max_events = 50 stops some explosive paths
-    untilted = measure.untilted_spec(ref_spec)
-    explosive_cfg = EngineConfig(eps=1e-2, seed=-8, cap=1e5, max_events=50)
-    conservative_cfg = EngineConfig(eps=1e-3, seed=8)
-    runs = [("explosive", untilted, T_HALF, explosive_cfg),
-            ("conservative", ref_spec, 1.0, conservative_cfg)]
-    def collect(kind, spec, t, cfg):
-        out = montecarlo._collect(spec, 1.0, t, cfg, 500, kind == "explosive")
-        return np.asarray(out.end if kind == "explosive" else out.terminal)
-
-    want = [collect(*run) for run in runs]
-    assert set(want[0].tolist()) == {simulate.END_HORIZON, simulate.END_CAP,
-                                     simulate.END_MAX_EVENTS}
-    monkeypatch.setattr(simulate, "_kernel", lambda: (
-        None, simulate.FanOutEngine("python", "disabled")))
-    assert simulate.fan_out_engine().name == "python"
-    for (kind, spec, t, cfg), arr in zip(runs, want):
-        got = collect(kind, spec, t, cfg)
-        assert got.dtype == arr.dtype and np.array_equal(got, arr)
-    with pytest.raises(MaxEventsExceeded,
-                       match="^conservative path reached 3 events$"):
-        montecarlo._collect(ref_spec, 1.0, 1.0,
-                            dataclasses.replace(conservative_cfg,
-                                                max_events=3), 500, False)
-
-
 def test_survival_counts_max_events_stops(ref_spec, caplog):
     untilted = measure.untilted_spec(ref_spec)
     cfg = EngineConfig(eps=1e-2, seed=46, cap=1e5, max_events=5)
@@ -424,7 +386,7 @@ def test_survival_counts_max_events_stops(ref_spec, caplog):
         est = montecarlo.estimate_survival(untilted, 1.0, T_HALF,
                                            n_paths=2000, config=cfg)
     lam, delta = simulate._rates(untilted, 1.0, T_HALF, cfg.eps, True)
-    ends = [simulate._run_engine(untilted, 1.0, T_HALF, cfg, i, False, lam,
+    ends = [oracle._run_engine(untilted, 1.0, T_HALF, cfg, i, False, lam,
                                  delta, True)[2:5] for i in range(2000)]
     # a path whose fifth jump crosses the cap counts as a crossing
     stopped = sum(n == 5 and x <= cfg.cap for x, n, _ in ends)

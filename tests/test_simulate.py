@@ -16,8 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracle
 from jumplm import measure, simulate
-from jumplm.errors import DomainError, InvalidConfig, MaxEventsExceeded
+from jumplm.errors import (DomainError, InvalidConfig, JumplmError,
+                           KernelUnavailable, MaxEventsExceeded)
+
+# every test here but the build's own simulates, or reads the kernel
+pytestmark = pytest.mark.usefixtures("kernel")
 
 
 def test_engine_config_validation():
@@ -42,7 +47,7 @@ def test_engine_config_seed_range():
 def test_negative_seed_streams_unchanged():
     # a negative seed keys its streams with seed mod 2**64, as before
     for seed in (-1, -5, -2 ** 63):
-        next_u = simulate._uniforms(seed, 3)
+        next_u = oracle._uniforms(seed, 3)
         got = np.array([next_u() for _ in range(300)])
         want = np.random.Generator(np.random.Philox(key=[seed, 3])).random(300)
         assert np.array_equal(got, want)
@@ -236,7 +241,7 @@ def test_reference_rates(eps, rates):
 
 def test_uniform_stream_is_philox_per_path():
     # 3000 draws cross the 256-draw first block and two 1024-draw blocks
-    next_u = simulate._uniforms(12, 34)
+    next_u = oracle._uniforms(12, 34)
     got = [next_u() for _ in range(3000)]
     assert all(type(u) is float for u in got)
     want = np.random.Generator(np.random.Philox(key=[12, 34])).random(3000)
@@ -246,7 +251,7 @@ def test_uniform_stream_is_philox_per_path():
 def test_interleaved_uniform_streams():
     # each stream draws from its own Philox generator; drawing from one
     # between the other's blocks must not disturb either
-    a, b = simulate._uniforms(12, 34), simulate._uniforms(-7, 35)
+    a, b = oracle._uniforms(12, 34), oracle._uniforms(-7, 35)
     got_a, got_b = [], []
     for _ in range(3000):
         got_a.append(a())
@@ -389,15 +394,6 @@ def test_infinite_proposals_complete():
     assert len(path.events) == 49
 
 
-def _kernel_lib():
-    """The loaded kernel; a missing compiler skips, any other failure fails."""
-    lib, engine = simulate._kernel()
-    if lib is None and shutil.which("cc") is None:
-        pytest.skip(f"no C compiler: {engine.detail}")
-    assert lib is not None, engine.detail
-    return lib
-
-
 # (spec, engine, eps values, x0 or None for a drawn x0); the explosive
 # engine runs on the spec as given
 _KERNEL_CASES = {
@@ -437,11 +433,11 @@ def test_kernel_matches_run_engine(name, explosive, tabulated_spec, seed,
     x0 = fixed_x0 or x0
     cfg = simulate.EngineConfig(eps=eps, seed=seed, cap=1e5)
     lam, delta = simulate._rates(spec, x0, t_end, eps, explosive)
-    got = simulate._kernel_run(_kernel_lib(), spec, x0, t_end, cfg, start,
+    got = simulate._kernel_run(simulate._kernel(), spec, x0, t_end, cfg, start,
                                count, lam, delta, explosive)
     assert np.all(np.asarray(got.end) <= simulate.END_MAX_EVENTS)
     for i in range(count):
-        _, t, x, n, exploded, _ = simulate._run_engine(
+        _, t, x, n, exploded, _ = oracle._run_engine(
             spec, x0, t_end, cfg, start + i, False, lam, delta, explosive)
         assert (got.t[i], got.x[i], got.n[i]) == (t, x, n)
         assert (got.end[i] != simulate.END_HORIZON) == exploded
@@ -450,10 +446,10 @@ def test_kernel_matches_run_engine(name, explosive, tabulated_spec, seed,
 
 
 def _scalar_path(spec, x0, t_end, cfg, index, explosive):
-    """The Path that _run_engine alone gives, as both engines built it
-    before they ran on the kernel."""
+    """The Path that the oracle's _run_engine gives, built as both
+    engines built it before they ran on the kernel."""
     lam, delta = simulate._rates(spec, x0, t_end, cfg.eps, explosive)
-    events, t, x, _, exploded, explosion_time = simulate._run_engine(
+    events, t, x, _, exploded, explosion_time = oracle._run_engine(
         spec, x0, t_end, cfg, index, True, lam, delta, explosive)
     return simulate.Path(
         x0=x0, events=events, decay_rate=delta, t_end=t_end, eps=cfg.eps,
@@ -490,7 +486,6 @@ def test_recorded_paths_match_run_engine(name, explosive, tabulated_spec,
                                          seed, index, eps_index, x0, t_end):
     # a recorded path runs on the kernel; its events, explosion and
     # terminal value are the scalar loop's, bit for bit
-    _kernel_lib()
     spec, _, eps_values, fixed_x0 = _KERNEL_CASES[name]
     spec = spec or tabulated_spec
     eps = eps_values[eps_index % len(eps_values)]
@@ -505,7 +500,6 @@ def test_recorded_paths_outgrow_first_event_room():
     # at cap 1e8 an exploding path makes tens of thousands of jumps; three
     # of these paths make more than 4,096, and their event buffers grow in
     # the kernel as they run
-    _kernel_lib()
     untilted = measure.untilted_spec(measure.reference_spec())
     cfg = simulate.EngineConfig(eps=1e-2, seed=20261018, cap=1e8)
     t_end = 2.0 * math.log(2.0)
@@ -518,33 +512,27 @@ def test_recorded_paths_outgrow_first_event_room():
     assert long == 3
 
 
-def test_recorded_conservative_max_events(ref_spec, monkeypatch):
-    # a recorded path that reaches max_events raises the scalar loop's
-    # error and message, with the kernel and without it
+def test_recorded_conservative_max_events(ref_spec):
+    # a recorded path that reaches max_events raises the oracle's error and
+    # message
     cfg = simulate.EngineConfig(eps=1e-2, seed=9)
     i, path = _first_path_with_events(simulate.simulate_path, ref_spec, 2.0,
                                       cfg)
     k = len(path.events)
     tight = dataclasses.replace(cfg, max_events=k)
-    for kernel in (simulate._kernel, lambda: (
-            None, simulate.FanOutEngine("python", "disabled"))):
-        monkeypatch.setattr(simulate, "_kernel", kernel)
+    lam, delta = simulate._rates(ref_spec, 1.0, 2.0, cfg.eps, False)
+    for run in (lambda: simulate.simulate_path(ref_spec, 1.0, 2.0, tight, i),
+                lambda: oracle._run_engine(ref_spec, 1.0, 2.0, tight, i, True,
+                                           lam, delta, False)):
         with pytest.raises(MaxEventsExceeded,
                            match=f"^conservative path reached {k} events$"):
-            simulate.simulate_path(ref_spec, 1.0, 2.0, tight, i)
-        assert simulate.simulate_path(ref_spec, 1.0, 2.0, cfg, i) == path
+            run()
+    assert simulate.simulate_path(ref_spec, 1.0, 2.0, cfg, i) == path
 
 
-def test_conservative_max_events_raises_from_the_kernel(ref_spec,
-                                                      monkeypatch):
-    # the kernel's END_MAX_EVENTS raises MaxEventsExceeded itself; the
-    # scalar loop does not run the path again only to raise
-    _kernel_lib()
-
-    def scalar(*args):
-        raise AssertionError("scalar loop ran")
-
-    monkeypatch.setattr(simulate, "_run_engine", scalar)
+def test_conservative_max_events_raises_from_the_kernel(ref_spec):
+    # the kernel's END_MAX_EVENTS raises MaxEventsExceeded, for one path and
+    # for a recorded block on threads
     cfg = simulate.EngineConfig(eps=1e-2, seed=9, max_events=5)
     for fn in (simulate.simulate_path, lambda *a: simulate.block_csvs(
             *a, 0, 8, False, 2)):
@@ -590,7 +578,7 @@ def test_kernel_block_spans_calls(ref_spec):
     # about 2^22 events end a kernel call, so Ctrl-C lands between calls;
     # a block of some 6M events takes two calls and ends as its paths do
     # one by one
-    lib = _CountingKernel(_kernel_lib())
+    lib = _CountingKernel(simulate._kernel())
     cfg = simulate.EngineConfig(eps=1e-2, seed=1)
     lam, delta = simulate._rates(ref_spec, 1e5, 1.0, cfg.eps, False)
     got = simulate._kernel_run(lib, ref_spec, 1e5, 1.0, cfg, 3, 16, lam,
@@ -607,9 +595,8 @@ def test_kernel_block_spans_calls(ref_spec):
 def test_recorded_path_takes_one_call_in_its_room(ref_spec, monkeypatch):
     # a recorded path takes one kernel call and runs its jumps once, a
     # long one as a short one: its event buffer grows as it runs
-    lib = _CountingKernel(_kernel_lib())
-    monkeypatch.setattr(simulate, "_kernel", lambda: (
-        lib, simulate.FanOutEngine("kernel", "counted")))
+    lib = _CountingKernel(simulate._kernel())
+    monkeypatch.setattr(simulate, "_kernel", lambda: lib)
     cfg = simulate.EngineConfig(eps=1e-2, seed=3)
     for x0, n in ((300.0, 1057), (6000.0, 22355)):
         lib.runs.clear()
@@ -642,7 +629,7 @@ def test_kernel_records_only_in_each_paths_room(ref_spec, threads):
     # jumplm_take moves them, times then sizes, to events[2 offsets[i] ..
     # 2 offsets[i+1]], writes nothing outside the paths' rooms and frees
     # every buffer; a path of 0 jumps holds none
-    lib = _kernel_lib()
+    lib = simulate._kernel()
     cfg = simulate.EngineConfig(eps=1e-2, seed=11)
     x0, count = 40.0, 12
     lam, delta = simulate._rates(ref_spec, x0, 1.0, cfg.eps, False)
@@ -667,7 +654,7 @@ def test_kernel_records_only_in_each_paths_room(ref_spec, threads):
         assert np.all(events[2 * offsets[-1]:] == -7.5)
         for i, n in enumerate(counts):
             recorded = events[2 * offsets[i]:2 * offsets[i + 1]]
-            scalar, *_ = simulate._run_engine(ref_spec, x0, t_end, cfg, 5 + i,
+            scalar, *_ = oracle._run_engine(ref_spec, x0, t_end, cfg, 5 + i,
                                               True, lam, delta, False)
             assert recorded.reshape(2, n).T.tolist() == \
                 [list(ev) for ev in scalar]
@@ -716,7 +703,7 @@ def test_recorded_blocks_match_run_engine(name, explosive, tabulated_spec,
     # past its last room from malloc, blocks that take several calls, on 1
     # to 3 threads.  A path the kernel stops where the scalar loop raises
     # (a delta of 0, or one whose decay overflows) records none.
-    lib = _CountingKernel(_kernel_lib(), most)
+    lib = _CountingKernel(simulate._kernel(), most)
     spec, _, eps_values, fixed_x0 = _KERNEL_CASES[name]
     spec = spec or tabulated_spec
     eps = eps_values[eps_index % len(eps_values)]
@@ -739,10 +726,10 @@ def test_recorded_blocks_match_run_engine(name, explosive, tabulated_spec,
         if got.end[i] > simulate.END_MAX_EVENTS:
             assert got.n[i] == -1 and recorded.size == 0
             with pytest.raises(ArithmeticError):
-                simulate._run_engine(spec, x0, t_end, cfg, start + i, True,
+                oracle._run_engine(spec, x0, t_end, cfg, start + i, True,
                                      lam, delta, explosive)
             continue
-        events, *_ = simulate._run_engine(spec, x0, t_end, loose, start + i,
+        events, *_ = oracle._run_engine(spec, x0, t_end, loose, start + i,
                                           True, lam, delta, explosive)
         events = events[:max_events]
         assert got.n[i] == len(events)
@@ -772,7 +759,7 @@ def test_recorded_blocks_free_their_event_buffers():
     # of events each, leave the resident set within a few MB of where it
     # was, also when a Ctrl-C lands between a block's kernel call and its
     # gather; buffers left behind would hold some 100 MB
-    lib = _kernel_lib()
+    lib = simulate._kernel()
     untilted = measure.untilted_spec(measure.reference_spec())
     cfg = simulate.EngineConfig(eps=1e-2, seed=5, cap=1e8)
     lam, delta = simulate._rates(untilted, 1.0, 0.25, cfg.eps, True)
@@ -796,24 +783,19 @@ def test_recorded_blocks_free_their_event_buffers():
 @pytest.mark.skipif(shutil.which("cc") is None
                     or not os.path.exists("/proc/self/status"),
                     reason="no C compiler or no /proc/self/status")
-def test_path_out_of_memory_runs_in_python():
+def test_path_out_of_memory_raises():
     # a recording path whose event buffer cannot grow, here past an
-    # address-space limit 48 MB above the process's size, stops with an
-    # end code above END_MAX_EVENTS, and _fan_out runs it again in the
-    # scalar loop (a stub here), as it does every path the kernel stops on
+    # address-space limit 48 MB above the process's size, stops with
+    # END_NO_MEMORY; simulate_path and block_csvs raise KernelOutOfMemory,
+    # a MemoryError, naming the lowest-index such path
     code = (
         "import resource\n"
         "from jumplm import measure, simulate\n"
-        "lib = simulate._kernel()[0]\n"
-        "assert lib is not None\n"
+        "from jumplm.errors import KernelOutOfMemory\n"
+        "lib = simulate._kernel()\n"
         "spec = measure.reference_spec()\n"
         "cfg = simulate.EngineConfig(eps=1e-2, seed=1)\n"
         "lam, delta = simulate._rates(spec, 1e6, 1.0, cfg.eps, False)\n"
-        "ran = []\n"
-        "def scalar(spec, x0, t_end, config, index, *rest):\n"
-        "    ran.append(index)\n"
-        "    return [(0.5, 1.0)], 0.5, 2.0, 1, False, None\n"
-        "simulate._run_engine = scalar\n"
         "size = next(int(line.split()[1])\n"
         "            for line in open('/proc/self/status')\n"
         "            if line.startswith('VmSize:'))\n"
@@ -822,16 +804,108 @@ def test_path_out_of_memory_runs_in_python():
         "                   (1024 * size + (48 << 20), hard))\n"
         "out = simulate._kernel_run(lib, spec, 1e6, 1.0, cfg, 3, 1, lam,\n"
         "                           delta, False, record=True)\n"
-        "assert out.end[0] > simulate.END_MAX_EVENTS and out.n[0] == -1\n"
-        "out = simulate._fan_out(spec, 1e6, 1.0, cfg, 3, 1, lam, delta,\n"
-        "                        False, record=True)\n"
-        "assert ran == [3] and out.end.tolist() == [simulate.END_HORIZON]\n"
-        "assert out.events.tolist() == [0.5, 1.0], out.events\n")
+        "assert out.end.tolist() == [simulate.END_NO_MEMORY], out.end\n"
+        "assert out.n[0] == -1\n"
+        "for run in (lambda: simulate.simulate_path(spec, 1e6, 1.0, cfg, 3),\n"
+        "            lambda: simulate.block_csvs(spec, 1e6, 1.0, cfg, 3, 2,\n"
+        "                                        False, 2)):\n"
+        "    try:\n"
+        "        run()\n"
+        "    except KernelOutOfMemory as exc:\n"
+        "        assert isinstance(exc, MemoryError)\n"
+        "        assert str(exc) == ('path 3 stopped: no memory to record '\n"
+        "                            'its events'), exc\n"
+        "    else:\n"
+        "        raise AssertionError('no error')\n")
     src = os.path.dirname(os.path.dirname(simulate.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+# a decay rate and horizon that no validated spec gives, the end code the
+# kernel stops every path with there, and what the oracle raises instead
+_MATH_STOPS = [(0.0, 1.0, simulate.END_ZERO_DIVISION, ZeroDivisionError),
+               (-1000.0, 1.0, simulate.END_EXP_RANGE, OverflowError),
+               (math.inf, 0.0, simulate.END_LOG_DOMAIN, ValueError)]
+
+
+@pytest.mark.parametrize("delta,t_end,code,raw", _MATH_STOPS)
+@pytest.mark.parametrize("explosive", [False, True])
+def test_math_stops_raise_domain_errors(ref_spec, monkeypatch, delta, t_end,
+                                        code, raw, explosive):
+    # where the kernel stops a path on a log of a non-positive number, an
+    # exp past the float range or a division by zero, the public entry
+    # points raise DomainError naming the path, and the oracle raises
+    # Python's own error on that same path
+    spec = measure.untilted_spec(ref_spec) if explosive else ref_spec
+    cfg = simulate.EngineConfig(eps=1e-2, seed=5, cap=1e5)
+    lam = simulate._rates(spec, 1.0, 1.0, cfg.eps, explosive)[0]
+    ends = simulate._kernel_run(simulate._kernel(), spec, 1.0, t_end, cfg, 7,
+                                5, lam, delta, explosive).end
+    assert ends.tolist() == [code] * 5
+    monkeypatch.setattr(simulate, "_rates", lambda *a: (lam, delta))
+    error, what = simulate._STOPS[code]
+    assert error is DomainError
+    one = simulate.simulate_explosive_path if explosive else \
+        simulate.simulate_path
+    for run in (lambda: simulate.fan_out(spec, 1.0, t_end, cfg, 7, 5,
+                                         explosive, 2),
+                lambda: simulate.block_csvs(spec, 1.0, t_end, cfg, 7, 5,
+                                            explosive, 2),
+                lambda: one(spec, 1.0, t_end, cfg, 7)):
+        with pytest.raises(DomainError, match=f"^path 7 stopped: {what}$"):
+            run()
+    with pytest.raises(raw):
+        oracle._run_engine(spec, 1.0, t_end, cfg, 7, True, lam, delta,
+                           explosive)
+
+
+class _StoppingKernel(_CountingKernel):
+    """A kernel whose calls then mark the paths at the block indexes in
+    stops as stopped with code, as the kernel marks a path it stops on an
+    error."""
+
+    def __init__(self, lib, stops, code):
+        super().__init__(lib)
+        self.stops, self.code = stops, code
+
+    def jumplm_run_paths(self, job):
+        first = job.first
+        k = super().jumplm_run_paths(job)
+        for i in self.stops & set(range(first, k)):
+            ctypes.c_int8.from_address(job.end + i).value = self.code
+            ctypes.c_int64.from_address(job.n + 8 * i).value = -1
+        return k
+
+
+@pytest.mark.parametrize("code", sorted(simulate._STOPS))
+@settings(max_examples=8, deadline=None)
+@given(start=st.integers(0, 10 ** 6), count=st.integers(1, 40),
+       stops=st.sets(st.integers(0, 39), min_size=1, max_size=4),
+       explosive=st.booleans())
+def test_lowest_stopped_path_names_the_error(ref_spec, code, start, count,
+                                             stops, explosive):
+    # every end code above END_MAX_EVENTS, on any paths of a block, raises
+    # its JumplmError naming the lowest-index stopped path, in fan_out and
+    # in a recorded block (block_csvs), and for one path in simulate_path
+    spec = measure.untilted_spec(ref_spec) if explosive else ref_spec
+    cfg = simulate.EngineConfig(eps=1e-2, seed=3, cap=1e5)
+    stops = {i % count for i in stops}
+    error, what = simulate._STOPS[code]
+    assert issubclass(error, JumplmError)
+    lib = _StoppingKernel(simulate._kernel(), stops, code)
+    one = simulate.simulate_explosive_path if explosive else \
+        simulate.simulate_path
+    with mock.patch.object(simulate, "_kernel", lambda: lib):
+        for block in (simulate.fan_out, simulate.block_csvs):
+            with pytest.raises(error, match=f"^path {start + min(stops)} "
+                                            f"stopped: {what}$"):
+                block(spec, 1.0, 0.5, cfg, start, count, explosive, 2)
+        lib.stops = {0}
+        with pytest.raises(error, match=f"^path {start} stopped: {what}$"):
+            one(spec, 1.0, 0.5, cfg, start)
 
 
 def _outcome(fn):
@@ -861,9 +935,8 @@ def test_kernel_threads_match_one_thread(name, explosive, tabulated_spec,
     # paths are claimed one at a time by whichever thread is free; every
     # output of every path is the one-thread output, bit for bit, also for
     # paths stopped at max_events and, with a delta of 0 or one whose
-    # decay overflows on [0, t_end], for paths the kernel leaves to the
-    # scalar loop
-    lib = _kernel_lib()
+    # decay overflows on [0, t_end], for paths the kernel stops on an error
+    lib = simulate._kernel()
     spec, _, eps_values, fixed_x0 = _KERNEL_CASES[name]
     spec = spec or tabulated_spec
     eps = eps_values[eps_index % len(eps_values)]
@@ -882,7 +955,7 @@ def test_kernel_threads_match_one_thread(name, explosive, tabulated_spec,
                                    lam, delta, explosive, threads=threads)
         assert [a.tobytes() for a in got[:5]] == [a.tobytes() for a in one[:5]]
     if not explosive and stop_delta is None:
-        # a path at max_events raises the scalar loop's error and message
+        # a path at max_events raises MaxEventsExceeded and its message
         def terminals(threads):
             return lambda: simulate.fan_out(
                 spec, x0, t_end, cfg, start, count, False, threads).terminal
@@ -897,7 +970,7 @@ def test_kernel_threads_block_spans_calls(ref_spec):
     # budget is spent.  Paths are claimed only while fewer than 12 are
     # finished, so a call on at most 3 threads claims at most 11 + 3 of
     # them and the block takes two calls.  It ends as on one thread.
-    lib = _CountingKernel(_kernel_lib())
+    lib = _CountingKernel(simulate._kernel())
     cfg = simulate.EngineConfig(eps=1e-2, seed=1)
     lam, delta = simulate._rates(ref_spec, 1e5, 1.0, cfg.eps, False)
     one = simulate._kernel_run(lib, ref_spec, 1e5, 1.0, cfg, 3, 16, lam,
@@ -924,25 +997,16 @@ def test_kernel_threads_block_spans_calls(ref_spec):
         assert [a.tobytes() for a in got[:5]] == [a.tobytes() for a in one[:5]]
 
 
-def test_path_repr_is_engine_independent(ref_spec, tabulated_spec,
-                                         monkeypatch):
-    # the rates are Python floats, so a path's repr is the same on the
-    # kernel and on the Python loop
+def test_path_repr_is_engine_independent(ref_spec, tabulated_spec):
+    # the rates are Python floats, so a path's repr is the same from the
+    # kernel and from the oracle
     untilted = measure.untilted_spec(ref_spec)
     cfg = simulate.EngineConfig(eps=1e-2, seed=7, cap=1e5)
-
-    def paths():
-        return [repr(simulate.simulate_path(ref_spec, 1.0, 1.0, cfg, 2)),
-                repr(simulate.simulate_path(tabulated_spec, 1.0, 1.0, cfg, 2)),
-                repr(simulate.simulate_explosive_path(untilted, 1.0, 1.0, cfg,
-                                                      2))]
-
-    _kernel_lib()
-    on_kernel = paths()
-    monkeypatch.setattr(simulate, "_kernel", lambda: (
-        None, simulate.FanOutEngine("python", "disabled")))
-    assert paths() == on_kernel
-    assert "np.float64" not in "".join(on_kernel)
+    for spec, explosive in ((ref_spec, False), (tabulated_spec, False),
+                            (untilted, True)):
+        got = repr(_recorded(spec, 1.0, 1.0, cfg, 2, explosive))
+        assert got == repr(_scalar_path(spec, 1.0, 1.0, cfg, 2, explosive))
+        assert "np.float64" not in got
 
 
 @pytest.fixture(scope="module")
@@ -1048,7 +1112,6 @@ _FORMAT_EDGES = [0.0, -0.0, math.inf, -math.inf, -math.nan, 5e-324,
 def test_kernel_rows_match_python_percent(t, xi):
     # byte for byte "%.17g,%.17g\n" % event; the kernel formats every
     # event with 1e-16 < |v| < 1e17 and leaves the rest to Python
-    _kernel_lib()
     for ev in [(t, xi), *((v, xi) for v in _FORMAT_EDGES),
                *((t, -v) for v in _FORMAT_EDGES)]:
         rows, by_kernel = _kernel_csv_rows([ev])
@@ -1062,7 +1125,6 @@ def test_kernel_rows_match_python_on_a_sweep():
     # some 80,000 doubles in one call: log-uniform on +-(1e-16, 1e17),
     # scaled integers, dyadic rationals, 50 ulps either side of 10^k and
     # values halfway between two 17-digit decimals
-    _kernel_lib()
     rng = np.random.default_rng(14)
     near = []
     for k in range(-15, 17):
@@ -1094,7 +1156,6 @@ def test_kernel_rows_match_python_on_a_sweep():
 def test_recorded_path_outside_kernel_range_is_formatted_by_python():
     # path 1176 jumps to +inf: its rows come from Python's %, as they did
     # before the kernel formatted any
-    _kernel_lib()
     untilted = measure.untilted_spec(
         measure.LevyMeasureSpec.tilted_power(1.0, 1.01, 1.0))
     cfg = simulate.EngineConfig(eps=1e-2, seed=0)
@@ -1109,7 +1170,6 @@ def test_recorded_path_outside_kernel_range_is_formatted_by_python():
 def test_hand_built_path_writes_the_same_csv(ref_spec):
     # a Path built from the same fields holds nothing more, and its CSV,
     # formatted by Python, is the kernel's byte for byte
-    _kernel_lib()
     untilted = measure.untilted_spec(ref_spec)
     cfg = simulate.EngineConfig(eps=1e-2, seed=20261018, cap=1e5)
     t_end = 2.0 * math.log(2.0)
@@ -1131,7 +1191,7 @@ def _export_outcome(fn):
     """What fn() gives, or the type and message of what it raises."""
     try:
         return fn()
-    except (ArithmeticError, ValueError, MaxEventsExceeded) as exc:
+    except JumplmError as exc:
         return type(exc), str(exc)
 
 
@@ -1147,18 +1207,16 @@ def _export_outcome(fn):
        x0=st.floats(0.05, 3.0),
        t_end=st.floats(0.0, 2.0),
        max_events=st.sampled_from([10_000_000] * 4 + [1, 5]),
-       zero_delta=st.sampled_from([False] * 5 + [True]),
-       kernel=st.sampled_from([True] * 3 + [False]))
+       zero_delta=st.sampled_from([False] * 5 + [True]))
 def test_block_csvs_match_one_path_exports(name, explosive, tabulated_spec,
                                            seed, start, count, threads,
                                            eps_index, x0, t_end, max_events,
-                                           zero_delta, kernel):
+                                           zero_delta):
     # each path's CSV from the block is export_path_csv's for the path run
-    # alone, byte for byte, on any number of threads and without a kernel;
-    # a block raises what its first raising path raises alone: the scalar
-    # loop's error where the kernel stops (a delta of 0), and
-    # MaxEventsExceeded for a conservative path at max_events
-    _kernel_lib()
+    # alone, byte for byte, on any number of threads; a block raises what
+    # its first raising path raises alone: DomainError naming the path
+    # where the kernel stops it (a delta of 0), and MaxEventsExceeded for a
+    # conservative path at max_events
     spec, _, eps_values, fixed_x0 = _KERNEL_CASES[name]
     spec = spec or tabulated_spec
     eps = eps_values[eps_index % len(eps_values)]
@@ -1168,14 +1226,9 @@ def test_block_csvs_match_one_path_exports(name, explosive, tabulated_spec,
     one = simulate.simulate_explosive_path if explosive else \
         simulate.simulate_path
     rates = simulate._rates
-    with contextlib.ExitStack() as stack:
-        if zero_delta:
-            stack.enter_context(mock.patch.object(
-                simulate, "_rates", lambda *a: (rates(*a)[0], 0.0)))
-        if not kernel:
-            stack.enter_context(mock.patch.object(
-                simulate, "_kernel",
-                lambda: (None, simulate.FanOutEngine("python", "disabled"))))
+    with (mock.patch.object(simulate, "_rates",
+                            lambda *a: (rates(*a)[0], 0.0))
+          if zero_delta else contextlib.nullcontext()):
         got = _export_outcome(lambda: simulate.block_csvs(
             spec, x0, t_end, cfg, start, count, explosive, threads))
         want = []
@@ -1198,29 +1251,37 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
-def test_kernel_build_and_fallback(tmp_path, monkeypatch, caplog):
-    build = simulate._kernel.__wrapped__
+def test_kernel_build_and_unavailable(ref_spec, tmp_path, monkeypatch,
+                                     caplog):
+    # the kernel is built into the cache and loaded; where it cannot be (a
+    # cache that cannot be a directory, no compiler on PATH), _load gives
+    # the reason, and every simulation raises KernelUnavailable with it
+    load = simulate._load.__wrapped__
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    if shutil.which("cc") is not None:
-        with caplog.at_level(logging.DEBUG, logger="jumplm.simulate"):
-            lib, engine = build()
-        assert lib is not None and engine.name == "kernel"
-        (built,) = (tmp_path / "cache" / "jumplm").iterdir()
-        assert engine.detail == str(built)
-        assert built.name.startswith("kernel-") and built.suffix == ".so"
-        assert [r.getMessage() for r in caplog.records] == [
-            f"Monte Carlo fan-out engine: kernel ({built})"]
-    # a cache that cannot be a directory, then no compiler on PATH
+    with caplog.at_level(logging.DEBUG, logger="jumplm.simulate"):
+        lib = load()
+    (built,) = (tmp_path / "cache" / "jumplm").iterdir()
+    assert lib._name == str(built)
+    assert built.name.startswith("kernel-") and built.suffix == ".so"
+    assert [r.getMessage() for r in caplog.records] == [
+        f"simulation kernel: {built}"]
     (tmp_path / "file").write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
-    lib, engine = build()
-    assert lib is None and engine.name == "python"
-    assert engine.detail.startswith("no kernel: ")
+    assert load().startswith("simulation needs the compiled kernel: ")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other"))
     monkeypatch.setenv("PATH", str(tmp_path))
-    lib, engine = build()
-    assert lib is None and engine.name == "python"
-    assert "'cc'" in engine.detail
+    why = load()
+    assert why.startswith("simulation needs the compiled kernel: ")
+    assert "'cc'" in why
+    monkeypatch.setattr(simulate, "_load", lambda: why)
+    cfg = simulate.EngineConfig(eps=1e-2, seed=1)
+    for run in (simulate._kernel,
+                lambda: simulate.fan_out(ref_spec, 1.0, 1.0, cfg, 0, 4, False),
+                lambda: simulate.block_csvs(ref_spec, 1.0, 1.0, cfg, 0, 4,
+                                            False),
+                lambda: simulate.simulate_path(ref_spec, 1.0, 1.0, cfg)):
+        with pytest.raises(KernelUnavailable, match=f"^{re.escape(why)}$"):
+            run()
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -1253,10 +1314,9 @@ def test_kernel_removed_before_its_load_is_built_again(tmp_path,
         return names[-1]
 
     monkeypatch.setattr(simulate, "_build_kernel", build_then_lose)
-    lib, engine = simulate._kernel.__wrapped__()
-    assert lib is not None and engine.name == "kernel"
+    lib = simulate._load.__wrapped__()
     assert len(names) == 2 and names[1].exists()
-    assert engine.detail == str(names[1])
+    assert lib._name == str(names[1])
 
 
 def test_import_and_sampling_do_not_build(tmp_path):
@@ -1264,7 +1324,7 @@ def test_import_and_sampling_do_not_build(tmp_path):
             "spec = measure.reference_spec()\n"
             "measure.validate(spec)\n"
             "measure.make_jump_sampler(spec, 1e-2)\n"
-            "assert simulate._kernel.cache_info().currsize == 0\n")
+            "assert simulate._load.cache_info().currsize == 0\n")
     src = os.path.dirname(os.path.dirname(simulate.__file__))
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
