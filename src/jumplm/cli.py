@@ -67,6 +67,20 @@ def _emit(lines, out) -> None:
         click.echo(text, nl=False)
 
 
+def _time_grid(option, t_max, steps):
+    """np.linspace(0.0, t_max, steps + 1) in floats, to the bit: numpy's
+    branch where the step underflows to 0, and + 0.0 for a -0.0."""
+    if steps < 0:
+        raise InvalidParameter(f"--steps must be nonnegative, got {steps}")
+    if not 0.0 <= t_max < math.inf:
+        raise InvalidParameter(f"{option} must be finite and >= 0, got {t_max}")
+    if steps == 0:
+        return [0.0]
+    step = t_max / steps
+    return [(i * step if step else i / steps * t_max) + 0.0
+            for i in range(steps)] + [t_max]
+
+
 class _Group(click.Group):
     """The one error boundary: a JumplmError from any command exits 1."""
 
@@ -89,14 +103,8 @@ def main():
 def classify(config):
     """Classify the measure: Strict or TrueMartingale."""
     cls = riccati.classify(measure.spec_from_json(config))
-    out = {
-        "verdict": cls.verdict,
-        "osgood_value": cls.osgood_value,
-        "exponent_estimate": cls.exponent_estimate,
-        "exponent_stderr": cls.exponent_stderr,
-    }
     out = {k: v if not isinstance(v, float) or math.isfinite(v) else None
-           for k, v in out.items()}
+           for k, v in asdict(cls).items()}
     click.echo(json.dumps(out, sort_keys=True, indent=2))
 
 
@@ -109,13 +117,9 @@ def classify(config):
               help="write CSV here instead of stdout")
 def riccati_cmd(config, u0, t_end, steps, out):
     """Solve dg/dt = R(g) and emit the curve as CSV (t, g)."""
-    import numpy as np
+    grid = _time_grid("--t-end", t_end, steps)
     sol = riccati.solve(measure.spec_from_json(config), u0, t_end)
-    grid = np.linspace(0.0, t_end, steps + 1)
-    lines = ["t,g"]
-    for t in grid:
-        lines.append(f"{_fmt(t)},{_fmt(float(sol(t)))}")
-    _emit(lines, out)
+    _emit(["t,g"] + [f"{_fmt(t)},{_fmt(float(sol(t)))}" for t in grid], out)
 
 
 @main.command("defect-curve")
@@ -126,18 +130,18 @@ def riccati_cmd(config, u0, t_end, steps, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def defect_curve(config, x0, t_max, steps, out):
     """CSV of (t, g_minus, expected_S, defect) for a Strict measure."""
-    import numpy as np
+    grid = _time_grid("--t-max", t_max, steps)
     spec = measure.spec_from_json(config)
     measure.validate(spec)
     if measure._closed_form(spec) is None:      # as classify decides
         click.echo("defect identically zero", err=True)
         sys.exit(2)
     lines = ["t,g_minus,expected_S,defect"]
-    for t in np.linspace(0.0, t_max, steps + 1):
-        g = riccati.minimal_solution(spec, float(t))
+    for t in grid:
+        g = riccati.minimal_solution(spec, t)
         es = math.exp(x0 * g) - 1.0
         defect = (math.exp(x0) - 1.0) - es
-        lines.append(f"{_fmt(float(t))},{_fmt(g)},{_fmt(es)},{_fmt(defect)}")
+        lines.append(f"{_fmt(t)},{_fmt(g)},{_fmt(es)},{_fmt(defect)}")
     _emit(lines, out)
 
 

@@ -10,6 +10,10 @@ path, from it.  Where the kernel stops a path on an error, _run_engine
 raises Python's own: ValueError for a log of a non-positive number,
 OverflowError for an exp past the float range, ZeroDivisionError for a
 division by zero.
+
+It also keeps riccati's exponent fit as it was written with numpy:
+riccati._fit_exponent repeats it in plain Python, and must return its
+bits.
 """
 
 import array
@@ -18,7 +22,7 @@ import math
 from typing import List, Tuple
 
 from jumplm import measure, simulate
-from jumplm.errors import MaxEventsExceeded
+from jumplm.errors import MaxEventsExceeded, QuadratureFailure
 
 
 def _uniforms(seed: int, index: int):
@@ -97,3 +101,26 @@ def fan_out(spec, x0, t_end, config, start, count, explosive):
         out.terminal.append(math.nan if exploded
                             else x * math.exp(-delta * (t_end - t)))
     return out
+
+
+def _fit_exponent(r):
+    """Log-log fit of |R(1-z)| ~ C * z^p on z in [1e-6, 1e-2].
+
+    Returns (p, stderr).  Raises QuadratureFailure where R(1-z) does not
+    come out negative, as a validated measure's R is: the quadrature R
+    has cancelled, as near alpha = 2, where b grows like Gamma(2 - alpha).
+    """
+    import numpy as np
+    zs = np.geomspace(1e-6, 1e-2, 9)
+    vals = np.array([-r(1.0 - z) for z in zs])
+    if np.any(vals <= 0):
+        raise QuadratureFailure("R(1-z) is not negative near 1 to rounding")
+    x = np.log(zs)
+    y = np.log(vals)
+    n = len(x)
+    xb, yb = x.mean(), y.mean()
+    sxx = np.sum((x - xb) ** 2)
+    p = float(np.sum((x - xb) * (y - yb)) / sxx)
+    resid = y - (p * x + (yb - p * xb))
+    stderr = float(math.sqrt(np.sum(resid ** 2) / max(n - 2, 1) / sxx))
+    return p, stderr

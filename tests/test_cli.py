@@ -144,6 +144,24 @@ def test_verify_invalid_config_is_an_error_line(runner, ref_json):
     assert res.output.startswith("error: ")
 
 
+@pytest.mark.parametrize("args,line", [
+    (["riccati", "--steps", "-2"], "error: --steps must be nonnegative, got -2"),
+    (["defect-curve", "--steps", "-1"],
+     "error: --steps must be nonnegative, got -1"),
+    (["defect-curve", "--t-max", "-1"],
+     "error: --t-max must be finite and >= 0, got -1.0"),
+    (["defect-curve", "--t-max", "inf"],
+     "error: --t-max must be finite and >= 0, got inf"),
+    (["defect-curve", "--t-max", "nan"],
+     "error: --t-max must be finite and >= 0, got nan"),
+])
+def test_curve_grid_error_lines(runner, ref_json, args, line):
+    # the grid options are checked before any curve is computed, and named
+    res = runner.invoke(main, [args[0], ref_json, *args[1:]])
+    assert res.exit_code == 1
+    assert res.output == line + "\n"
+
+
 def test_defect_curve_true_martingale_exits_2(runner, tab_json):
     res = runner.invoke(main, ["defect-curve", tab_json])
     assert res.exit_code == 2
@@ -356,12 +374,14 @@ def test_verify_survival_loads_no_numpy(tmp_path, ref_json):
     # the survival theory on the reference is the closed-form minimal
     # branch, and the estimate counts the paths' end codes; the
     # supermartingale sweep is survival estimates, and decides Strict
-    # without classify's exponent fit
+    # without classify's exponent fit; classify's fit and defect-curve's
+    # grid are plain floats
     survival = (f"verify survival {ref_json} --eps 1e-2 --cap 1e5 "
                 f"--t {2.0 * math.log(2.0)!r} --paths 300 --seed 3")
     sweep = (f"verify supermartingale {ref_json} --eps 1e-2 --cap 1e5 "
              f"--t-grid 0.5,1,2 --paths 300 --seed 3")
-    _run_loading_no_scipy(tmp_path, survival, sweep)
+    _run_loading_no_scipy(tmp_path, survival, sweep, f"classify {ref_json}",
+                          f"defect-curve {ref_json}")
 
 
 @pytest.mark.usefixtures("kernel")

@@ -1,13 +1,17 @@
 import math
 import struct
+import sys
 import time
+import types
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
 
+import oracle
 from jumplm import measure, riccati, simulate
 from jumplm.errors import (DivergentIntegral, DomainError, JumplmError,
                            NonIntegrableTail, QuadratureFailure)
@@ -157,6 +161,69 @@ def test_classifier_is_the_theorem_property(c, alpha, beta):
     assert time.perf_counter() - started < 2.0
     strict = beta == 1.0 and 1.0 < alpha < 2.0
     assert verdict == (riccati.STRICT if strict else riccati.TRUE_MARTINGALE)
+
+
+def _both_fits(spec, log=None):
+    """(p, stderr) of the numpy oracle's fit and of riccati's, as bytes, on
+    the same values of R; "QuadratureFailure" for a fit that raises it.
+    With log, riccati's fit takes its logarithms from it."""
+    r = measure.r_callables(spec)[0]
+    memo = {}
+
+    def once(u):
+        # the oracle hands R a numpy float: each 1 - z is evaluated once
+        u = float(u)
+        if u not in memo:
+            memo[u] = r(u)
+        return memo[u]
+
+    own = types.SimpleNamespace(**{**vars(math), "log": log or math.log})
+    out = []
+    with mock.patch.object(riccati, "math", own):
+        for fit in (oracle._fit_exponent, riccati._fit_exponent):
+            try:
+                out.append(struct.pack("<2d", *fit(once)))
+            except QuadratureFailure:
+                out.append("QuadratureFailure")
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(min_value=1e-2, max_value=1e2),
+       alpha=st.floats(min_value=1.0, max_value=2.0, exclude_min=True,
+                       exclude_max=True),
+       beta=st.just(1.0) | st.floats(min_value=1.0, max_value=3.0))
+@example(c=1.0, alpha=2.0 - 4e-16, beta=2.0)
+@example(c=2.375, alpha=1.0000000000000002, beta=2.5)
+def test_fit_exponent_is_numpys_property(c, alpha, beta):
+    # the plain-Python fit is numpy's least squares operation for
+    # operation: given numpy's logarithms it returns the numpy fit's bits,
+    # or raises where that raises.  Its own logarithms are libm's, which
+    # numpy's SIMD log on an AVX-512 host differs from by an ulp on about
+    # 1 argument in 1,000: there p or stderr can move in its last digits
+    # (c = 2.375, alpha = 1 + 2^-52, beta = 2.5 is such a spec)
+    spec = measure.LevyMeasureSpec.tilted_power(c, alpha, beta)
+    assume(_valid(spec))
+    old, new = _both_fits(spec, log=lambda v: float(np.log(v)))
+    assert new == old
+
+
+def test_fit_exponent_is_numpys_on_the_fixtures(ref_spec, tabulated_spec):
+    # with its own logarithms, on the pinned specs
+    for spec in (ref_spec, tabulated_spec):
+        old, new = _both_fits(spec)
+        assert isinstance(new, bytes) and new == old
+    # the quadrature R cancels near alpha = 2: both fits raise
+    near_two = measure.LevyMeasureSpec.tilted_power(1.0, 2.0 - 4e-16, 2.0)
+    assert _both_fits(near_two) == ["QuadratureFailure"] * 2
+
+
+def test_classify_needs_no_numpy(ref_spec, monkeypatch):
+    # with numpy unimportable, classify still gives the pinned bits
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    cls = riccati.classify.__wrapped__(ref_spec)
+    assert (cls.verdict, cls.osgood_value, cls.exponent_estimate,
+            cls.exponent_stderr) == GOLDEN_CLASSIFY["ref"]
 
 
 def test_minimal_branch_vs_near_one_initial(ref_spec):
