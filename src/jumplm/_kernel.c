@@ -1,10 +1,12 @@
 /* The event loop of jumplm's simulation, compiled, for a block of paths.
  *
  * Every path repeats the operations of one scalar loop in its order (the
- * reference loop the tests hold in Python): +, -, * and / round as Python
- * floats do, and exp, log and pow are the libm functions behind math.exp,
- * math.log and float **, so each path's end state is that loop's to the
- * bit.  Build without -ffast-math and with -ffp-contract=off, which keeps
+ * reference loop the tests hold in Python), but for an exp whose value
+ * only a comparison reads, where a bound settles that comparison (see
+ * below_horizon and below_exp): +, -, * and / round as Python floats do,
+ * and exp, log and pow are the libm functions behind math.exp, math.log
+ * and float **, so each path's end state is that loop's to the bit.
+ * Build without -ffast-math and with -ffp-contract=off, which keeps
  * a*b + c from becoming an FMA:
  *
  *     cc -O2 -fPIC -shared -ffp-contract=off -pthread -o kernel.so \
@@ -180,6 +182,21 @@ typedef struct {
     record **events;
 } job;
 
+/* Whether v < exp(a), settled without exp where a lies in [-1/2, 0]:
+ * there 1 + a <= e^a <= 1 + a + a^2/2, and a guard of 2^-49, 16 ulps near
+ * 1, covers the rounding of both bounds and of libm's exp (under 1 ulp).
+ * Returns 1 or 0, or -1 where the bounds leave it open. */
+static int below_exp(double v, double a)
+{
+    if (!(a >= -0.5 && a <= 0.0))
+        return -1;
+    if (v < (1.0 + a) - 0x1p-49)
+        return 1;
+    if (v >= (1.0 + a + a * a / 2.0) + 0x1p-49)
+        return 0;
+    return -1;
+}
+
 static double jump(const job *j, stream *s)
 {
     if (j->m > 0)
@@ -187,9 +204,31 @@ static double jump(const job *j, stream *s)
     for (;;) {
         /* pow is +inf at u = 0 and on overflow: the scalar rule */
         double xi = j->eps * pow(uniform(s), j->inv_pow);
-        if (j->beta == 0.0 || uniform(s) < exp(-j->beta * (xi - j->eps)))
+        if (j->beta == 0.0)
+            return xi;
+        double v = uniform(s), a = -j->beta * (xi - j->eps);
+        int below = below_exp(v, a);
+        if (below < 0 ? v < exp(a) : below)
             return xi;
     }
+}
+
+/* Whether e_draw < xl (1 - exp(-z)) / delta, the horizon mass as run_path
+ * rounds it (xl = x lam, z = delta (t_end - t)), settled without exp: 1
+ * where e_draw lies below xl (1 - (1/(1+z) + 2^-49)) / delta.  That is a
+ * lower bound of the rounded mass, since exp(-z) <= 1/(1+z), the guard
+ * 2^-49 covers the rounding of 1/(1+z) and of libm's exp, and rounding
+ * keeps the order of the products and quotients that follow.  Returns 0,
+ * and run_path computes exp, where the bound settles nothing or where the
+ * inputs leave the range the argument holds on: delta > 0, z in
+ * (2^-30, 1e300), and xl and the bound positive normal floats. */
+static int below_horizon(double e_draw, double xl, double z, double delta)
+{
+    if (!(delta > 0.0 && z > 0x1p-30 && z < 1e300 && xl > 0.0
+          && isnormal(xl)))
+        return 0;
+    double bound = xl * (1.0 - (1.0 / (1.0 + z) + 0x1p-49)) / delta;
+    return isnormal(bound) && e_draw < bound;
 }
 
 /* exp as math.exp: a finite argument with an infinite result raises */
@@ -229,19 +268,24 @@ static int run_path(const job *j, int64_t i)
     if (delta == 0.0)
         return END_ZERO_DIVISION;
     for (;;) {
-        EXP_OR_STOP(decay, -delta * (t_end - t));
-        double horizon_mass = x * lam * (1.0 - decay) / delta;
+        /* log(1 - u) for u in [0, 1) cannot stop, so drawing it first
+         * moves no stop and no uniform */
         LOG_OR_STOP(e_draw, 1.0 - uniform(&s));
         e_draw = -e_draw;
-        if (e_draw >= horizon_mass) {
-            /* the terminal x * exp(-delta * (t_end - t)) */
-            j->terminal[i] = x * decay;
-            end = END_HORIZON;
-            break;
+        double z = delta * (t_end - t), xl = x * lam;
+        if (!below_horizon(e_draw, xl, z, delta)) {
+            EXP_OR_STOP(decay, -z);
+            double horizon_mass = xl * (1.0 - decay) / delta;
+            if (e_draw >= horizon_mass) {
+                /* the terminal x * exp(-delta * (t_end - t)) */
+                j->terminal[i] = x * decay;
+                end = END_HORIZON;
+                break;
+            }
         }
-        if (x * lam == 0.0)
+        if (xl == 0.0)
             return END_ZERO_DIVISION;
-        LOG_OR_STOP(dt, 1.0 - e_draw * delta / (x * lam));
+        LOG_OR_STOP(dt, 1.0 - e_draw * delta / xl);
         dt = -dt / delta;
         t += dt;
         EXP_OR_STOP(shrink, -delta * dt);

@@ -41,6 +41,7 @@ __all__ = [
     "make_jump_sampler",
     "untilted_spec",
     "tilted_spec",
+    "dual_decay",
     "harmonic_residual",
     "htransform_generator_residual",
     "reference_spec",
@@ -606,6 +607,17 @@ def tilted_spec(spec: LevyMeasureSpec) -> LevyMeasureSpec:
 # ---------------------------------------------------------------------------
 # Harmonicity and h-transform diagnostics
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=256)
+def dual_decay(spec_untilted: LevyMeasureSpec) -> float:
+    """H = int (1 - e^{-xi}) mu~(dxi), the explosive dual's decay: c/C(alpha)
+    on the Strict family's dual (an untilted power, 1 < alpha < 2), exactly
+    1.0 on the reference, and quadrature, as harmonic_residual, elsewhere."""
+    s = spec_untilted
+    if s.kind == "tilted_power" and s.beta == 0.0 and 1.0 < s.alpha < 2.0:
+        return s.c / gamma_constant(s.alpha)
+    return integrate_against(s, lambda xi: -math.expm1(-xi))
+
 
 def harmonic_residual(spec_untilted: LevyMeasureSpec) -> float:
     """|int (1 - e^{-xi}) mu~(dxi) - 1|.

@@ -8,8 +8,9 @@ drift, which is exact to first order for these finite-variation measures.
 
 Two engines share one event loop: the conservative process (compensated
 jumps, decay rate b + tail mean) and the explosive one (uncompensated
-jumps, unit decay minus the small-jump mean), which can hit +infinity in
-finite time and is flagged exploded once it crosses the configured cap.
+jumps, decay rate H = int (1 - e^-xi) mu(dxi) minus the small-jump mean,
+the h-transform's decay), which can hit +infinity in finite time and is
+flagged exploded once it crosses the configured cap.
 Jump sizes come from measure.make_jump_sampler, which picks the sampler
 once per (spec, eps).  Path i of seed s draws its uniforms, in order,
 from Philox(key=[s, i]), so every path is reproducible on its own.
@@ -133,7 +134,9 @@ def _rates(spec: LevyMeasureSpec, x0: float, t_end: float, eps: float,
 
     The conservative decay rate delta is b + (m1 - m(eps)): the compensator
     of all jumps minus the mean drift of the ones below eps that were
-    dropped.  The explosive one is 1 - m(eps), which must stay positive.
+    dropped.  The explosive one is H - m(eps), with H = int (1 - e^-xi)
+    mu(dxi) (measure.dual_decay), the decay that makes it the h-transform
+    of the conservative process by e^x; it must stay positive.
     """
     if not (x0 > 0):
         raise DomainError(f"x0 must be positive, got {x0}")
@@ -145,12 +148,14 @@ def _rates(spec: LevyMeasureSpec, x0: float, t_end: float, eps: float,
         mom = measure.validate(spec)
         lam = measure.tail_intensity(spec, eps)
         return lam, mom.b + (mom.m1 - measure.small_jump_mean(spec, eps))
-    m_eps = measure.small_jump_mean(spec, eps)
-    if m_eps >= 1.0:
+    # Lambda(eps) raises first where the tail diverges, and H with it
+    lam = measure.tail_intensity(spec, eps)
+    m_eps, h = measure.small_jump_mean(spec, eps), measure.dual_decay(spec)
+    if m_eps >= h:
         raise InvalidConfig(
-            f"small-jump mean drift m(eps)={m_eps:.6g} >= 1 at eps={eps}: "
-            "the truncated process would not decay between jumps")
-    return measure.tail_intensity(spec, eps), 1.0 - m_eps
+            f"small-jump mean drift m(eps)={m_eps:.6g} >= H={h:.6g} at "
+            f"eps={eps}: the truncated process would not decay between jumps")
+    return lam, h - m_eps
 
 
 def simulate_path(spec: LevyMeasureSpec, x0: float, t_end: float,
@@ -424,11 +429,12 @@ def simulate_explosive_path(untilted: LevyMeasureSpec, x0: float, t_end: float,
                             record: bool = True) -> Path:
     """Simulate the explosive companion process on [0, t_end].
 
-    Jumps are uncompensated; decay rate is 1 - m(eps), which must stay
-    positive.  Crossing config.cap marks the path exploded at the crossing
-    jump (the residual time to the true explosion is negligible at any
-    reasonable cap, and treating it as zero biases survival estimates
-    downward).  Exhausting max_events also marks the path exploded.
+    Jumps are uncompensated; decay rate is H - m(eps), with H from
+    measure.dual_decay, which must stay positive.  Crossing config.cap
+    marks the path exploded at the crossing jump (the residual time to the
+    true explosion is negligible at any reasonable cap, and treating it as
+    zero biases survival estimates downward).  Exhausting max_events also
+    marks the path exploded.
     """
     return _path(untilted, x0, t_end, config, path_index, record,
                  explosive=True)

@@ -1,6 +1,7 @@
 /* A test harness compiled with _kernel.c into one shared library, for
  * what the kernel keeps static: the layout of its job record, which
- * simulate._Job mirrors, and ppoly, the table sampler's evaluation.
+ * simulate._Job mirrors, ppoly, the table sampler's evaluation, and the
+ * two bound tests that spare the event loop an exp.
  *
  *     cc -O2 -fPIC -shared -ffp-contract=off -pthread -I src/jumplm \
  *         -o harness.so tests/kernel_harness.c -lm
@@ -31,4 +32,21 @@ void harness_ppoly(const double *x, const double *c, int64_t m,
 {
     for (int64_t i = 0; i < n; i++)
         out[i] = ppoly(x, c, m, u[i]);
+}
+
+/* out[i] = below_exp(v[i], a[i]) for i < n */
+void harness_below_exp(const double *v, const double *a, int32_t *out,
+                       int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = below_exp(v[i], a[i]);
+}
+
+/* out[i] = below_horizon(e_draw[i], xl[i], z[i], delta[i]) for i < n */
+void harness_below_horizon(const double *e_draw, const double *xl,
+                           const double *z, const double *delta,
+                           int32_t *out, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = below_horizon(e_draw[i], xl[i], z[i], delta[i]);
 }

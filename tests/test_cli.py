@@ -267,6 +267,23 @@ def test_verify_survival_small(runner, ref_json):
 
 
 @pytest.mark.usefixtures("kernel")
+def test_verify_survival_on_a_scaled_strict_spec(runner, tmp_path):
+    # the explosive dual of tilted_power(10, 1.5, 1) decays at
+    # H - m(eps), H = c/C(alpha) = 35.4; at decay 1 - m(eps) the same
+    # command read a survival of 0.459 against 0.708, z = -70.5
+    p = tmp_path / "scaled.json"
+    p.write_text(json.dumps(measure.spec_to_json(
+        measure.LevyMeasureSpec.tilted_power(10.0, 1.5, 1.0))))
+    res = runner.invoke(main, ["verify", "survival", str(p), "--t", "0.05",
+                               "--paths", "20000", "--eps", "1e-3",
+                               "--cap", "1e5", "--seed", "3"])
+    assert res.exit_code == 0, res.output
+    row = json.loads(res.output)["rows"][0]
+    assert row["theory"] == pytest.approx(0.7079, abs=1e-4)
+    assert row["pass"] and abs(row["z"]) <= 3.0
+
+
+@pytest.mark.usefixtures("kernel")
 def test_verify_survival_reports_do_not_depend_on_workers(runner, ref_json,
                                                           tmp_path):
     # --workers 1 runs each kernel call on one thread, the default on every

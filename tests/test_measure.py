@@ -241,6 +241,26 @@ def test_harmonic_residual():
     assert measure.harmonic_residual(untilted.scaled(2.0)) == pytest.approx(1.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("c,alpha", [(10.0, 1.5), (0.05, 1.2), (3.0, 1.3),
+                                     (1.0, 1.9)])
+def test_dual_decay_matches_quadrature(c, alpha):
+    # H = int (1 - e^-xi) mu~(dxi) on the dual of tilted_power(c, alpha, 1)
+    # is c/C(alpha); off that family it is the quadrature itself
+    dual = measure.LevyMeasureSpec.tilted_power(c, alpha, 0.0)
+    quad = measure.integrate_against(dual, lambda xi: -math.expm1(-xi))
+    assert measure.dual_decay(dual) == c / measure.gamma_constant(alpha)
+    assert measure.dual_decay(dual) == pytest.approx(quad, rel=1e-9)
+    tilted = measure.LevyMeasureSpec.tilted_power(c, alpha, 0.5)
+    assert measure.dual_decay(tilted) == measure.integrate_against(
+        tilted, lambda xi: -math.expm1(-xi))
+
+
+def test_dual_decay_is_one_on_the_reference_dual():
+    # so the reference's dual keeps its decay 1 - m(eps) to the bit
+    untilted = measure.untilted_spec(measure.reference_spec())
+    assert measure.dual_decay(untilted) == 1.0
+
+
 def test_htransform_generator_residuals():
     for name in measure.TEST_FUNCTIONS:
         for x in (0.3, 0.7, 1.2, 2.0, 3.5):

@@ -127,6 +127,21 @@ def test_estimate_survival_tiny_g_minus():
     assert est.theory == math.exp(g_minus - 1.0)
 
 
+@pytest.mark.parametrize("c,alpha,t", [(3.0, 1.3, 0.16), (0.05, 1.2, 5.9),
+                                       (1.0, 1.4, 0.73)])
+def test_survival_duality_off_the_reference(c, alpha, t):
+    # the dual of a Strict spec with c != C(alpha) decays at H - m(eps),
+    # H = c/C(alpha), so its survival estimate meets the theory there too;
+    # each t puts the theory near 1/2, and over seeds 0-19 these z's had
+    # means within 0.2 and spreads 0.9-1.1 of N(0, 1)
+    spec = measure.LevyMeasureSpec.tilted_power(c, alpha, 1.0)
+    cfg = EngineConfig(eps=1e-2, seed=0, cap=1e4)
+    est = montecarlo.estimate_survival(measure.untilted_spec(spec), 1.0, t,
+                                       n_paths=4000, config=cfg)
+    assert 0.2 <= est.theory <= 0.9
+    assert abs(est.z_score) <= 3.0, est
+
+
 def test_survival_theory_loads_no_scipy():
     # classify, minimal_solution and the survival experiment on the
     # reference are closed forms and the kernel: scipy and cffi stay

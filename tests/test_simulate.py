@@ -141,6 +141,26 @@ def test_explosive_requires_subunit_drift():
         simulate.simulate_explosive_path(untilted, 1.0, 1.0, cfg)
 
 
+@pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2])
+def test_explosive_reference_rates(eps):
+    # the reference's dual decays at 1 - m(eps), to the bit
+    untilted = measure.untilted_spec(measure.reference_spec())
+    assert simulate._rates(untilted, 1.0, 1.0, eps, True) == (
+        measure.tail_intensity(untilted, eps),
+        1.0 - measure.small_jump_mean(untilted, eps))
+
+
+def test_explosive_decay_is_the_htransform():
+    # off the reference the dual decays at H - m(eps), H = c/C(alpha),
+    # and m(eps) >= H raises
+    spec = measure.LevyMeasureSpec.tilted_power(10.0, 1.5, 0.0)
+    h = 10.0 / measure.gamma_constant(1.5)
+    assert simulate._rates(spec, 1.0, 1.0, 1e-3, True)[1] == \
+        h - measure.small_jump_mean(spec, 1e-3)
+    with pytest.raises(InvalidConfig, match="H=35.4491"):
+        simulate._rates(spec, 1.0, 1.0, 1e4, True)
+
+
 def test_explosive_paths_explode():
     untilted = measure.untilted_spec(measure.reference_spec())
     cfg = simulate.EngineConfig(eps=1e-2, seed=13, cap=1e4)
@@ -386,7 +406,8 @@ def test_infinite_proposals_complete():
     assert infinite == {1176, 1389}
     assert all(paths[i].exploded and paths[i].terminal is None
                for i in infinite)
-    assert paths[1176].explosion_time == 0.002266416242774056
+    # the dual decays at H - m(eps), H = 1/C(1.01) = 100.59
+    assert paths[1176].explosion_time == 0.002568919727974774
     # beta > 0 rejects them; this path meets at least one
     cfg = simulate.EngineConfig(eps=1e-2, seed=1)
     path = simulate.simulate_path(tilted, 1000.0, 1.0, cfg, 1)
@@ -432,7 +453,15 @@ def test_kernel_matches_run_engine(name, explosive, tabulated_spec, seed,
     eps = eps_values[eps_index % len(eps_values)]
     x0 = fixed_x0 or x0
     cfg = simulate.EngineConfig(eps=eps, seed=seed, cap=1e5)
-    lam, delta = simulate._rates(spec, x0, t_end, eps, explosive)
+    _assert_kernel_matches_run_engine(spec, x0, t_end, cfg, start, count,
+                                      explosive)
+
+
+def _assert_kernel_matches_run_engine(spec, x0, t_end, cfg, start, count,
+                                      explosive):
+    """The kernel's end state of paths start .. start+count-1 is the
+    oracle's scalar loop's, bit for bit."""
+    lam, delta = simulate._rates(spec, x0, t_end, cfg.eps, explosive)
     got = simulate._kernel_run(simulate._kernel(), spec, x0, t_end, cfg, start,
                                count, lam, delta, explosive)
     assert np.all(np.asarray(got.end) <= simulate.END_MAX_EVENTS)
@@ -443,6 +472,42 @@ def test_kernel_matches_run_engine(name, explosive, tabulated_spec, seed,
         assert (got.end[i] != simulate.END_HORIZON) == exploded
         if not exploded:
             assert got.terminal[i] == x * math.exp(-delta * (t_end - t))
+
+
+# settings where the kernel's bound tests settle little and it falls back
+# to exp: (spec, x0, t_end, eps, cap, max_events)
+_FALLBACK_CASES = {
+    # a = -beta (xi - eps) below -1/2 on most proposals, and often in the
+    # band between the acceptance bounds
+    "large-beta": (measure.LevyMeasureSpec.tilted_power(1.0, 1.3, 5.0), 1.0,
+                   1.0, 0.1, 1e5, 10 ** 7),
+    # z = delta (t_end - t) below 2^-30 on every event, and still about 55
+    # events a path
+    "tiny-horizon": (measure.reference_spec(), 1e12, 1e-12, 1e-4, 1e5,
+                     10 ** 7),
+    # z = inf on every event: each path explodes or decays out
+    "infinite-horizon": (measure.untilted_spec(measure.reference_spec()),
+                         1.0, math.inf, 1e-2, 1e5, 10 ** 5),
+    # x lam near 1e302: every event's horizon test is settled by the bound
+    "huge-x0": (measure.untilted_spec(measure.reference_spec()), 1e300, 1.0,
+                1e-4, math.inf, 64),
+}
+
+
+@pytest.mark.parametrize("name,explosive", [
+    ("large-beta", False), ("large-beta", True), ("tiny-horizon", False),
+    ("infinite-horizon", True), ("huge-x0", True)])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(-2 ** 63, 2 ** 63 - 1),
+       start=st.integers(0, 10 ** 6))
+def test_kernel_fallbacks_match_run_engine(name, explosive, seed, start):
+    # where the bound tests leave the comparison to exp, the kernel's end
+    # states are still the scalar loop's, bit for bit
+    spec, x0, t_end, eps, cap, max_events = _FALLBACK_CASES[name]
+    cfg = simulate.EngineConfig(eps=eps, seed=seed, cap=cap,
+                                max_events=max_events)
+    _assert_kernel_matches_run_engine(spec, x0, t_end, cfg, start, 16,
+                                      explosive)
 
 
 def _scalar_path(spec, x0, t_end, cfg, index, explosive):
@@ -1026,6 +1091,10 @@ def kernel_harness(tmp_path_factory):
     lib.harness_ppoly.argtypes = [ptr, ptr, ctypes.c_int64, ptr, ptr,
                                   ctypes.c_int64]
     lib.harness_ppoly.restype = None
+    lib.harness_below_exp.argtypes = [ptr, ptr, ptr, ctypes.c_int64]
+    lib.harness_below_horizon.argtypes = [ptr, ptr, ptr, ptr, ptr,
+                                          ctypes.c_int64]
+    lib.harness_below_exp.restype = lib.harness_below_horizon.restype = None
     return lib
 
 
@@ -1058,6 +1127,138 @@ def test_kernel_ppoly_matches_scipy(tabulated_spec, kernel_harness):
         lib.harness_ppoly(x.ctypes.data, c.ctypes.data, x.size - 1,
                           u.ctypes.data, got.ctypes.data, u.size)
         assert np.array_equal(got.view(np.int64), inv(u).view(np.int64))
+
+
+def _harness_call(fn, *columns):
+    """fn over equal-length float columns, one int32 result per row."""
+    cols = [np.ascontiguousarray(c, dtype=float) for c in columns]
+    out = np.empty(cols[0].size, dtype=np.int32)
+    fn(*(c.ctypes.data for c in cols), out.ctypes.data, out.size)
+    return out
+
+
+def _neighbours(v, k=3):
+    """v and its k float neighbours on each side."""
+    out = [v]
+    for toward in (-math.inf, math.inf):
+        w = v
+        for _ in range(k):
+            w = math.nextafter(w, toward)
+            out.append(w)
+    return out
+
+
+def _check_below_exp(lib, a, vs):
+    """below_exp(v, a) for each v: where it settles, the answer is
+    v < math.exp(a), libm's exp as the kernel calls it."""
+    got = _harness_call(lib.harness_below_exp, vs, [a] * len(vs))
+    for v, g in zip(vs, got):
+        assert g in (-1, 0, 1)
+        if g >= 0:
+            assert g == (v < math.exp(a)), (v.hex(), a.hex(), g)
+    return got
+
+
+# the edges of [-1/2, 0], and small a where 1 + a + a^2/2, as it rounds,
+# lies below exp(a): the upper bound needs its guard there
+_EDGE_A = [-0.5, math.nextafter(-0.5, -1.0), math.nextafter(-0.5, 0.0),
+           -0.0, 0.0, -5e-324, -2.0 ** -53, -0.25, -1.0, -math.inf,
+           float.fromhex("-0x1.e39441d367660p-28"),
+           float.fromhex("-0x1.09e7bb5df25b0p-19")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(st.floats(-0.6, 0.0), st.sampled_from(_EDGE_A)),
+       v=st.floats(0.0, 1.0, exclude_max=True))
+def test_below_exp_never_disagrees_with_exp(kernel_harness, a, v):
+    # the acceptance test's squeeze: v, and the float neighbours of both
+    # bounds and of exp(a), against v < exp(a)
+    lo = (1.0 + a) - 2.0 ** -49
+    hi = (1.0 + a + a * a / 2.0) + 2.0 ** -49
+    vs = [v, 0.0, 1.0 - 2.0 ** -53] + [w for edge in (lo, hi, math.exp(a))
+                                       for w in _neighbours(edge)]
+    _check_below_exp(kernel_harness, a, vs)
+
+
+def test_below_exp_settles_inside_its_range(kernel_harness):
+    # it settles inside [-1/2, 0] and leaves every a outside to exp
+    lib = kernel_harness
+    assert list(_check_below_exp(lib, -0.1, [0.5, 0.95, 0.9048])) == \
+        [1, 0, -1]
+    assert list(_check_below_exp(lib, -0.0, [0.5, 1.0 - 2.0 ** -53])) == \
+        [1, -1]
+    for a in (math.nextafter(-0.5, -1.0), -1.0, -math.inf, math.nan, 1e-300):
+        assert list(_check_below_exp(lib, a, [0.0, 0.5])) == [-1, -1]
+
+
+def _check_below_horizon(lib, cases):
+    """below_horizon over (e_draw, xl, z, delta) rows: it returns 0 or 1,
+    and 1 only where e_draw < xl (1 - exp(-z)) / delta as run_path rounds
+    it."""
+    got = _harness_call(lib.harness_below_horizon, *zip(*cases))
+    for (e, xl, z, delta), g in zip(cases, got):
+        assert g in (0, 1)
+        if g:
+            assert e < xl * (1.0 - math.exp(-z)) / delta, \
+                (e.hex(), xl.hex(), z.hex(), delta.hex())
+    return got
+
+
+_TINY = 2.0 ** -1022
+# the edges of (2^-30, 1e300), and z above 2^-30 where 1/(1+z), as it
+# rounds, lies below exp(-z): the bound needs its guard there
+_EDGE_Z = [2.0 ** -30, *_neighbours(2.0 ** -30, 1)[1:], 1e300,
+           *_neighbours(1e300, 1)[1:], 1e-3, 1.0, 700.0, 0.0, -1.0,
+           math.inf, math.nan, float.fromhex("0x1.0f0c8a9799336p-28"),
+           float.fromhex("0x1.34accd725926ap-29")]
+_EDGE_XL = [_TINY, *_neighbours(_TINY, 1)[1:], 5e-324, sys.float_info.max,
+            1e300, 1.0, 0.0, -1.0, math.inf, math.nan]
+_EDGE_DELTA = [1.0, 0.98, 2.0 ** -60, 1e-300, 1e300, 5e-324, 0.0, -1.0,
+               math.inf, math.nan]
+
+
+def _horizon_rows(xl, z, delta, e_draws=()):
+    """Rows at e_draw 0, the given ones, and the float neighbours of the
+    bound and of the horizon mass."""
+    edges = [0.0, *e_draws]
+    with np.errstate(all="ignore"):
+        bound = float(np.float64(xl) * (1.0 - (1.0 / (1.0 + np.float64(z))
+                                              + 2.0 ** -49)) / delta)
+        mass = float(np.float64(xl) * (1.0 - np.exp(-np.float64(z)))
+                     / delta)
+    for edge in (bound, mass):
+        if math.isfinite(edge):
+            edges += _neighbours(edge, 2)
+    return [(e, xl, z, delta) for e in edges]
+
+
+def test_below_horizon_edges(kernel_harness):
+    # every combination of edge values: z at 2^-30 and 1e300 and their
+    # neighbours, x lam at the smallest normal float and its neighbours,
+    # zero, non-positive and non-finite inputs
+    rows = [row for z in _EDGE_Z for xl in _EDGE_XL for delta in _EDGE_DELTA
+            for row in _horizon_rows(xl, z, delta)]
+    got = _check_below_horizon(kernel_harness, rows)
+    settled = {(xl, z, delta) for (e, xl, z, delta), g in zip(rows, got) if g}
+    # the range edges are where the bound starts to decide
+    assert (1.0, math.nextafter(2.0 ** -30, 1.0), 1.0) in settled
+    assert not any(z == 2.0 ** -30 or z >= 1e300 for _, z, _ in settled)
+    assert (_TINY, 1.0, 2.0 ** -60) in settled
+    assert all(xl >= _TINY for xl, _, _ in settled)
+    assert all(delta > 0.0 for _, _, delta in settled)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xl=st.one_of(st.floats(1e-300, 1e300), st.sampled_from(_EDGE_XL)),
+       z=st.one_of(st.floats(1e-12, 1e3), st.sampled_from(_EDGE_Z)),
+       delta=st.one_of(st.floats(1e-3, 1e3), st.sampled_from(_EDGE_DELTA)),
+       e_draw=st.floats(0.0, 40.0))
+def test_below_horizon_never_disagrees_with_exp(kernel_harness, xl, z, delta,
+                                                e_draw):
+    # the horizon test's squeeze against the full comparison, at a drawn
+    # e_draw and at the float neighbours of the bound and of the mass
+    _check_below_horizon(kernel_harness, _horizon_rows(xl, z, delta,
+                                                       [e_draw]))
 
 
 def _python_rows(events):
