@@ -5,15 +5,17 @@ JSON, and is deterministic given its recorded manifest.  Exit codes:
 0 success, 2 for a degenerate verdict (defect-curve on a measure that is
 not Strict), 1 on schema or validation failures and failed verification
 rows.
+
+The analytic commands need only click, measure and riccati; simulate and
+verify import simulate and montecarlo, and hashlib and secrets load, where
+they are used.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
-import secrets
 import sys
 import time
 from dataclasses import dataclass, asdict
@@ -21,9 +23,11 @@ from dataclasses import dataclass, asdict
 import click
 
 from . import __version__ as VERSION
-from . import measure, montecarlo, riccati, simulate
+from . import measure, riccati
 from .errors import InvalidParameter, JumplmError
-from .simulate import EngineConfig
+
+# montecarlo.DEFAULT_PATHS, which --paths shows without loading montecarlo
+DEFAULT_PATHS = 100_000
 
 
 @dataclass
@@ -44,12 +48,14 @@ class RunManifest:
 
 
 def _spec_hash(spec) -> str:
+    import hashlib
     canon = json.dumps(measure.spec_to_json(spec), sort_keys=True,
                        separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def _resolve_seed(seed):
+    import secrets
     return secrets.randbits(31) if seed is None else seed
 
 
@@ -164,10 +170,11 @@ BLOCK_PATHS = 64
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 def simulate_cmd(config, x0, t_end, eps, seed, paths, explosive, cap, out_dir):
     """Write one CSV per simulated path plus a manifest."""
+    from . import simulate
     spec = measure.spec_from_json(config)
     seed = _resolve_seed(seed)
     started = time.monotonic()
-    cfg = EngineConfig(eps=eps, seed=seed, cap=cap)
+    cfg = simulate.EngineConfig(eps=eps, seed=seed, cap=cap)
     os.makedirs(out_dir, exist_ok=True)
     for start in range(0, paths, BLOCK_PATHS):
         csvs = simulate.block_csvs(spec, x0, t_end, cfg, start,
@@ -205,7 +212,7 @@ def _parse_grid(text):
 @click.option("--t-grid", default="0.5,1,2,4", show_default=True,
               help="time grid for the supermartingale sweep")
 @click.option("--u", default=0.5, show_default=True)
-@click.option("--paths", default=montecarlo.DEFAULT_PATHS, show_default=True)
+@click.option("--paths", default=DEFAULT_PATHS, show_default=True)
 @click.option("--eps", default=1e-4, show_default=True)
 @click.option("--eps-list", default="1e-2,1e-3,1e-4", show_default=True,
               help="truncation grid for the bias sweep")
@@ -220,9 +227,10 @@ def _parse_grid(text):
 def verify(subcommand, config, x0, t, t_grid, u, paths, eps, eps_list, cap,
            seed, workers, out):
     """Run one Monte Carlo verification experiment and report z-scores."""
+    from . import montecarlo, simulate
     spec = measure.spec_from_json(config)
     seed = _resolve_seed(seed)
-    cfg = EngineConfig(eps=eps, seed=seed, cap=cap)
+    cfg = simulate.EngineConfig(eps=eps, seed=seed, cap=cap)
     started = time.monotonic()
     if subcommand == "mgf":
         est = montecarlo.estimate_mgf(spec, x0, t, u, paths, cfg, workers)
@@ -262,6 +270,7 @@ def verify(subcommand, config, x0, t, t_grid, u, paths, eps, eps_list, cap,
 
 
 def _single_report(name, spec, cfg, t, u, est, source):
+    from . import montecarlo
     passed = abs(est.z_score) <= montecarlo.Z_THRESHOLD
     row = montecarlo.ReportRow(t=t, u=u, estimate=est, theory_source=source,
                                passed=passed,

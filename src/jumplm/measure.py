@@ -612,11 +612,21 @@ def tilted_spec(spec: LevyMeasureSpec) -> LevyMeasureSpec:
 def dual_decay(spec_untilted: LevyMeasureSpec) -> float:
     """H = int (1 - e^{-xi}) mu~(dxi), the explosive dual's decay: c/C(alpha)
     on the Strict family's dual (an untilted power, 1 < alpha < 2), exactly
-    1.0 on the reference, and quadrature, as harmonic_residual, elsewhere."""
+    1.0 on the reference; c Gamma(1-a) (beta^(a-1) - (beta+1)^(a-1)) on a
+    tilted power with beta > 0; quadrature, as harmonic_residual, on a table."""
     s = spec_untilted
-    if s.kind == "tilted_power" and s.beta == 0.0 and 1.0 < s.alpha < 2.0:
+    if s.kind == "tabulated":
+        return integrate_against(s, lambda xi: -math.expm1(-xi))
+    if s.beta == 0.0 and 1.0 < s.alpha < 2.0:
         return s.c / gamma_constant(s.alpha)
-    return integrate_against(s, lambda xi: -math.expm1(-xi))
+    if s.beta == 0.0:
+        raise DomainError(f"H diverges for beta=0 and alpha={s.alpha} <= 1")
+    # the difference as c Gamma(2-a) beta^(a-1) L expm1(x)/x, x = (a-1) L,
+    # L = log1p(1/beta): no cancellation near a = 1, and c L at a = 1
+    lg = math.log1p(1.0 / s.beta)
+    x = (s.alpha - 1.0) * lg
+    return (s.c * math.gamma(2.0 - s.alpha) * s.beta ** (s.alpha - 1.0) * lg
+            * (math.expm1(x) / x if x else 1.0))
 
 
 def harmonic_residual(spec_untilted: LevyMeasureSpec) -> float:

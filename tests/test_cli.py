@@ -337,24 +337,35 @@ def test_lemma_check_grid_error_lines(runner, args, line):
     assert res.output == line + "\n"
 
 
-def _run_loading_no_scipy(tmp_path, *commands, numpy=False):
+# the simulation stack: the kernel's loader and montecarlo, and the
+# standard modules they and the run manifest import
+SIMULATION_STACK = ("jumplm.simulate", "jumplm.montecarlo", "ctypes",
+                    "hashlib", "subprocess", "logging")
+
+
+def _run_loading_no_scipy(tmp_path, *commands, numpy=False, simulation=True):
     """Run each command line through jumplm.cli.main in one fresh process,
     checking that it exits 0 and that no scipy or numpy module or process
     pool has been imported after the import of jumplm and after each
-    command; with numpy, the commands may import numpy."""
+    command; with numpy, the commands may import numpy.  The import loads
+    no module of SIMULATION_STACK either; without simulation, neither do
+    the commands."""
     code = ("import sys\n"
             "import jumplm, jumplm.cli\n"
-            "def loaded(numpy=False):\n"
+            f"STACK = {SIMULATION_STACK!r}\n"
+            "def loaded(numpy=False, simulation=False):\n"
             "    return sorted(m for m in sys.modules if m.startswith('scipy')\n"
             "                  or m == 'concurrent.futures.process'\n"
-            "                  or not numpy and m.split('.')[0] == 'numpy')\n"
+            "                  or not numpy and m.split('.')[0] == 'numpy'\n"
+            "                  or not simulation and m in STACK)\n"
             "assert loaded() == [], loaded()[:5]\n"
             "for args in sys.argv[1:]:\n"
             "    try:\n"
             "        jumplm.cli.main(args.split())\n"
             "    except SystemExit as exc:\n"
             "        assert exc.code == 0, (args, exc.code)\n"
-            f"    assert loaded({numpy}) == [], (args, loaded()[:5])\n")
+            f"    assert loaded({numpy}, {simulation}) == [], "
+            f"(args, loaded({numpy}, {simulation})[:5])\n")
     src = os.path.dirname(os.path.dirname(measure.__file__))
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"), PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code, *commands], env=env,
@@ -364,12 +375,68 @@ def _run_loading_no_scipy(tmp_path, *commands, numpy=False):
 @pytest.mark.usefixtures("kernel")
 def test_help_and_explosive_simulate_load_no_scipy(tmp_path, untilted_json):
     # scipy, numpy and the process pool are imported on first use: the
-    # import, --help and an explosive simulation of an untilted power reach
-    # none of them
+    # import, --help and an explosive simulation of an untilted power or
+    # of a tilted one (H in closed form, measure.dual_decay) reach none
     simulate = (f"simulate {untilted_json} --explosive --eps 1e-2 --cap 1e5 "
                 f"--seed 1 --paths 3 --out-dir {tmp_path / 'out'}")
-    _run_loading_no_scipy(tmp_path, "--help", simulate)
+    tilted = tmp_path / "tilted.json"
+    tilted.write_text(json.dumps(measure.spec_to_json(
+        measure.LevyMeasureSpec.tilted_power(0.7, 1.3, 2.0))))
+    simulate_tilted = (f"simulate {tilted} --explosive --eps 1e-2 --cap 1e5 "
+                       f"--seed 1 --paths 3 --out-dir {tmp_path / 'tilted'}")
+    _run_loading_no_scipy(tmp_path, "--help", simulate, simulate_tilted)
     assert (tmp_path / "out" / "path_00002.csv").exists()
+    assert (tmp_path / "tilted" / "path_00002.csv").exists()
+
+
+def test_import_and_analytic_commands_load_no_simulation_stack(tmp_path,
+                                                               ref_json):
+    # simulate and montecarlo load on first use (jumplm.__getattr__), so
+    # the import, --help, --version, classify and defect-curve load neither
+    # them nor the ctypes, hashlib, subprocess and logging they import
+    _run_loading_no_scipy(tmp_path, "--help", "--version",
+                          f"classify {ref_json}", f"defect-curve {ref_json}",
+                          simulation=False)
+
+
+def test_public_names_are_the_submodules_objects(tmp_path):
+    # every name of jumplm.__all__ resolves, by attribute and by star
+    # import, to the object its defining module holds, also when the first
+    # access is what loads that module; an unknown name stays an error
+    code = ("import sys\n"
+            "import jumplm\n"
+            "assert 'jumplm.simulate' not in sys.modules\n"
+            "star = {}\n"
+            "exec('from jumplm import *', star)\n"
+            "for name in jumplm.__all__:\n"
+            "    obj = getattr(jumplm, name)\n"
+            "    assert star[name] is obj, name\n"
+            "    if f'jumplm.{name}' in sys.modules:\n"
+            "        assert obj is sys.modules[f'jumplm.{name}'], name\n"
+            "    elif name != '__version__':\n"
+            "        home = sys.modules[obj.__module__]\n"
+            "        assert obj is getattr(home, name), name\n"
+            "assert jumplm.EngineConfig is jumplm.simulate.EngineConfig\n"
+            "try:\n"
+            "    jumplm.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('jumplm.no_such_name resolved')\n")
+    src = os.path.dirname(os.path.dirname(measure.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
+    with pytest.raises(ImportError):
+        from jumplm import no_such_name  # noqa: F401
+
+
+def test_paths_default_is_montecarlos(runner):
+    # --paths shows montecarlo's default without importing montecarlo
+    from jumplm import cli
+    assert cli.DEFAULT_PATHS == montecarlo.DEFAULT_PATHS
+    res = runner.invoke(main, ["verify", "--help"])
+    assert res.exit_code == 0
+    assert f"[default: {montecarlo.DEFAULT_PATHS}]" in res.output
 
 
 @pytest.mark.usefixtures("kernel")

@@ -245,14 +245,49 @@ def test_harmonic_residual():
                                      (1.0, 1.9)])
 def test_dual_decay_matches_quadrature(c, alpha):
     # H = int (1 - e^-xi) mu~(dxi) on the dual of tilted_power(c, alpha, 1)
-    # is c/C(alpha); off that family it is the quadrature itself
+    # is c/C(alpha); on a tilted power it is c Gamma(1-a) (b^(a-1) -
+    # (b+1)^(a-1)), which the quadrature meets to its own accuracy
     dual = measure.LevyMeasureSpec.tilted_power(c, alpha, 0.0)
     quad = measure.integrate_against(dual, lambda xi: -math.expm1(-xi))
     assert measure.dual_decay(dual) == c / measure.gamma_constant(alpha)
     assert measure.dual_decay(dual) == pytest.approx(quad, rel=1e-9)
     tilted = measure.LevyMeasureSpec.tilted_power(c, alpha, 0.5)
-    assert measure.dual_decay(tilted) == measure.integrate_against(
-        tilted, lambda xi: -math.expm1(-xi))
+    assert measure.dual_decay(tilted) == pytest.approx(
+        measure.integrate_against(tilted, lambda xi: -math.expm1(-xi)),
+        rel=1e-12)
+    assert measure.dual_decay(tilted) == pytest.approx(
+        c * math.gamma(1.0 - alpha) * (0.5 ** (alpha - 1.0) - 1.5 ** (alpha - 1.0)),
+        rel=1e-13)
+
+
+@pytest.mark.parametrize("c,alpha,beta", [(1.0, 1.3, 200.0), (1.0, 0.5, 3.0),
+                                          (1.0, 1.0, 2.0), (2.0, 1.9, 0.01),
+                                          (5.0, 1.99, 1e-3), (0.7, 1.3, 1.0)])
+def test_dual_decay_closed_form_on_tilted_powers(c, alpha, beta):
+    # the closed form needs no scipy, so an explosive run on a tilted
+    # power's dual loads none; it meets the quadrature, c log1p(1/beta) at
+    # alpha = 1
+    spec = measure.LevyMeasureSpec.tilted_power(c, alpha, beta)
+    assert measure.dual_decay(spec) == pytest.approx(
+        measure.integrate_against(spec, lambda xi: -math.expm1(-xi)),
+        rel=1e-12)
+    if alpha == 1.0:
+        assert measure.dual_decay(spec) == c * math.log1p(1.0 / beta)
+
+
+def test_dual_decay_has_no_cancellation_near_alpha_one():
+    # the naive difference of powers loses about 8 digits at 1 +- 1e-8;
+    # the values are mpmath's at 50 digits
+    for alpha, beta, want in ((1.0 + 1e-8, 1.0, 0.6931471869631646),
+                              (1.0 - 1e-8, 0.3, 1.4663370672330776)):
+        spec = measure.LevyMeasureSpec.tilted_power(1.0, alpha, beta)
+        assert measure.dual_decay(spec) == pytest.approx(want, rel=4e-16)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_dual_decay_diverges_on_an_untilted_power_below_one(alpha):
+    with pytest.raises(DomainError, match="diverges"):
+        measure.dual_decay(measure.LevyMeasureSpec.tilted_power(1.0, alpha, 0.0))
 
 
 def test_dual_decay_is_one_on_the_reference_dual():

@@ -142,6 +142,39 @@ def test_survival_duality_off_the_reference(c, alpha, t):
     assert abs(est.z_score) <= 3.0, est
 
 
+@settings(max_examples=10, deadline=None, derandomize=True)
+@example(c=1e-2, alpha=1.05, p=0.4)
+@example(c=1e2, alpha=1.95, p=0.85)
+@given(c=st.floats(-2.0, 2.0).map(lambda v: 10.0 ** v),
+       alpha=st.floats(1.05, 1.95), p=st.floats(0.4, 0.85))
+def test_survival_duality_over_the_strict_family(c, alpha, p):
+    # the dual of tilted_power(c, alpha, 1) decays at H - m(eps) with
+    # H = c/C(alpha) over the whole family.  t is where the theory
+    # exp(g_-(t) - 1) is p: w = (1 - g_-)^(2-alpha) = 1 - e^(-(2-alpha) s t).
+    # A path stopped at the cap at time sigma in state x survives with
+    # probability h = exp(x (g_-(t - sigma) - 1)), and it is scored by h
+    # (conditional Monte Carlo): the indicator's cap bias falls only like
+    # cap^(alpha-2), so near alpha = 2 it is many standard errors at any
+    # cap a test can afford (z -13.6 at cap 1e4 and -8.1 at cap 1e6, at
+    # c = 1, alpha = 1.9, p = 0.85, 2000 paths)
+    spec = measure.LevyMeasureSpec.tilted_power(c, alpha, 1.0)
+    s = c / measure.gamma_constant(alpha)
+    t = -math.log1p(-(-math.log(p)) ** (2.0 - alpha)) / ((2.0 - alpha) * s)
+    theory = math.exp(riccati.minimal_solution(spec, t) - 1.0)
+    assert 0.2 <= theory <= 0.9
+    n = 2000
+    ends = simulate.fan_out(measure.untilted_spec(spec), 1.0, t,
+                            EngineConfig(eps=1e-2, seed=0, cap=1e3), 0, n,
+                            explosive=True)
+    scores = [1.0 if end == simulate.END_HORIZON else
+              math.exp(x * (riccati.minimal_solution(spec, t - sigma) - 1.0))
+              for end, sigma, x in zip(ends.end, ends.t, ends.x)]
+    mean = math.fsum(scores) / n
+    stderr = math.sqrt(math.fsum((v - mean) ** 2 for v in scores) / (n - 1) / n)
+    assert abs(mean - theory) <= montecarlo.Z_THRESHOLD * stderr, \
+        (mean, theory, stderr)
+
+
 def test_survival_theory_loads_no_scipy():
     # classify, minimal_solution and the survival experiment on the
     # reference are closed forms and the kernel: scipy and cffi stay
