@@ -232,26 +232,15 @@ def verify(subcommand, config, x0, t, t_grid, u, paths, eps, eps_list, cap,
     seed = _resolve_seed(seed)
     cfg = simulate.EngineConfig(eps=eps, seed=seed, cap=cap)
     started = time.monotonic()
-    if subcommand == "mgf":
-        est = montecarlo.estimate_mgf(spec, x0, t, u, paths, cfg, workers)
-        report = _single_report("mgf", spec, cfg, t, u, est,
-                                "riccati.expected_value")
-    elif subcommand == "mean":
-        est = montecarlo.estimate_mean(spec, x0, t, paths, cfg, workers)
-        report = _single_report("mean", spec, cfg, t, None, est,
-                                "closed form x0*exp(-b*t)")
-    elif subcommand == "survival":
-        untilted = measure.untilted_spec(spec)
-        est = montecarlo.estimate_survival(untilted, x0, t, paths, cfg,
-                                           workers)
-        report = _single_report("survival", spec, cfg, t, 1.0, est,
-                                "riccati.minimal_solution")
-    elif subcommand == "supermartingale":
+    if subcommand == "supermartingale":
         report = montecarlo.supermartingale_sweep(
             spec, x0, _parse_grid(t_grid), paths, cfg, workers)
-    else:
+    elif subcommand == "bias":
         report = montecarlo.bias_sweep(
             spec, x0, t, u, _parse_grid(eps_list), paths, cfg, workers)
+    else:
+        report = montecarlo.single_report(subcommand, spec, x0, t, u, paths,
+                                          cfg, workers)
     click.echo(report.to_json())
     if out:
         os.makedirs(out, exist_ok=True)
@@ -267,16 +256,6 @@ def verify(subcommand, config, x0, t, t_grid, u, paths, eps, eps_list, cap,
             duration_seconds=time.monotonic() - started)
         manifest.write(os.path.join(out, f"{subcommand}_manifest.json"))
     sys.exit(0 if report.all_pass else 1)
-
-
-def _single_report(name, spec, cfg, t, u, est, source):
-    from . import montecarlo
-    passed = abs(est.z_score) <= montecarlo.Z_THRESHOLD
-    row = montecarlo.ReportRow(t=t, u=u, estimate=est, theory_source=source,
-                               passed=passed,
-                               counted=not est.variance_warning)
-    return montecarlo.ExperimentReport(experiment=name, spec=spec, config=cfg,
-                                       rows=(row,), seed=cfg.seed)
 
 
 @main.command("lemma-check")

@@ -1,10 +1,10 @@
 """Monte Carlo verification experiments against the analytic theory.
 
-Each experiment runs its paths over counter-based RNG streams, counts the
-surviving ones or sums the terminal values with numpy (imported there),
-and compares the estimate to a theory value recomputed from the Riccati
-machinery.  Reports serialize to JSON and a CSV mirror with a pass/fail
-flag per row at |z| <= 3.
+Each experiment is its theory (_theory, or the minimal Riccati branch for
+the explosive dual), one engine call over counter-based RNG streams, and
+one score: the sample mean and variance of terminal values (numpy,
+imported there), or a count of surviving paths.  Only this module builds
+reports; they serialize to JSON and a CSV mirror, one pass flag per row.
 """
 
 from __future__ import annotations
@@ -29,18 +29,16 @@ __all__ = [
     "estimate_survival",
     "supermartingale_sweep",
     "bias_sweep",
-    "default_config",
+    "single_report",
 ]
 
 Z_THRESHOLD = 3.0
 DEFAULT_PATHS = 100_000
 U_MAX_ACCEPTED = 0.5
 
+_CONFIG = EngineConfig(eps=1e-4, seed=0)     # of a call that passes none
+
 _log = logging.getLogger(__name__)
-
-
-def default_config(seed: int = 0, eps: float = 1e-4) -> EngineConfig:
-    return EngineConfig(eps=eps, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -64,25 +62,24 @@ class ReportRow:
     estimate: McEstimate
     theory_source: str
     passed: bool
-    counted: bool = True
     eps: Optional[float] = None
     delta_prev: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """A batch of estimates plus everything needed to reproduce them."""
+    """A batch of estimates plus everything needed to reproduce them; a
+    row with a variance warning does not count toward all_pass."""
 
     experiment: str
     spec: LevyMeasureSpec
     config: EngineConfig
     rows: Tuple[ReportRow, ...]
-    seed: int
-    z_threshold: float = Z_THRESHOLD
 
     @property
     def all_pass(self) -> bool:
-        return all(r.passed for r in self.rows if r.counted)
+        return all(r.passed for r in self.rows
+                   if not r.estimate.variance_warning)
 
     def to_json(self) -> str:
         rows = []
@@ -92,8 +89,7 @@ class ExperimentReport:
                  "theory": e.theory, "z": e.z_score, "pass": r.passed,
                  "theory_source": r.theory_source}
             if e.variance_warning:
-                d["variance_warning"] = True
-                d["counted"] = r.counted
+                d.update(variance_warning=True, counted=False)
             if r.eps is not None:
                 d["eps"] = r.eps
             if r.delta_prev is not None:
@@ -102,12 +98,12 @@ class ExperimentReport:
         obj = {
             "experiment": self.experiment,
             "rows": rows,
-            "seed": self.seed,
+            "seed": self.config.seed,
             "spec": measure.spec_to_json(self.spec),
             "config": {"eps": self.config.eps, "cap": self.config.cap,
                        "max_events": self.config.max_events},
             "n_paths": self.rows[0].estimate.n_paths if self.rows else 0,
-            "z_threshold": self.z_threshold,
+            "z_threshold": Z_THRESHOLD,
         }
         return json.dumps(obj, sort_keys=True, indent=2)
 
@@ -145,16 +141,6 @@ def _collect(spec: LevyMeasureSpec, x0: float, t_end: float,
                             n_workers)
 
 
-def _make_estimate(samples, theory: float,
-                   variance_warning: bool = False) -> McEstimate:
-    """The mean of the numpy array samples, with its standard error."""
-    import numpy as np
-    n = samples.size
-    mean = float(np.sum(samples) / n)
-    var = float(np.sum((samples - mean) ** 2) / (n - 1))
-    return _estimate(mean, math.sqrt(var / n), n, theory, variance_warning)
-
-
 def _estimate(mean: float, stderr: float, n: int, theory: float,
               variance_warning: bool = False) -> McEstimate:
     """mean +- stderr over n paths, with its z-score against theory."""
@@ -164,6 +150,35 @@ def _estimate(mean: float, stderr: float, n: int, theory: float,
         z = 0.0 if mean == theory else math.copysign(math.inf, mean - theory)
     return McEstimate(mean=mean, stderr=stderr, n_paths=n, theory=theory,
                       z_score=z, variance_warning=variance_warning)
+
+
+def _theory(spec: LevyMeasureSpec, x0: float, t: float,
+            u: Optional[float]) -> Tuple[float, str]:
+    """E[X_t] at u None, else E[exp(u X_t)], with its theory_source."""
+    if u is not None and u > 1.0:
+        raise DomainError(f"exponential moment undefined for u > 1, got {u}")
+    mom = measure.validate(spec)
+    if u is None:
+        return x0 * math.exp(-mom.b * t), "closed form x0*exp(-b*t)"
+    return riccati.expected_value(spec, x0, t, u), "riccati.expected_value"
+
+
+def _terminal_estimate(spec: LevyMeasureSpec, x0: float, t: float,
+                       u: Optional[float], theory: float, n_paths: int,
+                       config: Optional[EngineConfig],
+                       n_workers: Optional[int]) -> McEstimate:
+    """The mean of X_t at u None, else of exp(u X_t), over the terminal
+    values of n_paths conservative paths, with its sample standard error;
+    a u above 1/2 sets variance_warning."""
+    import numpy as np
+    terminals = np.frombuffer(_collect(spec, x0, t, config or _CONFIG,
+                                       n_paths, False, n_workers).terminal)
+    samples = terminals if u is None else np.exp(u * terminals)
+    n = samples.size
+    mean = float(np.sum(samples) / n)
+    var = float(np.sum((samples - mean) ** 2) / (n - 1))
+    return _estimate(mean, math.sqrt(var / n), n, theory,
+                     u is not None and u > U_MAX_ACCEPTED)
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +197,8 @@ def estimate_mgf(spec: LevyMeasureSpec, x0: float, t: float, u: float,
     At u = 0 every sample is 1 and the estimate is exact, but the paths
     still run, so its inputs are checked as at any other u.
     """
-    if u > 1.0:
-        raise DomainError(f"exponential moment undefined for u > 1, got {u}")
-    import numpy as np
-    config = config or default_config()
-    measure.validate(spec)
-    theory = riccati.expected_value(spec, x0, t, u)
-    terminals = np.frombuffer(_collect(spec, x0, t, config, n_paths, False,
-                                       n_workers).terminal)
-    samples = np.exp(u * terminals)
-    return _make_estimate(samples, theory, variance_warning=u > U_MAX_ACCEPTED)
+    return _terminal_estimate(spec, x0, t, u, _theory(spec, x0, t, u)[0],
+                              n_paths, config, n_workers)
 
 
 def estimate_mean(spec: LevyMeasureSpec, x0: float, t: float,
@@ -199,13 +206,8 @@ def estimate_mean(spec: LevyMeasureSpec, x0: float, t: float,
                   config: Optional[EngineConfig] = None,
                   n_workers: Optional[int] = None) -> McEstimate:
     """Estimate E[X_t]; the theory value is x0 * exp(-b t)."""
-    import numpy as np
-    config = config or default_config()
-    mom = measure.validate(spec)
-    theory = x0 * math.exp(-mom.b * t)
-    terminals = np.frombuffer(_collect(spec, x0, t, config, n_paths, False,
-                                       n_workers).terminal)
-    return _make_estimate(terminals, theory)
+    return _terminal_estimate(spec, x0, t, None, _theory(spec, x0, t, None)[0],
+                              n_paths, config, n_workers)
 
 
 def estimate_survival(untilted: LevyMeasureSpec, x0: float, t: float,
@@ -218,7 +220,7 @@ def estimate_survival(untilted: LevyMeasureSpec, x0: float, t: float,
     branch of the tilted companion measure; the duality turns the
     infinite-variance e^{X_t} statistic into a bounded indicator.
     """
-    config = config or default_config()
+    config = config or _CONFIG
     g_minus = riccati.minimal_solution(measure.tilted_spec(untilted), t)
     theory = math.exp(x0 * (g_minus - 1.0))
     ends = _collect(untilted, x0, t, config, n_paths, True, n_workers).end
@@ -230,6 +232,35 @@ def estimate_survival(untilted: LevyMeasureSpec, x0: float, t: float,
     mean = ends.count(simulate.END_HORIZON) / n_paths
     return _estimate(mean, math.sqrt(max(mean * (1.0 - mean), 0.0) / n_paths),
                      n_paths, theory)
+
+
+def single_report(experiment: str, spec: LevyMeasureSpec, x0: float,
+                  t: float, u: Optional[float],
+                  n_paths: int = DEFAULT_PATHS,
+                  config: Optional[EngineConfig] = None,
+                  n_workers: Optional[int] = None) -> ExperimentReport:
+    """One estimate as a one-row report, which passes at |z| <= 3.
+
+    experiment is "mgf" (E[exp(u X_t)]), "mean" (E[X_t]; u is ignored and
+    the row's u is None) or "survival" (P(tau > t) for the explosive dual
+    of spec; the row's u is 1).
+    """
+    config = config or _CONFIG
+    if experiment == "survival":
+        u, source = 1.0, "riccati.minimal_solution"
+        est = estimate_survival(measure.untilted_spec(spec), x0, t, n_paths,
+                                config, n_workers)
+    elif experiment in ("mgf", "mean"):
+        u = u if experiment == "mgf" else None
+        theory, source = _theory(spec, x0, t, u)
+        est = _terminal_estimate(spec, x0, t, u, theory, n_paths, config,
+                                 n_workers)
+    else:
+        raise InvalidConfig(f"unknown experiment {experiment!r}")
+    row = ReportRow(t=t, u=u, estimate=est, theory_source=source,
+                    passed=abs(est.z_score) <= Z_THRESHOLD)
+    return ExperimentReport(experiment=experiment, spec=spec, config=config,
+                            rows=(row,))
 
 
 def supermartingale_sweep(spec: LevyMeasureSpec, x0: float,
@@ -244,33 +275,31 @@ def supermartingale_sweep(spec: LevyMeasureSpec, x0: float,
     Rows after the first also require the decrease to exceed the combined
     3-sigma noise when the measure is classified Strict.
     """
-    config = config or default_config()
+    t_grid = sorted(t_grid)
+    if not t_grid:
+        raise InvalidConfig("empty t_grid")
+    config = config or _CONFIG
     measure.validate(spec)
     strict = measure._closed_form(spec) is not None     # as classify decides
     untilted = measure.untilted_spec(spec)
     cap_e = math.exp(x0)
     rows = []
-    prev = None
-    for t in sorted(t_grid):
+    for t in t_grid:
         surv = estimate_survival(untilted, x0, t, n_paths, config, n_workers)
-        mean = cap_e * surv.mean
-        stderr = cap_e * surv.stderr
-        theory = cap_e * surv.theory
-        z = surv.z_score
-        passed = abs(z) <= Z_THRESHOLD and mean <= cap_e * (
-            1.0 + Z_THRESHOLD * (stderr / mean if mean > 0 else 0.0))
-        if strict and prev is not None and t > prev[0]:
-            drop = prev[1] - mean
-            noise = Z_THRESHOLD * math.hypot(prev[2], stderr)
-            passed = passed and drop > noise
-        est = McEstimate(mean=mean, stderr=stderr, n_paths=surv.n_paths,
-                         theory=theory, z_score=z)
+        est = replace(surv, mean=cap_e * surv.mean,
+                      stderr=cap_e * surv.stderr, theory=cap_e * surv.theory)
+        passed = abs(est.z_score) <= Z_THRESHOLD and est.mean <= cap_e * (
+            1.0 + Z_THRESHOLD * (est.stderr / est.mean if est.mean > 0
+                                 else 0.0))
+        if strict and rows and t > rows[-1].t:
+            prev = rows[-1].estimate
+            noise = Z_THRESHOLD * math.hypot(prev.stderr, est.stderr)
+            passed = passed and prev.mean - est.mean > noise
         rows.append(ReportRow(t=t, u=1.0, estimate=est,
                               theory_source="riccati.minimal_solution",
                               passed=passed))
-        prev = (t, mean, stderr)
     return ExperimentReport(experiment="supermartingale", spec=spec,
-                            config=config, rows=tuple(rows), seed=config.seed)
+                            config=config, rows=tuple(rows))
 
 
 def bias_sweep(spec: LevyMeasureSpec, x0: float, t: float, u: float,
@@ -286,38 +315,26 @@ def bias_sweep(spec: LevyMeasureSpec, x0: float, t: float, u: float,
     fails when its difference exceeds the previous one beyond the combined
     3-sigma noise of the three estimates involved.
     """
-    import numpy as np
     eps_list = list(eps_list)
+    if not eps_list:
+        raise InvalidConfig("empty eps_list")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InvalidConfig(f"eps_list must be strictly decreasing, got {eps_list}")
-    config = config or default_config()
-    mom = measure.validate(spec)
-    if u == 0.0:
-        theory = x0 * math.exp(-mom.b * t)
-        source = "closed form x0*exp(-b*t)"
-    else:
-        theory = riccati.expected_value(spec, x0, t, u)
-        source = "riccati.expected_value"
+    config = config or _CONFIG
+    moment = None if u == 0.0 else u
+    theory, source = _theory(spec, x0, t, moment)
     rows = []
-    history = []
     for eps in eps_list:
-        cfg = replace(config, eps=eps)
-        terminals = np.frombuffer(_collect(spec, x0, t, cfg, n_paths, False,
-                                           n_workers).terminal)
-        samples = terminals if u == 0.0 else np.exp(u * terminals)
-        est = _make_estimate(samples, theory,
-                             variance_warning=u > U_MAX_ACCEPTED)
-        delta = abs(est.mean - history[-1][0].mean) if history else None
+        est = _terminal_estimate(spec, x0, t, moment, theory, n_paths,
+                                 replace(config, eps=eps), n_workers)
+        delta = abs(est.mean - rows[-1].estimate.mean) if rows else None
         passed = True
-        if len(history) >= 2:
-            prev_delta = history[-1][1]
+        if len(rows) >= 2:
             noise = Z_THRESHOLD * math.sqrt(
-                history[-2][0].stderr ** 2 + 2.0 * history[-1][0].stderr ** 2
-                + est.stderr ** 2)
-            passed = delta <= prev_delta + noise
+                rows[-2].estimate.stderr ** 2
+                + 2.0 * rows[-1].estimate.stderr ** 2 + est.stderr ** 2)
+            passed = delta <= rows[-1].delta_prev + noise
         rows.append(ReportRow(t=t, u=u, estimate=est, theory_source=source,
-                              passed=passed, counted=not est.variance_warning,
-                              eps=eps, delta_prev=delta))
-        history.append((est, delta))
+                              passed=passed, eps=eps, delta_prev=delta))
     return ExperimentReport(experiment="bias", spec=spec, config=config,
-                            rows=tuple(rows), seed=config.seed)
+                            rows=tuple(rows))

@@ -4,6 +4,7 @@ bench/ is run on each side of a change, so a rename there shows up as a
 benchmark failure rather than a test failure; this guards those names.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 import pathlib
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 import jumplm
-from jumplm import measure, simulate
+from jumplm import measure, montecarlo, simulate
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -74,3 +75,15 @@ def test_one_path_runs_bench_reads_take_record(name):
     inspect.signature(getattr(simulate, name)).bind(
         measure.reference_spec(), 1.0, 1.0, simulate.EngineConfig(eps=1e-2),
         3, record=True)
+
+
+def test_estimates_bench_run_calls_take_its_arguments():
+    # bench/run.py calls the estimates positionally and reads these fields
+    # of what they return
+    spec, cfg = measure.reference_spec(), simulate.EngineConfig(eps=1e-2)
+    inspect.signature(montecarlo.estimate_mgf).bind(spec, 1.0, 1.0, 0.5, 100,
+                                                    cfg)
+    inspect.signature(montecarlo.estimate_survival).bind(spec, 1.0, 1.0, 100,
+                                                         cfg)
+    fields = {f.name for f in dataclasses.fields(montecarlo.McEstimate)}
+    assert {"mean", "stderr", "theory", "n_paths"} <= fields

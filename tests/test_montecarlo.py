@@ -1,5 +1,6 @@
 import array
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -384,6 +385,20 @@ def test_bias_sweep_rejects_nondecreasing(ref_spec):
                               n_paths=100)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda spec: montecarlo.supermartingale_sweep(spec, 1.0, [], 100),
+     "empty t_grid"),
+    (lambda spec: montecarlo.bias_sweep(spec, 1.0, 1.0, 0.0, [], 100),
+     "empty eps_list"),
+    (lambda spec: montecarlo.single_report("median", spec, 1.0, 1.0, 0.5, 100),
+     "unknown experiment 'median'"),
+], ids=["supermartingale", "bias", "single"])
+def test_reports_with_no_rows_are_errors(ref_spec, build, message):
+    # a report with no rows would pass vacuously, with "n_paths": 0
+    with pytest.raises(InvalidConfig, match=f"^{message}$"):
+        build(ref_spec)
+
+
 def test_bias_sweep_report_shape(ref_spec):
     cfg = EngineConfig(eps=1e-3, seed=62)
     report = montecarlo.bias_sweep(ref_spec, 1.0, 1.0, 0.0, [1e-2, 1e-3],
@@ -408,6 +423,53 @@ def test_report_serialization(ref_spec):
     csv = report.to_csv().splitlines()
     assert csv[0] == "t,u,mean,stderr,theory,z,pass,eps,delta_prev"
     assert len(csv) == 3
+
+
+def test_golden_reports(ref_spec):
+    # the SHA-256 of each report's JSON and CSV, recorded before the
+    # reports were built in one place: any change to an estimate, a
+    # theory, a pass rule or the serialization moves them
+    cfg = EngineConfig(eps=1e-2, seed=20261021, cap=1e5)
+    eps_list = [1e-1, 3e-2, 1e-2]
+    reports = {
+        "mgf": montecarlo.single_report("mgf", ref_spec, 1.0, 1.0, 0.5, 300,
+                                        cfg),
+        "mgf-warn": montecarlo.single_report("mgf", ref_spec, 1.0, 1.0, 0.9,
+                                             300, cfg),
+        "mean": montecarlo.single_report("mean", ref_spec, 1.0, 1.0, 0.5,
+                                         300, cfg),
+        "survival": montecarlo.single_report("survival", ref_spec, 1.0,
+                                             T_HALF, 0.5, 300, cfg),
+        "supermartingale": montecarlo.supermartingale_sweep(
+            ref_spec, 1.0, [1.0, 0.5, 1.0, 0.0], 300, cfg),
+        "bias-mean": montecarlo.bias_sweep(ref_spec, 1.0, 1.0, 0.0, eps_list,
+                                           300, cfg),
+        "bias-mgf": montecarlo.bias_sweep(ref_spec, 1.0, 1.0, 0.25, eps_list,
+                                          300, cfg),
+    }
+    want = {
+        "mgf": ("d9ea107a7bbb4b654a0b6c35d4921a5840df705dc76e301474f1a1ff02bcb9af",
+                "d6f9394aa1596840baea49aada16d6086c8c9f2ce265893d362e0c5501cf0b88"),
+        "mgf-warn": ("9357a162d8d2396d0005fa41ddfdf8ea4ddd725fe22ef55e392fa38a439684e2",
+                     "f02915f20f12bca154b20fbf784cc26dfcf6d6bb9630638086a9e963dc604668"),
+        "mean": ("f2806c3217c0ba278a5dd726e9f39c13fb4e4fa8a7f9083f3da1ced2a369231d",
+                 "1b4f24e3b228991c2fdc0eb5a64459db6fd300766fea9bed2cea7483b6d50b71"),
+        "survival": ("03b0a50545a642da5e5ad6822e2c79252d748b54b0877606979fab6d13747627",
+                     "5cd0f688746441c4fa58c4207a0c954259dcfe6d39e8363ae6d3a87efd920c96"),
+        "supermartingale": (
+            "3fc0eb992913c0683323739a4faba630c19fb9d54e729945a4ae380646730b42",
+            "30be416906093f421fa7df398890a68bbe97e3b377f6a69a25cd8f439e299aed"),
+        "bias-mean": ("64eb463c3deece41cae9bd6a2ca4a915f7ebb8bb096432c07498834728c96a82",
+                      "8a6f069d08cd090897508fdf271f0855a002f7daea1a3777493d8cb486d110ad"),
+        "bias-mgf": ("d6cdae63ebcbb265240c07406c0003440fde068f8e3989b5ea37f4336871f489",
+                     "28549b2d7f87e84869d3bc62f90e36f55271ffbbfbd0a57329b8982cd17b96f5"),
+    }
+    assert json.loads(reports["mgf-warn"].to_json())["rows"][0]["counted"] \
+        is False
+    for name, report in reports.items():
+        got = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (report.to_json(), report.to_csv()))
+        assert got == want[name], name
 
 
 def test_report_is_reproducible(ref_spec):
@@ -452,9 +514,9 @@ def test_survival_counts_max_events_stops(ref_spec, caplog):
 
 
 def _indicator_estimate(indicators, theory):
-    """The survival estimate as the mean of the 0/1 floats indicators, as
-    _make_estimate(np.array(indicators, float), theory, bernoulli=True)
-    computed it before estimate_survival counted the horizon ends."""
+    """The survival estimate as the numpy mean of the 0/1 floats
+    indicators, with their Bernoulli standard error: how estimate_survival
+    scored its paths before it counted the horizon ends."""
     samples = np.array(indicators, float)
     n = samples.size
     mean = float(np.sum(samples) / n)
