@@ -18,8 +18,8 @@
  * and the caller raises a typed error that names the path.
  *
  * jumplm_run_paths takes one job record, which simulate._Job mirrors: a
- * block of paths, the engine's inputs, the jump sampler and the six
- * columns it writes.  A call runs paths first .. count-1 of the block and
+ * block of paths, the engine's inputs, the jump law and the six columns
+ * it writes.  A call runs paths first .. count-1 of the block and
  * returns the next first; the caller calls again until that is count.
  *
  * A call runs its paths on up to `threads` threads, the calling one and
@@ -29,8 +29,8 @@
  * stream, so which thread runs it, and when, changes no bit of its
  * results.  A path that records its events writes them into a buffer of
  * its own, which it grows as it runs, so recording paths run on threads
- * too, each in one pass whatever its length; jumplm_take then moves the
- * block's events into one array and frees the buffers.
+ * too, each in one pass whatever its length; jumplm_take then copies the
+ * block's (t, xi) pairs into one array and frees the buffers.
  *
  * The threads of a call share one budget of EVENT_BUDGET events.  A
  * thread claims no more paths once the call has spent it, and finishes
@@ -169,8 +169,8 @@ typedef struct {
     double x0, t_end, lam, delta, cap;
     int64_t max_events;
     int32_t explosive, threads;
-    /* measure._TableSampler, ppoly's m pieces on breaks with coefs, when
-     * m > 0; otherwise measure._RejectionSampler */
+    /* measure.JumpLaw: its PCHIP table, ppoly's m pieces on breaks with
+     * coefs, when m > 0; otherwise Pareto rejection on eps, inv_pow, beta */
     const double *breaks, *coefs;
     int64_t m;
     double eps, inv_pow, beta;
@@ -379,23 +379,17 @@ int64_t jumplm_run_paths(const job *j)
     return claimed < j->count ? claimed : j->count;
 }
 
-/* Moves the jumps that jumplm_run_paths recorded in held[0 .. count-1]
- * to events: path i's n_i = offsets[i+1] - offsets[i] of them as one
- * (2, n_i) array at events + 2 offsets[i], times then sizes.  Then frees
- * every buffer and sets its pointer to NULL.  With events NULL it only
- * frees. */
+/* Copies the jumps that jumplm_run_paths recorded in held[0 .. count-1]
+ * to events: path i's n_i = offsets[i+1] - offsets[i] of them as its
+ * (t, xi) pairs at events + 2 offsets[i].  Then frees every buffer and
+ * sets its pointer to NULL.  With events NULL it only frees. */
 void jumplm_take(record **held, const int64_t *offsets, int64_t count,
                  double *events)
 {
     for (int64_t i = 0; i < count; i++) {
-        if (events) {
-            int64_t n = offsets[i + 1] - offsets[i];
-            double *to = events + 2 * offsets[i];
-            for (int64_t k = 0; k < n; k++) {
-                to[k] = held[i]->at[2 * k];
-                to[n + k] = held[i]->at[2 * k + 1];
-            }
-        }
+        if (events && held[i])
+            memcpy(events + 2 * offsets[i], held[i]->at,
+                   2 * sizeof(double) * (size_t)(offsets[i + 1] - offsets[i]));
         drop(held[i]);
         held[i] = NULL;
     }
@@ -527,24 +521,19 @@ static int format_g17(double v, char *out)
     return (int)(o - out);
 }
 
-/* The rows "%.17g,%.17g\n" of a recorded path's n events, times in
- * events[0 .. n-1] and sizes in events[n .. 2n-1], into text, which has
- * room for 48 n characters.  Returns the number written, or -1 when a
- * value is outside format_g17's range. */
+/* The rows "%.17g,%.17g\n" of a recorded path's n events, its (t, xi)
+ * pairs in events[0 .. 2n-1], into text, which has room for 48 n
+ * characters.  Returns the number written, or -1 when a value is outside
+ * format_g17's range. */
 static int64_t format_rows(const double *events, int64_t n, char *text)
 {
     char *o = text;
-    for (int64_t i = 0; i < n; i++) {
+    for (int64_t i = 0; i < 2 * n; i++) {
         int w = format_g17(events[i], o);
         if (w < 0)
             return -1;
         o += w;
-        *o++ = ',';
-        w = format_g17(events[n + i], o);
-        if (w < 0)
-            return -1;
-        o += w;
-        *o++ = '\n';
+        *o++ = i % 2 ? '\n' : ',';
     }
     return o - text;
 }
@@ -574,12 +563,11 @@ static void *format_paths(void *arg)
     return NULL;
 }
 
-/* The rows of paths 0 .. count-1 of a block recorded with exact rooms:
- * path i's offsets[i+1] - offsets[i] events at events + 2 offsets[i], as
- * jumplm_run_paths records them.  Path i's rows go to text + 48
- * offsets[i], and their length, or -1 when a value is outside
- * format_g17's range, to lengths[i].  Runs on up to threads threads (see
- * on_threads). */
+/* The rows of paths 0 .. count-1 of a block as jumplm_take copies it:
+ * path i's offsets[i+1] - offsets[i] (t, xi) pairs at events + 2
+ * offsets[i].  Its rows go to text + 48 offsets[i], and their length, or
+ * -1 when a value is outside format_g17's range, to lengths[i], on up to
+ * threads threads (see on_threads). */
 void jumplm_format_block(const double *events, const int64_t *offsets,
                          int64_t count, char *text, int64_t *lengths,
                          int threads)

@@ -171,6 +171,8 @@ BLOCK_PATHS = 64
 def simulate_cmd(config, x0, t_end, eps, seed, paths, explosive, cap, out_dir):
     """Write one CSV per simulated path plus a manifest."""
     from . import simulate
+    if paths < 1:
+        raise InvalidParameter(f"--paths must be >= 1, got {paths}")
     spec = measure.spec_from_json(config)
     seed = _resolve_seed(seed)
     started = time.monotonic()

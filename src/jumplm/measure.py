@@ -38,6 +38,7 @@ __all__ = [
     "gamma2_residual",
     "tail_intensity",
     "small_jump_mean",
+    "JumpLaw",
     "make_jump_sampler",
     "untilted_spec",
     "tilted_spec",
@@ -493,49 +494,26 @@ def small_jump_mean(spec: LevyMeasureSpec, eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Jump sampling (_kernel.c repeats both sample() methods step for step)
+# Jump sampling (_kernel.c's jump() repeats JumpLaw.sample step for step)
 # ---------------------------------------------------------------------------
 
-class _TableSampler:
-    """Inverse-CDF sampler on a cached numeric tail table."""
+@dataclass(frozen=True)
+class JumpLaw:
+    """The measure's jumps at or above eps, normalized, as the kernel draws
+    them: by inv, the PCHIP inverse CDF of a tail table, or, where inv is
+    None, as Pareto proposals xi = eps * U**inv_pow, inv_pow = -1/(alpha-1),
+    accepted with probability exp(-beta*(xi-eps)); at beta = 0 every
+    proposal is accepted without drawing the acceptance uniform."""
 
-    def __init__(self, spec: LevyMeasureSpec, eps: float):
-        lam = tail_intensity(spec, eps)
-        if not lam > 0:
-            raise DomainError(f"tail intensity vanishes at eps={eps}")
-        import numpy as np
-        from scipy import interpolate
-        # resolve the tail out to where only ~1e-12 of the mass remains
-        hi = eps
-        while tail_intensity(spec, hi) > 1e-12 * lam:
-            hi *= 2.0
-        grid = np.geomspace(eps, hi, 4096)
-        dens = spec.density(grid)
-        cdf = np.concatenate([[0.0], np.cumsum(
-            0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-        cdf /= cdf[-1]
-        keep = np.concatenate([[True], np.diff(cdf) > 0])
-        self._inv = interpolate.PchipInterpolator(cdf[keep], grid[keep])
+    eps: float
+    inv_pow: float = 0.0
+    beta: float = 0.0
+    inv: object = None
 
     def sample(self, next_u) -> float:
-        return float(self._inv(next_u()))
-
-
-class _RejectionSampler:
-    """Pareto-proposal rejection sampler for tilted power tails.
-
-    Proposal xi = eps * U**(-1/(alpha-1)), accepted with probability
-    exp(-beta*(xi-eps)); at beta = 0 every proposal is accepted without
-    drawing the acceptance uniform.
-    """
-
-    def __init__(self, spec: LevyMeasureSpec, eps: float):
-        self.eps = eps
-        self._inv_pow = -1.0 / (spec.alpha - 1.0)
-        self._beta = spec.beta
-
-    def sample(self, next_u) -> float:
-        eps, beta, p = self.eps, self._beta, self._inv_pow
+        if self.inv is not None:
+            return float(self.inv(next_u()))
+        eps, beta, p = self.eps, self.beta, self.inv_pow
         while True:
             try:
                 xi = eps * next_u() ** p
@@ -551,10 +529,9 @@ class _RejectionSampler:
 _MIN_ACCEPTANCE = 0.01
 
 
-def make_jump_sampler(spec: LevyMeasureSpec, eps: float):
-    """Sampler for the normalized restriction of the measure to [eps, inf).
+def make_jump_sampler(spec: LevyMeasureSpec, eps: float) -> JumpLaw:
+    """The JumpLaw of the measure's jumps at or above eps.
 
-    The returned object has sample(next_u) where next_u() yields uniforms.
     The choice is made once per (spec, eps): a tilted power with alpha > 1
     gets Pareto rejection when its mean acceptance
     exp(beta*eps) * Lambda_beta(eps) / Lambda_0(eps) is at least 1%, where
@@ -570,14 +547,30 @@ def make_jump_sampler(spec: LevyMeasureSpec, eps: float):
         # on the left would overflow
         if (tail_intensity(spec, eps) >= _MIN_ACCEPTANCE
                 * math.exp(-spec.beta * eps) * lambda_0):
-            return _RejectionSampler(spec, eps)
+            return JumpLaw(eps, -1.0 / (a - 1.0), spec.beta)
     return _cached_table_sampler(spec, eps)
 
 
 @lru_cache(maxsize=64)
-def _cached_table_sampler(spec: LevyMeasureSpec, eps: float) -> _TableSampler:
-    # table construction is expensive; the sampler is read-only once built
-    return _TableSampler(spec, eps)
+def _cached_table_sampler(spec: LevyMeasureSpec, eps: float) -> JumpLaw:
+    # table construction is expensive; the law is read-only once built
+    lam = tail_intensity(spec, eps)
+    if not lam > 0:
+        raise DomainError(f"tail intensity vanishes at eps={eps}")
+    import numpy as np
+    from scipy import interpolate
+    # resolve the tail out to where only ~1e-12 of the mass remains
+    hi = eps
+    while tail_intensity(spec, hi) > 1e-12 * lam:
+        hi *= 2.0
+    grid = np.geomspace(eps, hi, 4096)
+    dens = spec.density(grid)
+    cdf = np.concatenate([[0.0], np.cumsum(
+        0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    cdf /= cdf[-1]
+    keep = np.concatenate([[True], np.diff(cdf) > 0])
+    return JumpLaw(eps, inv=interpolate.PchipInterpolator(cdf[keep],
+                                                          grid[keep]))
 
 
 # ---------------------------------------------------------------------------

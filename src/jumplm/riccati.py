@@ -115,6 +115,7 @@ def solve(spec: LevyMeasureSpec, u0: float, t_end: float) -> RiccatiSolution:
     """
     import numpy as np
     _check_flow(u0, t_end)
+    measure.validate(spec)
     if t_end == 0.0:
         return RiccatiSolution(u0, 0,
                                _dense=lambda t: np.full_like(np.asarray(t, float), u0),
@@ -286,6 +287,7 @@ def expected_value(spec: LevyMeasureSpec, x0: float, t: float, u: float) -> floa
         raise DomainError(f"exponential moment undefined for u > 1, got {u}")
     if not math.isfinite(x0):
         raise DomainError(f"x0 must be finite, got {x0}")
+    measure.validate(spec)
     closed = measure._closed_form(spec)
     if u == 1.0:
         g = minimal_solution(spec, t)

@@ -11,7 +11,7 @@ jumps, decay rate b + tail mean) and the explosive one (uncompensated
 jumps, decay rate H = int (1 - e^-xi) mu(dxi) minus the small-jump mean,
 the h-transform's decay), which can hit +infinity in finite time and is
 flagged exploded once it crosses the configured cap.
-Jump sizes come from measure.make_jump_sampler, which picks the sampler
+Jump sizes come from the JumpLaw that measure.make_jump_sampler picks
 once per (spec, eps).  Path i of seed s draws its uniforms, in order,
 from Philox(key=[s, i]), so every path is reproducible on its own.
 
@@ -25,15 +25,16 @@ jump count, and terminal value, in array.array columns.  Every path has
 its own stream, so the results are the same bits on any number of
 threads.  simulate_path and simulate_explosive_path run a block of one,
 on one thread; block_csvs, behind `jumplm simulate`, runs a block of many
-on threads and records every path's events.  A recording path grows its
-own event buffer in the kernel as it runs, so every path runs once,
-whatever its length.  A kernel call takes one job record, _Job.  A path
-the kernel stops on an error (a log of a non-positive number, an exp past
-the float range, a division by zero, or an event buffer that cannot
-grow) raises a JumplmError that names it.  The kernel formats a recorded
-block's rows, the bytes "%.17g" gives, on threads; block_csvs formats in
-Python the rows the kernel's formatter does not reach, and
-export_path_csv formats every row in Python.
+on threads and records every path's events, (t, xi) pairs.  A recording
+path grows its own event buffer in the kernel as it runs, so every path
+runs once, whatever its length.  A kernel call takes one job record,
+_Job, which copies the jump law's fields.  A path the kernel stops on an
+error (a log of a non-positive number, an exp past the float range, a
+division by zero, or an event buffer that cannot grow) raises a
+JumplmError that names it.  The kernel formats a recorded block's rows,
+the bytes "%.17g" gives, on threads; block_csvs formats in Python the
+rows the kernel's formatter does not reach, and export_path_csv formats
+every row in Python.
 """
 
 from __future__ import annotations
@@ -189,8 +190,8 @@ MAX_THREADS = 64
 
 class _Job(ctypes.Structure):
     """The job record jumplm_run_paths takes, field for field as _kernel.c
-    lays it out: the block, the engine's inputs, the jump sampler and the
-    addresses of the columns the kernel writes."""
+    lays it out: the block, the engine's inputs, the jump law's fields and
+    the addresses of the columns the kernel writes."""
 
     _fields_ = [
         ("key0", ctypes.c_uint64),
@@ -285,10 +286,9 @@ def _kernel():
 
 # per path, as array.array columns: its end code ('b'), the event loop's
 # last t, x ('d') and jump count ('q'), and its terminal value ('d', NaN
-# unless END_HORIZON); for a recorded block, the n_i events of path i,
-# times then sizes, at events[2 * offsets[i]:2 * offsets[i + 1]] ('d' and
-# 'q'; both None unless recorded; n_i is 0 for a path the kernel stopped
-# on an error)
+# unless END_HORIZON); for a recorded block, path i's n_i events as (t, xi)
+# pairs at events[2 * offsets[i]:2 * offsets[i + 1]] ('d' and 'q'; both
+# None unless recorded; n_i is 0 for a path the kernel stopped on an error)
 PathEnds = collections.namedtuple("PathEnds",
                                   "end t x n terminal events offsets")
 
@@ -310,10 +310,10 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
     PathEnds).
 
     A kernel call returns after about 2^22 events, so Ctrl-C stops a
-    long block between calls.  A recording path keeps its events in a
-    buffer of the kernel's, grown as it runs, so each path runs once;
-    jumplm_take moves them into one array once the block is done, and
-    frees the buffers however the calls end.
+    long block between calls.  A recording path grows its own event
+    buffer in the kernel, so each path runs once; jumplm_take copies the
+    (t, xi) pairs into one array once the block is done, and frees the
+    buffers however the calls end.
     """
     out = PathEnds(_zeros("b", count), *(_zeros(code, count)
                                          for code in "ddqd"), None, None)
@@ -321,20 +321,14 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
                t_end=t_end, lam=lam, delta=delta, cap=config.cap,
                max_events=config.max_events, explosive=explosive,
                threads=threads)
-    sampler = measure.make_jump_sampler(spec, config.eps)
-    if isinstance(sampler, measure._TableSampler):
-        import numpy as np
-        breaks = np.ascontiguousarray(sampler._inv.x, dtype=float)
-        coefs = np.ascontiguousarray(sampler._inv.c, dtype=float)
-        assert coefs.shape == (4, breaks.size - 1)
-        job.breaks, job.coefs = breaks.ctypes.data, coefs.ctypes.data
-        job.m = breaks.size - 1
-    else:
-        job.eps, job.inv_pow, job.beta = (sampler.eps, sampler._inv_pow,
-                                          sampler._beta)
+    law = measure.make_jump_sampler(spec, config.eps)
+    job.eps, job.inv_pow, job.beta = law.eps, law.inv_pow, law.beta
+    if law.inv is not None:     # C-ordered float64, kept alive by the law
+        x, c = law.inv.x, law.inv.c
+        assert c.flags.c_contiguous and c.shape == (4, x.size - 1)
+        job.breaks, job.coefs, job.m = x.ctypes.data, c.ctypes.data, x.size - 1
     job.end, job.t, job.x, job.n, job.terminal = map(_address, out[:5])
-    # with record, the address of each path's event buffer, NULL until
-    # the path runs
+    # with record, the address of each path's event buffer, NULL till it runs
     held = _zeros("Q", count) if record else None
     job.events = _address(held)
     events = offsets = None
@@ -347,7 +341,7 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
                 (max(k, 0) for k in out.n), initial=0))
             events = _zeros("d", 2 * offsets[-1])
     finally:
-        if record:      # moves the events, once every path ran, and frees
+        if record:      # copies the events, once every path ran, and frees
             lib.jumplm_take(_address(held), _address(offsets), count,
                             _address(events))
     return out._replace(events=events, offsets=offsets)
@@ -379,10 +373,7 @@ def _path(spec, x0, t_end, config, path_index, record, explosive) -> Path:
     lam, delta = _rates(spec, x0, t_end, config.eps, explosive)
     out = _fan_out(spec, x0, t_end, config, path_index, 1, lam, delta,
                    explosive, record)
-    events = []
-    if record:
-        n = out.n[0]
-        events = list(zip(out.events[:n], out.events[n:]))
+    events = list(zip(out.events[0::2], out.events[1::2])) if record else []
     exploded = out.end[0] != END_HORIZON
     return Path(x0=x0, events=events, decay_rate=delta, t_end=t_end,
                 eps=config.eps, exploded=exploded,
@@ -525,9 +516,8 @@ def block_csvs(spec: LevyMeasureSpec, x0: float, t_end: float,
     for i, (rows, end, t) in enumerate(zip(
             _format_block(out.events, at, threads), out.end, out.t)):
         if rows is None:
-            n = at[i + 1] - at[i]
             path = out.events[2 * at[i]:2 * at[i + 1]]
-            rows = _python_rows(zip(path[:n], path[n:])).encode("ascii")
+            rows = _python_rows(zip(path[0::2], path[1::2])).encode("ascii")
         exploded = end != END_HORIZON
         csvs.append(_csv_head(x0, delta, config.eps, exploded, t_end,
                               t if exploded else None).encode("ascii") + rows)

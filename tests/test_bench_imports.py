@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import jumplm
-from jumplm import measure, montecarlo, simulate
+from jumplm import measure, montecarlo, riccati, simulate
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,6 +34,11 @@ def tracer():
     return _bench_module("tracer")
 
 
+@pytest.fixture(scope="module")
+def workloads():
+    return _bench_module("workloads")
+
+
 def test_traced_names_exist(tracer):
     for layer, names in tracer.TRACED.items():
         module = getattr(jumplm, layer)
@@ -43,6 +48,7 @@ def test_traced_names_exist(tracer):
 
 @pytest.mark.parametrize("dotted", [
     "measure._cached_table_sampler.cache_clear",
+    "measure._cached_table_sampler.__wrapped__",
     "measure.tail_intensity.cache_clear",
     "simulate.EXPLODED",
     "simulate.evaluate",
@@ -56,17 +62,26 @@ def test_names_bench_run_reads_exist(dotted):
         obj = getattr(obj, part)
 
 
-def test_jump_samplers_bench_draws_from_have_sample():
-    # a traced run times sampler.sample(next_u) on the reference at eps
-    # 1e-4 (Pareto rejection) and on the benchmark's table at TABLE_EPS
-    workloads = _bench_module("workloads")
+@pytest.mark.parametrize("name", ["mgf-conservative", "survival-explosive",
+                                  "export-explosive"])
+def test_workload_set_up_runs(workloads, name):
+    # every benchmark run first loads the workload's spec as the CLI reads
+    # it and fills its caches with warm, jump law included
+    wl = workloads.WORKLOADS[name]
+    spec = measure.spec_from_json(workloads.spec_json(wl, measure))
+    workloads.warm(wl, spec, measure, riccati)
+
+
+def test_jump_samplers_bench_draws_from_have_sample(workloads):
+    # a traced run times law.sample(next_u) on the reference at eps 1e-4
+    # (Pareto rejection) and on the benchmark's table at TABLE_EPS
     table = measure.spec_from_json(workloads.tabulated_json())
-    for spec, eps, kind in (
-            (measure.reference_spec(), 1e-4, measure._RejectionSampler),
-            (table, workloads.TABLE_EPS, measure._TableSampler)):
-        sampler = measure.make_jump_sampler(spec, eps)
-        assert isinstance(sampler, kind)
-        assert callable(getattr(sampler, "sample", None))
+    for spec, eps, tabled in ((measure.reference_spec(), 1e-4, False),
+                              (table, workloads.TABLE_EPS, True)):
+        law = measure.make_jump_sampler(spec, eps)
+        assert (law.inv is not None) == tabled
+        assert callable(getattr(law, "sample", None))
+        assert law.sample(lambda: 0.5) >= eps
 
 
 @pytest.mark.parametrize("name", ["simulate_path", "simulate_explosive_path"])

@@ -92,6 +92,19 @@ def test_riccati_curve(runner, ref_json):
     assert float(t0) == 0.0 and float(g0) == 0.5
 
 
+def test_riccati_at_t_zero_refuses_what_classify_refuses(runner, tmp_path):
+    # the curve at t-end 0 is its initial value alone, yet a spec with no
+    # exponential moment ends the command as it ends classify
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(measure.spec_to_json(
+        measure.LevyMeasureSpec.tilted_power(1.0, 0.5, 0.5))))
+    why = "error: int_1^inf e^xi mu(dxi) diverges for beta=0.5 < 1\n"
+    for args in (["classify", str(p)],
+                 ["riccati", str(p), "--t-end", "0"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1 and res.output == why
+
+
 def test_defect_curve(runner, ref_json):
     t_half = 2.0 * math.log(2.0)
     res = runner.invoke(main, ["defect-curve", ref_json, "--x0", "1",
@@ -210,6 +223,18 @@ def test_simulate_seed_drawn_when_omitted(runner, ref_json, tmp_path):
     assert res.exit_code == 0
     manifest = json.loads((tmp_path / "e" / "manifest.json").read_text())
     assert isinstance(manifest["seed"], int) and manifest["seed"] >= 0
+
+
+def test_simulate_needs_a_path(runner, ref_json, tmp_path):
+    # fewer than one path is refused before the output directory is made,
+    # and so before x0, which only a path checks, is read
+    for paths in ("0", "-3"):
+        out = tmp_path / f"paths{paths}"
+        res = runner.invoke(main, ["simulate", ref_json, "--paths", paths,
+                                   "--x0", "-1", "--out-dir", str(out)])
+        assert res.exit_code == 1
+        assert res.output == f"error: --paths must be >= 1, got {paths}\n"
+        assert not out.exists()
 
 
 def test_simulate_explosive_invalid_eps(runner, untilted_json, tmp_path):

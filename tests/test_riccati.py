@@ -540,3 +540,23 @@ def test_strict_is_decided_without_classify(ref_spec, tabulated_spec,
             call(not_valid, 0.5)
         assert str(raised.value) == ("int_1^inf e^xi mu(dxi) diverges for "
                                      "beta=0.5 < 1")
+
+
+def test_time_zero_still_validates_the_spec(ref_spec):
+    # at t = 0 the flow is its initial value, yet a spec with no
+    # exponential moment is refused there as at t > 0; argument errors
+    # still come first
+    bad = measure.LevyMeasureSpec.tilted_power(1.0, 0.5, 0.5)
+    why = "int_1^inf e^xi mu(dxi) diverges for beta=0.5 < 1"
+    for t in (0.0, 0.1):
+        for call in (lambda: riccati.expected_value(bad, 1.0, t, 0.5),
+                     lambda: riccati.solve(bad, 0.5, t)):
+            with pytest.raises(NonIntegrableTail) as raised:
+                call()
+            assert str(raised.value) == why
+    with pytest.raises(DomainError, match="exponential moment undefined"):
+        riccati.expected_value(bad, 1.0, 0.0, 2.0)
+    with pytest.raises(DomainError, match="solve requires u0 < 1"):
+        riccati.solve(bad, 1.5, 0.0)
+    assert riccati.expected_value(ref_spec, 1.0, 0.0, 0.5) == math.exp(0.5)
+    assert riccati.solve(ref_spec, 0.5, 0.0)(0.0) == 0.5

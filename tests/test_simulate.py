@@ -684,14 +684,14 @@ def _job(cfg, sampler, start, count, x0, t_end, lam, delta, threads, out,
         key0=cfg.seed, start=start, count=count, x0=x0, t_end=t_end,
         lam=lam, delta=delta, cap=cfg.cap, max_events=cfg.max_events,
         explosive=False, threads=threads, eps=sampler.eps,
-        inv_pow=sampler._inv_pow, beta=sampler._beta, events=events,
+        inv_pow=sampler.inv_pow, beta=sampler.beta, events=events,
         **columns)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_kernel_records_only_in_each_paths_room(ref_spec, threads):
     # path i records all its n_i events in a buffer of its own, and
-    # jumplm_take moves them, times then sizes, to events[2 offsets[i] ..
+    # jumplm_take copies them, as (t, xi) pairs, to events[2 offsets[i] ..
     # 2 offsets[i+1]], writes nothing outside the paths' rooms and frees
     # every buffer; a path of 0 jumps holds none
     lib = simulate._kernel()
@@ -721,7 +721,7 @@ def test_kernel_records_only_in_each_paths_room(ref_spec, threads):
             recorded = events[2 * offsets[i]:2 * offsets[i + 1]]
             scalar, *_ = oracle._run_engine(ref_spec, x0, t_end, cfg, 5 + i,
                                               True, lam, delta, False)
-            assert recorded.reshape(2, n).T.tolist() == \
+            assert recorded.reshape(n, 2).tolist() == \
                 [list(ev) for ev in scalar]
 
 
@@ -799,7 +799,7 @@ def test_recorded_blocks_match_run_engine(name, explosive, tabulated_spec,
         events = events[:max_events]
         assert got.n[i] == len(events)
         assert [(t.hex(), xi.hex()) for t, xi in
-                recorded.reshape(2, -1).T.tolist()] == \
+                recorded.reshape(-1, 2).tolist()] == \
             [(float(t).hex(), float(xi).hex()) for t, xi in events]
 
 
@@ -1041,7 +1041,7 @@ def test_kernel_threads_block_spans_calls(ref_spec):
     one = simulate._kernel_run(lib, ref_spec, 1e5, 1.0, cfg, 3, 16, lam,
                                delta, False)
     sampler = measure.make_jump_sampler(ref_spec, cfg.eps)
-    assert isinstance(sampler, measure._RejectionSampler)
+    assert sampler.inv is None
     for threads in (2, 3, 8):
         out = [np.full(16, -9, np.int8), np.full(16, -9.0),
                np.full(16, -9.0), np.full(16, -9, np.int64),
@@ -1119,7 +1119,7 @@ def test_kernel_ppoly_matches_scipy(tabulated_spec, kernel_harness):
     rng = np.random.Generator(np.random.Philox(key=[5, 0]))
     for spec, eps in ((tabulated_spec, 1e-2), (tabulated_spec, 1e-3),
                       (_KERNEL_CASES["low-acceptance"][0], 0.05)):
-        inv = measure.make_jump_sampler(spec, eps)._inv
+        inv = measure.make_jump_sampler(spec, eps).inv
         x, c = inv.x, np.ascontiguousarray(inv.c)
         u = np.concatenate([rng.random(100_000), np.nextafter(x, -np.inf), x,
                             np.nextafter(x, np.inf)])
@@ -1273,10 +1273,10 @@ def _csv(path):
 
 def _kernel_rows(events):
     """The rows the kernel's formatter gives for (t, xi) pairs, held as a
-    block's events, times then sizes, as block_csvs has them formatted;
-    None where it leaves them to Python."""
-    times, sizes = zip(*events)
-    rows = simulate._format_block(array.array("d", times + sizes),
+    block's events, as block_csvs has them formatted; None where it leaves
+    them to Python."""
+    rows = simulate._format_block(array.array("d", [v for ev in events
+                                                    for v in ev]),
                                   array.array("q", [0, len(events)]))[0]
     return None if rows is None else rows.decode("ascii")
 
