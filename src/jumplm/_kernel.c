@@ -13,35 +13,33 @@
  *         _kernel.c -lm
  *
  * Where the scalar loop would raise (a log of a non-positive number, an
- * overflowing exp, a division by zero), and where a recording path's event
- * buffer cannot grow, the path stops with an end code above END_MAX_EVENTS,
- * and the caller raises a typed error that names the path.
+ * overflowing exp, a division by zero), and where a recording path cannot
+ * get the memory to record, the path stops with an end code above
+ * END_MAX_EVENTS, and the caller raises a typed error that names the path.
  *
  * jumplm_run_paths takes one job record, which simulate._Job mirrors: a
- * block of paths, the engine's inputs, the jump law and the six columns
- * it writes.  A call runs paths first .. count-1 of the block and
- * returns the next first; the caller calls again until that is count.
+ * block of paths, the engine's inputs, the jump law and the columns it
+ * writes.  A call runs paths first .. count-1 of the block and returns the
+ * next first; the caller calls again until that is count.
  *
  * A call runs its paths on up to `threads` threads, the calling one and
  * threads - 1 it starts.  Each thread claims the next path index, one at
  * a time, and runs that path alone: event counts are heavy-tailed, so a
  * fixed split would leave threads idle.  Path i draws from its own
  * stream, so which thread runs it, and when, changes no bit of its
- * results.  A path that records its events writes them into a buffer of
- * its own, which it grows as it runs, so recording paths run on threads
- * too, each in one pass whatever its length; jumplm_take then copies the
- * block's (t, xi) pairs into one array and frees the buffers.
+ * results.  A recording path writes its (t, xi) pairs into its thread's
+ * slab, which doubles when full and lasts for the call, so every path
+ * runs once whatever its length.  When the path ends, its thread keeps
+ * what the caller asked for, the pairs or their CSV rows, Python's
+ * "%.17g,%.17g\n" % event byte for byte (see keep and format_g17), in a
+ * buffer of the path's own; jumplm_take then copies every path's into one
+ * array and frees the buffers.
  *
  * The threads of a call share one budget of EVENT_BUDGET events.  A
  * thread claims no more paths once the call has spent it, and finishes
  * the path it holds, so a call that returns k has written paths first ..
  * k-1 and none after them, k > first.  A long block takes
  * several calls, and Python can act on Ctrl-C between them.
- *
- * jumplm_format_block writes the CSV rows of a recorded block's paths as
- * Python's "%.17g,%.17g\n" % event does, byte for byte, by exact integer
- * arithmetic, for the events its range covers (see format_g17), on
- * threads that claim paths as jumplm_run_paths's do.
  */
 #include <math.h>
 #include <pthread.h>
@@ -54,12 +52,14 @@
 /* end codes, mirrored in simulate.py */
 enum { END_HORIZON, END_CAP, END_MAX_EVENTS, END_LOG_DOMAIN, END_EXP_RANGE,
        END_ZERO_DIVISION, END_NO_MEMORY };
+/* what a recording path keeps (see keep), mirrored in simulate.py */
+enum { KEEP_NONE, KEEP_PAIRS, KEEP_ROWS };
 
 #define EVENT_BUDGET ((int64_t)1 << 22)
-/* the jumps a recording path's buffer first holds; it doubles when full */
+/* the jumps a thread's slab first holds; it doubles when full */
 #define FIRST_ROOM 64
-/* the most jumps a buffer from malloc holds; a longer path maps its own */
-#define MALLOC_ROOM 1024
+/* the most bytes get takes from malloc (see get) */
+#define MALLOC_MOST ((size_t)1 << 20)
 /* the most threads a call runs on, mirrored in simulate.py */
 #define MAX_THREADS 64
 /* run_path needs little stack; a size below the platform's minimum
@@ -118,45 +118,48 @@ static double ppoly(const double *x, const double *c, int64_t m, double u)
     return res;
 }
 
-/* A recording path's buffer: jump k's t and xi at at[2k] and at[2k+1].
- * One of up to MALLOC_ROOM jumps comes from malloc; a longer one is
- * mapped on its own, so that freeing it gives its pages back at once, and
- * long paths neither grow malloc's heap nor raise its mmap threshold. */
-typedef struct { int64_t room; double at[]; } record;
-
-static size_t record_size(int64_t room)
+/* size bytes, or NULL when the memory is not to be had: from malloc up to
+ * MALLOC_MOST, otherwise mapped on their own, so that put gives their
+ * pages back at once, and long paths neither grow malloc's heaps nor
+ * raise its mmap threshold (from malloc alone, 200 recorded blocks at cap
+ * 1e8 left the resident set 16 MB higher). */
+static void *get(size_t size)
 {
-    return sizeof(record) + 2 * sizeof(double) * (size_t)room;
+    if (size <= MALLOC_MOST)
+        return malloc(size);
+    void *p = mmap(NULL, size, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    return p == MAP_FAILED ? NULL : p;
 }
 
-static void drop(record *r)
+/* Gives back p, of size bytes, from get (or NULL, of 0). */
+static void put(void *p, size_t size)
 {
-    if (r && r->room > MALLOC_ROOM)
-        munmap(r, record_size(r->room));
+    if (size <= MALLOC_MOST)
+        free(p);
     else
-        free(r);
+        munmap(p, size);
 }
 
-/* Gives *r, full or NULL, twice its room (FIRST_ROOM when NULL); returns
- * 0, leaving *r as it was, when the memory is not to be had. */
-static int grow(record **r)
+/* A thread's slab, for the path it runs: its (t, xi) pairs, jump k's t
+ * and xi at at[2k] and at[2k+1], room of them, then room 48 characters
+ * for their rows.  It doubles when full and lasts for one call. */
+typedef struct { double *at; int64_t room; } slab;
+
+#define SLAB_SIZE(room) (64 * (size_t)(room))
+
+/* Gives sb twice its room, FIRST_ROOM when it has none; returns 0, leaving
+ * sb as it was, when the memory is not to be had. */
+static int grow(slab *sb)
 {
-    int64_t room = *r ? 2 * (*r)->room : FIRST_ROOM;
-    record *g;
-    if (room <= MALLOC_ROOM) {
-        g = realloc(*r, record_size(room));
-        if (!g)
-            return 0;
-    } else {
-        g = mmap(NULL, record_size(room), PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-        if (g == MAP_FAILED)
-            return 0;
-        memcpy(g->at, (*r)->at, 2 * sizeof(double) * (size_t)(*r)->room);
-        drop(*r);
-    }
-    g->room = room;
-    *r = g;
+    int64_t room = sb->room ? 2 * sb->room : FIRST_ROOM;
+    double *at = get(SLAB_SIZE(room));
+    if (!at)
+        return 0;
+    if (sb->room)
+        memcpy(at, sb->at, 2 * sizeof(double) * (size_t)sb->room);
+    put(sb->at, SLAB_SIZE(sb->room));
+    sb->at = at, sb->room = room;
     return 1;
 }
 
@@ -168,7 +171,7 @@ typedef struct {
     int64_t start, first, count;
     double x0, t_end, lam, delta, cap;
     int64_t max_events;
-    int32_t explosive, threads;
+    int32_t explosive, threads, keep;
     /* measure.JumpLaw: its PCHIP table, ppoly's m pieces on breaks with
      * coefs, when m > 0; otherwise Pareto rejection on eps, inv_pow, beta */
     const double *breaks, *coefs;
@@ -179,8 +182,39 @@ typedef struct {
     double *t, *x;
     int64_t *n;
     double *terminal;
-    record **events;
+    /* with keep, what path i keeps and its size in bytes */
+    char **held;
+    int64_t *size;
 } job;
+
+static int64_t format_rows(const double *events, int64_t n, char *text);
+
+/* Keeps in held[i], from get, what the job asks of path i's n pairs in sb,
+ * and its size in bytes in size[i]; a path of no jumps keeps nothing.
+ * KEEP_PAIRS keeps the pairs.  KEEP_ROWS keeps their CSV rows, formatted
+ * in sb (see format_rows), or, where a value lies outside format_g17's
+ * range, the pairs with their size negated.  Returns 0 when the memory is
+ * not to be had. */
+static int keep(const job *j, int64_t i, const slab *sb, int64_t n)
+{
+    const char *from = (const char *)sb->at;
+    int64_t size = 2 * (int64_t)sizeof(double) * n, rows = -1;
+    if (n == 0)
+        return 1;
+    if (j->keep == KEEP_ROWS) {
+        char *text = (char *)(sb->at + 2 * sb->room);
+        rows = format_rows(sb->at, n, text);
+        if (rows >= 0)
+            from = text, size = rows;
+    }
+    char *kept = get((size_t)size);
+    if (!kept)
+        return 0;
+    memcpy(kept, from, (size_t)size);
+    j->held[i] = kept;
+    j->size[i] = j->keep == KEEP_ROWS && rows < 0 ? -size : size;
+    return 1;
+}
 
 /* Whether v < exp(a), settled without exp where a lies in [-1/2, 0]:
  * there 1 + a <= e^a <= 1 + a + a^2/2, and a guard of 2^-49, 16 ulps near
@@ -252,18 +286,18 @@ static int below_horizon(double e_draw, double xl, double z, double delta)
 /* Runs path i of the job and returns its end code.  At an end up to
  * END_MAX_EVENTS it writes the path's t, x and n, and at END_HORIZON its
  * terminal value; where it stops on an error it writes none of them.  A
- * recording path grows events[i], NULL on entry, as its jumps come; the
- * caller drops it, also when the path stops on an error. */
-static int run_path(const job *j, int64_t i)
+ * recording path writes its jumps into sb, grown as they come, and keeps
+ * what the job asks of them (see keep) when it ends; sb is NULL unless
+ * the job records. */
+static int run_path(const job *j, int64_t i, slab *sb)
 {
     stream s = {0, j->key0, (uint64_t)(j->start + i), {0, 0, 0, 0}, 4};
-    record **events = j->events ? &j->events[i] : NULL;
     const double t_end = j->t_end, lam = j->lam, delta = j->delta,
                  cap = j->cap;
     const int64_t max_events = j->max_events;
     const int explosive = j->explosive;
     double t = 0.0, x = j->x0, decay, e_draw, dt, shrink;
-    int64_t n = 0, room = 0;
+    int64_t n = 0;
     int end;
     if (delta == 0.0)
         return END_ZERO_DIVISION;
@@ -292,14 +326,11 @@ static int run_path(const job *j, int64_t i)
         x *= shrink;
         double xi = jump(j, &s);
         x += xi;
-        if (events) {
-            if (n == room) {
-                if (!grow(events))
-                    return END_NO_MEMORY;
-                room = (*events)->room;
-            }
-            (*events)->at[2 * n] = t;
-            (*events)->at[2 * n + 1] = xi;
+        if (sb) {
+            if (n == sb->room && !grow(sb))
+                return END_NO_MEMORY;
+            sb->at[2 * n] = t;
+            sb->at[2 * n + 1] = xi;
         }
         n += 1;
         if (explosive && (x > cap || !isfinite(x))) {
@@ -311,6 +342,10 @@ static int run_path(const job *j, int64_t i)
             break;
         }
     }
+    if (sb && !keep(j, i, sb, n)) {
+        j->terminal[i] = NAN;
+        return END_NO_MEMORY;
+    }
     j->t[i] = t, j->x[i] = x, j->n[i] = n;
     return end;
 }
@@ -320,20 +355,23 @@ static int run_path(const job *j, int64_t i)
 typedef struct { const job *j; atomic_int_fast64_t next, spent; } block;
 
 /* Claims and runs paths of the job until none is left or the budget is
- * spent; a claimed path always runs to its end. */
+ * spent; a claimed path always runs to its end.  A recording job's paths
+ * share the thread's one slab, which lasts for the call. */
 static void *run_block(void *arg)
 {
     block *b = arg;
     const job *j = b->j;
+    slab sb = {NULL, 0};
     while (atomic_load(&b->spent) < EVENT_BUDGET) {
         int64_t i = atomic_fetch_add(&b->next, 1);
         if (i >= j->count)
             break;
         j->t[i] = j->x[i] = j->terminal[i] = NAN;
         j->n[i] = -1;
-        j->end[i] = (int8_t)run_path(j, i);
+        j->end[i] = (int8_t)run_path(j, i, j->keep ? &sb : NULL);
         atomic_fetch_add(&b->spent, 1 + (j->n[i] > 0 ? j->n[i] : 0));
     }
+    put(sb.at, SLAB_SIZE(sb.room));
     return NULL;
 }
 
@@ -368,8 +406,8 @@ static void on_threads(void *(*work)(void *), void *arg, int64_t count,
  * Philox(key=[key0, start + i]) and writes entry i of each column: its
  * end code, the loop's last t, x and jump count (NaN and -1 where it
  * stops on an error), and its terminal value (NaN but at END_HORIZON).
- * Unless events is NULL, events[i], NULL on entry, takes the buffer path i
- * records its jumps in, for jumplm_take to move and free.  Returns the
+ * With keep, held[i], NULL on entry, and size[i], 0 on entry, take what
+ * path i keeps (see keep), for jumplm_take to copy and free.  Returns the
  * next first: count, or less once EVENT_BUDGET events are spent. */
 int64_t jumplm_run_paths(const job *j)
 {
@@ -379,18 +417,17 @@ int64_t jumplm_run_paths(const job *j)
     return claimed < j->count ? claimed : j->count;
 }
 
-/* Copies the jumps that jumplm_run_paths recorded in held[0 .. count-1]
- * to events: path i's n_i = offsets[i+1] - offsets[i] of them as its
- * (t, xi) pairs at events + 2 offsets[i].  Then frees every buffer and
- * sets its pointer to NULL.  With events NULL it only frees. */
-void jumplm_take(record **held, const int64_t *offsets, int64_t count,
-                 double *events)
+/* Copies what jumplm_run_paths kept for paths 0 .. count-1, the
+ * |size[i]| bytes at held[i], one path after another, to out.  Then gives
+ * back every buffer and sets its pointer to NULL.  With out NULL it only
+ * gives them back. */
+void jumplm_take(char **held, const int64_t *size, int64_t count, char *out)
 {
     for (int64_t i = 0; i < count; i++) {
-        if (events && held[i])
-            memcpy(events + 2 * offsets[i], held[i]->at,
-                   2 * sizeof(double) * (size_t)(offsets[i + 1] - offsets[i]));
-        drop(held[i]);
+        size_t k = (size_t)(size[i] < 0 ? -size[i] : size[i]);
+        if (out && k)
+            memcpy(out, held[i], k), out += k;
+        put(held[i], k);
         held[i] = NULL;
     }
 }
@@ -536,42 +573,4 @@ static int64_t format_rows(const double *events, int64_t n, char *text)
         *o++ = i % 2 ? '\n' : ',';
     }
     return o - text;
-}
-
-/* one call's recorded block to format, shared by its threads */
-typedef struct {
-    const double *events;
-    const int64_t *offsets;
-    int64_t count;
-    char *text;
-    int64_t *lengths;
-    atomic_int_fast64_t next;           /* path to claim */
-} rows_block;
-
-static void *format_paths(void *arg)
-{
-    rows_block *b = arg;
-    for (;;) {
-        int64_t i = atomic_fetch_add(&b->next, 1);
-        if (i >= b->count)
-            break;
-        int64_t lo = b->offsets[i];
-        b->lengths[i] = format_rows(b->events + 2 * lo,
-                                    b->offsets[i + 1] - lo,
-                                    b->text + 48 * lo);
-    }
-    return NULL;
-}
-
-/* The rows of paths 0 .. count-1 of a block as jumplm_take copies it:
- * path i's offsets[i+1] - offsets[i] (t, xi) pairs at events + 2
- * offsets[i].  Its rows go to text + 48 offsets[i], and their length, or
- * -1 when a value is outside format_g17's range, to lengths[i], on up to
- * threads threads (see on_threads). */
-void jumplm_format_block(const double *events, const int64_t *offsets,
-                         int64_t count, char *text, int64_t *lengths,
-                         int threads)
-{
-    rows_block b = {events, offsets, count, text, lengths, 0};
-    on_threads(format_paths, &b, count, threads);
 }

@@ -24,17 +24,17 @@ whole per-path record, PathEnds: each path's end code, last t, x and
 jump count, and terminal value, in array.array columns.  Every path has
 its own stream, so the results are the same bits on any number of
 threads.  simulate_path and simulate_explosive_path run a block of one,
-on one thread; block_csvs, behind `jumplm simulate`, runs a block of many
-on threads and records every path's events, (t, xi) pairs.  A recording
-path grows its own event buffer in the kernel as it runs, so every path
-runs once, whatever its length.  A kernel call takes one job record,
-_Job, which copies the jump law's fields.  A path the kernel stops on an
-error (a log of a non-positive number, an exp past the float range, a
-division by zero, or an event buffer that cannot grow) raises a
-JumplmError that names it.  The kernel formats a recorded block's rows,
-the bytes "%.17g" gives, on threads; block_csvs formats in Python the
-rows the kernel's formatter does not reach, and export_path_csv formats
-every row in Python.
+on one thread, and record its events, (t, xi) pairs; block_csvs, behind
+`jumplm simulate`, runs a block of many on threads and formats every
+path's CSV rows, the bytes "%.17g" gives.  A recording path writes its
+events into its kernel thread's slab as it runs, and when it ends that
+thread keeps its pairs, or its rows, so every path runs once, in one
+pass, whatever its length.  A kernel call takes one job record, _Job,
+which copies the jump law's fields.  A path the kernel stops on an error
+(a log of a non-positive number, an exp past the float range, a division
+by zero, or no memory to record its events) raises a JumplmError that
+names it.  block_csvs formats in Python the rows the kernel's formatter
+does not reach, and export_path_csv formats every row in Python.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ import collections
 import ctypes
 import functools
 import hashlib
-import itertools
 import logging
 import math
+import numbers
 import os
 import pathlib
 import subprocess
@@ -91,8 +91,9 @@ _log = logging.getLogger(__name__)
 class EngineConfig:
     """Simulation controls: truncation, seeding, and runaway guards.
 
-    The seed must lie in [-2**63, 2**63); a negative seed keys the same
-    Philox streams as seed + 2**64.  Both engines stop a path when its jump
+    The seed must be an integer in [-2**63, 2**63); a negative seed keys
+    the same Philox streams as seed + 2**64.  max_events must be an
+    integer in [1, 2**63).  Both engines stop a path when its jump
     count reaches max_events: the conservative engine raises
     MaxEventsExceeded, the explosive engine marks the path exploded at that
     jump.
@@ -108,11 +109,17 @@ class EngineConfig:
             raise InvalidConfig(f"eps must be positive, got {self.eps}")
         if not (self.cap > 0):
             raise InvalidConfig(f"cap must be positive, got {self.cap}")
+        for name in ("seed", "max_events"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, numbers.Integral):
+                raise InvalidConfig(
+                    f"{name} must be an integer, got {value!r}")
         if not -2 ** 63 <= self.seed < 2 ** 63:
             raise InvalidConfig(
                 f"seed must lie in [-2**63, 2**63), got {self.seed}")
-        if self.max_events < 1:
-            raise InvalidConfig(f"max_events must be >= 1, got {self.max_events}")
+        if not 1 <= self.max_events < 2 ** 63:
+            raise InvalidConfig(
+                f"max_events must lie in [1, 2**63), got {self.max_events}")
 
 
 @dataclass
@@ -187,6 +194,10 @@ _STOPS = {END_LOG_DOMAIN: (DomainError, "a log of a non-positive number"),
 # the most threads a kernel call runs a block on, as in _kernel.c
 MAX_THREADS = 64
 
+# a recording path keeps its CSV rows, as _kernel.c's KEEP_ROWS; with
+# record=True, KEEP_PAIRS (1), its (t, xi) pairs
+_KEEP_ROWS = 2
+
 
 class _Job(ctypes.Structure):
     """The job record jumplm_run_paths takes, field for field as _kernel.c
@@ -199,12 +210,12 @@ class _Job(ctypes.Structure):
         *((name, ctypes.c_double)
           for name in ("x0", "t_end", "lam", "delta", "cap")),
         ("max_events", ctypes.c_int64),
-        ("explosive", ctypes.c_int32), ("threads", ctypes.c_int32),
+        *((name, ctypes.c_int32) for name in ("explosive", "threads", "keep")),
         ("breaks", ctypes.c_void_p), ("coefs", ctypes.c_void_p),
         ("m", ctypes.c_int64),
         *((name, ctypes.c_double) for name in ("eps", "inv_pow", "beta")),
         *((name, ctypes.c_void_p)
-          for name in ("end", "t", "x", "n", "terminal", "events")),
+          for name in ("end", "t", "x", "n", "terminal", "held", "size")),
     ]
 
 
@@ -266,11 +277,8 @@ def _load():
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.jumplm_run_paths.argtypes = [ctypes.POINTER(_Job)]
     lib.jumplm_take.argtypes = [ptr, ptr, i64, ptr]
-    lib.jumplm_format_block.argtypes = [ptr, ptr, i64, ptr, ptr,
-                                        ctypes.c_int]
     lib.jumplm_run_paths.restype = i64
     lib.jumplm_take.restype = None
-    lib.jumplm_format_block.restype = None
     _log.debug("simulation kernel: %s", path)
     return lib
 
@@ -286,11 +294,15 @@ def _kernel():
 
 # per path, as array.array columns: its end code ('b'), the event loop's
 # last t, x ('d') and jump count ('q'), and its terminal value ('d', NaN
-# unless END_HORIZON); for a recorded block, path i's n_i events as (t, xi)
-# pairs at events[2 * offsets[i]:2 * offsets[i + 1]] ('d' and 'q'; both
-# None unless recorded; n_i is 0 for a path the kernel stopped on an error)
+# unless END_HORIZON); for a recorded block, the bytes each path kept
+# ('q'), and kept ('B'), which holds them one path after another: its
+# (t, xi) pairs as doubles, or with _KEEP_ROWS its CSV rows as ASCII, or
+# its pairs, size negated, where a value is out of the kernel formatter's
+# reach.  Both None unless recorded; a path of no jumps, or one the kernel
+# stopped on an error, keeps nothing.  kept takes 16 bytes an event as
+# pairs, and about 40 as the explosive dual's rows.
 PathEnds = collections.namedtuple("PathEnds",
-                                  "end t x n terminal events offsets")
+                                  "end t x n terminal size kept")
 
 
 def _zeros(typecode, count):
@@ -306,21 +318,20 @@ def _address(column):
 def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
                 explosive, record=False, threads=1) -> PathEnds:
     """Paths start .. start+count-1 on the kernel lib, each call on up to
-    threads threads.  With record, also every path's events (see
-    PathEnds).
+    threads threads.  With record, also what every path keeps (see
+    PathEnds): its events for True, its CSV rows for _KEEP_ROWS.
 
     A kernel call returns after about 2^22 events, so Ctrl-C stops a
-    long block between calls.  A recording path grows its own event
-    buffer in the kernel, so each path runs once; jumplm_take copies the
-    (t, xi) pairs into one array once the block is done, and frees the
-    buffers however the calls end.
+    long block between calls.  Each path runs once and keeps its own
+    buffer in the kernel; jumplm_take copies them into one array once the
+    block is done, and frees them however the calls end.
     """
     out = PathEnds(_zeros("b", count), *(_zeros(code, count)
                                          for code in "ddqd"), None, None)
-    job = _Job(key0=config.seed % 2 ** 64, start=start, count=count, x0=x0,
-               t_end=t_end, lam=lam, delta=delta, cap=config.cap,
+    job = _Job(key0=int(config.seed) % 2 ** 64, start=start, count=count,
+               x0=x0, t_end=t_end, lam=lam, delta=delta, cap=config.cap,
                max_events=config.max_events, explosive=explosive,
-               threads=threads)
+               threads=threads, keep=record)
     law = measure.make_jump_sampler(spec, config.eps)
     job.eps, job.inv_pow, job.beta = law.eps, law.inv_pow, law.beta
     if law.inv is not None:     # C-ordered float64, kept alive by the law
@@ -328,23 +339,21 @@ def _kernel_run(lib, spec, x0, t_end, config, start, count, lam, delta,
         assert c.flags.c_contiguous and c.shape == (4, x.size - 1)
         job.breaks, job.coefs, job.m = x.ctypes.data, c.ctypes.data, x.size - 1
     job.end, job.t, job.x, job.n, job.terminal = map(_address, out[:5])
-    # with record, the address of each path's event buffer, NULL till it runs
-    held = _zeros("Q", count) if record else None
-    job.events = _address(held)
-    events = offsets = None
+    held = size = None
+    if record:      # the address of what each path keeps, NULL till it ends
+        held, size = _zeros("Q", count), _zeros("q", count)
+    job.held, job.size = _address(held), _address(size)
+    kept = None
     try:
         while job.first < count:
             job.first = lib.jumplm_run_paths(job)
         if record:
-            # n is -1 where the kernel stopped on an error
-            offsets = array.array("q", itertools.accumulate(
-                (max(k, 0) for k in out.n), initial=0))
-            events = _zeros("d", 2 * offsets[-1])
+            kept = _zeros("B", sum(map(abs, size)))
     finally:
-        if record:      # copies the events, once every path ran, and frees
-            lib.jumplm_take(_address(held), _address(offsets), count,
-                            _address(events))
-    return out._replace(events=events, offsets=offsets)
+        if record:      # copies what the paths kept, once all ran, and frees
+            lib.jumplm_take(_address(held), _address(size), count,
+                            _address(kept))
+    return out._replace(size=size, kept=kept)
 
 
 def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
@@ -353,7 +362,10 @@ def _fan_out(spec, x0, t_end, config, start, count, lam, delta, explosive,
     engine whose inputs _rates checked.  The lowest-index path that the
     kernel stopped on an error, or a conservative path at max_events,
     raises: MaxEventsExceeded, or the error _STOPS gives for its end code,
-    naming the path."""
+    naming the path.  Path indices must lie in [0, 2**63)."""
+    if not (count >= 0 and 0 <= start and start + count <= 2 ** 63):
+        raise InvalidConfig(f"path indices must lie in [0, 2**63), got "
+                            f"{count} paths from {start}")
     out = _kernel_run(_kernel(), spec, x0, t_end, config, start, count, lam,
                       delta, explosive, record, threads)
     # max_events ends an explosive path and stops a conservative one
@@ -373,7 +385,8 @@ def _path(spec, x0, t_end, config, path_index, record, explosive) -> Path:
     lam, delta = _rates(spec, x0, t_end, config.eps, explosive)
     out = _fan_out(spec, x0, t_end, config, path_index, 1, lam, delta,
                    explosive, record)
-    events = list(zip(out.events[0::2], out.events[1::2])) if record else []
+    pairs = memoryview(out.kept).cast("d") if record else ()
+    events = list(zip(pairs[0::2], pairs[1::2]))
     exploded = out.end[0] != END_HORIZON
     return Path(x0=x0, events=events, decay_rate=delta, t_end=t_end,
                 eps=config.eps, exploded=exploded,
@@ -452,23 +465,6 @@ def evaluate(path: Path, t: float):
     return x * math.exp(-d * (t - t_prev))
 
 
-def _format_block(events, offsets, threads=1) -> List[Optional[bytes]]:
-    """The rows "%.17g,%.17g\\n" % event of each path of a recorded block
-    (see PathEnds), formatted by the kernel on up to threads threads, as
-    ASCII; None for a path whose values the kernel's formatter does not
-    reach."""
-    lib = _kernel()
-    count = len(offsets) - 1
-    text = bytearray(48 * offsets[-1])
-    lengths = _zeros("q", count)
-    lib.jumplm_format_block(_address(events), _address(offsets), count,
-                            (ctypes.c_char * len(text)).from_buffer(text),
-                            _address(lengths), threads)
-    text = memoryview(text)
-    return [None if k < 0 else bytes(text[48 * at:48 * at + k])
-            for at, k in zip(offsets, lengths)]
-
-
 def _python_rows(events) -> str:
     """The rows of (t, xi) pairs as Python's % formats them."""
     return "".join(["%.17g,%.17g\n" % ev for ev in events])
@@ -502,22 +498,21 @@ def block_csvs(spec: LevyMeasureSpec, x0: float, t_end: float,
     without explosive, simulate_path) of paths start .. start+count-1, as
     ASCII bytes.
 
-    The block is simulated, recorded and formatted by the kernel on up to
-    threads threads (_threads), with the same bytes; rows the kernel's
-    formatter does not reach are formatted by Python.  Raises what the
-    first path to raise raises, before any CSV is made.
+    The kernel simulates the block on up to threads threads (_threads),
+    and the thread that runs a path formats its rows, with the same bytes;
+    rows the kernel's formatter does not reach are formatted by Python.
+    Raises what the first path to raise raises, before any CSV is made.
     """
     threads = _threads(threads, count)
     lam, delta = _rates(spec, x0, t_end, config.eps, explosive)
     out = _fan_out(spec, x0, t_end, config, start, count, lam, delta,
-                   explosive, record=True, threads=threads)
-    at = out.offsets
-    csvs = []
-    for i, (rows, end, t) in enumerate(zip(
-            _format_block(out.events, at, threads), out.end, out.t)):
-        if rows is None:
-            path = out.events[2 * at[i]:2 * at[i + 1]]
-            rows = _python_rows(zip(path[0::2], path[1::2])).encode("ascii")
+                   explosive, record=_KEEP_ROWS, threads=threads)
+    kept, csvs = memoryview(out.kept), []
+    for end, t, size in zip(out.end, out.t, out.size):
+        rows, kept = kept[:abs(size)], kept[abs(size):]
+        if size < 0:    # pairs with a value out of the formatter's reach
+            pairs = rows.cast("d")
+            rows = _python_rows(zip(pairs[0::2], pairs[1::2])).encode("ascii")
         exploded = end != END_HORIZON
         csvs.append(_csv_head(x0, delta, config.eps, exploded, t_end,
                               t if exploded else None).encode("ascii") + rows)

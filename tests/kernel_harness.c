@@ -1,7 +1,8 @@
 /* A test harness compiled with _kernel.c into one shared library, for
  * what the kernel keeps static: the layout of its job record, which
- * simulate._Job mirrors, ppoly, the table sampler's evaluation, and the
- * two bound tests that spare the event loop an exp.
+ * simulate._Job mirrors, ppoly, the table sampler's evaluation, the two
+ * bound tests that spare the event loop an exp, and the CSV rows'
+ * formatter.
  *
  *     cc -O2 -fPIC -shared -ffp-contract=off -pthread -I src/jumplm \
  *         -o harness.so tests/kernel_harness.c -lm
@@ -13,9 +14,9 @@
 /* every field of job, in its order */
 #define JOB_FIELDS                                                       \
     X(key0) X(start) X(first) X(count) X(x0) X(t_end) X(lam) X(delta)   \
-    X(cap) X(max_events) X(explosive) X(threads) X(breaks) X(coefs) X(m) \
-    X(eps) X(inv_pow) X(beta) X(end) X(t) X(x) X(n) X(terminal)         \
-    X(events)
+    X(cap) X(max_events) X(explosive) X(threads)                        \
+    X(keep) X(breaks) X(coefs) X(m) X(eps) X(inv_pow) X(beta) X(end)    \
+    X(t) X(x) X(n) X(terminal) X(held) X(size)
 
 #define X(f) #f,
 const char *const harness_fields[] = {JOB_FIELDS};
@@ -49,4 +50,10 @@ void harness_below_horizon(const double *e_draw, const double *xl,
 {
     for (int64_t i = 0; i < n; i++)
         out[i] = below_horizon(e_draw[i], xl[i], z[i], delta[i]);
+}
+
+/* format_rows(events, n, text): the rows of n (t, xi) pairs, or -1 */
+int64_t harness_format_rows(const double *events, int64_t n, char *text)
+{
+    return format_rows(events, n, text);
 }

@@ -44,6 +44,48 @@ def test_engine_config_seed_range():
         assert simulate.EngineConfig(eps=1e-3, seed=seed).seed == seed
 
 
+def test_engine_config_rejects_non_integers(ref_spec):
+    # seed=1.5 and max_events=1e7 used to pass, then raise a raw TypeError
+    # from ctypes at the first run; max_events=True ran and reported
+    # "reached True events"; max_events=2**63 wrapped in the job record
+    for bad in ({"seed": 1.5}, {"seed": 2.0}, {"seed": True}, {"seed": "1"},
+                {"max_events": 1e7}, {"max_events": True},
+                {"max_events": 2 ** 63}):
+        with pytest.raises(InvalidConfig, match="seed|max_events"):
+            simulate.EngineConfig(eps=1e-2, **bad)
+    # a numpy integer is an integer, and keys the same streams as an int
+    cfg = simulate.EngineConfig(eps=1e-2, seed=np.int64(-5),
+                                max_events=2 ** 63 - 1)
+    assert simulate.simulate_path(ref_spec, 1.0, 1.0, cfg, 2) == \
+        simulate.simulate_path(ref_spec, 1.0, 1.0,
+                               dataclasses.replace(cfg, seed=-5), 2)
+
+
+def test_path_indices_past_int64_raise(ref_spec):
+    # a path index outside [0, 2**63) used to wrap in the job record's
+    # int64 and run another path: simulate_path(..., 2**64) returned path
+    # 0's Path, and fan_out with count -3 ran nothing and raised nothing
+    untilted = measure.untilted_spec(ref_spec)
+    cfg = simulate.EngineConfig(eps=1e-2, seed=3)
+    for run in (
+            lambda: simulate.simulate_path(ref_spec, 1.0, 1.0, cfg, 2 ** 64),
+            lambda: simulate.simulate_path(ref_spec, 1.0, 1.0, cfg, 2 ** 63),
+            lambda: simulate.simulate_explosive_path(untilted, 1.0, 1.0, cfg,
+                                                     -1),
+            lambda: simulate.fan_out(ref_spec, 1.0, 1.0, cfg, 0, -3, False),
+            lambda: simulate.fan_out(ref_spec, 1.0, 1.0, cfg, 2 ** 63 - 1, 2,
+                                     False),
+            lambda: simulate.block_csvs(ref_spec, 1.0, 1.0, cfg, -2, 4,
+                                        False)):
+        with pytest.raises(InvalidConfig, match="path indices"):
+            run()
+    last = simulate.simulate_path(ref_spec, 1.0, 1.0, cfg, 2 ** 63 - 1)
+    ends = simulate.fan_out(ref_spec, 1.0, 1.0, cfg, 2 ** 63 - 1, 1, False)
+    assert ends.n.tolist() == [len(last.events)]
+    assert simulate.fan_out(ref_spec, 1.0, 1.0, cfg, 5, 0, False).n.tolist() \
+        == []
+
+
 def test_negative_seed_streams_unchanged():
     # a negative seed keys its streams with seed mod 2**64, as before
     for seed in (-1, -5, -2 ** 63):
@@ -674,26 +716,27 @@ def test_recorded_path_takes_one_call_in_its_room(ref_spec, monkeypatch):
 
 
 def _job(cfg, sampler, start, count, x0, t_end, lam, delta, threads, out,
-         events):
+         kept=None, keep=0):
     """A conservative job on a rejection sampler for paths start ..
     start+count-1, from its first path, writing the columns out (end, t,
-    x, n, terminal) and, unless events is None, the event buffers there."""
-    columns = dict(zip(("end", "t", "x", "n", "terminal"),
-                       (a.ctypes.data for a in out)))
+    x, n, terminal) and, with keep, what each path keeps to the columns
+    kept (held, size)."""
+    columns = dict(zip(("end", "t", "x", "n", "terminal", "held", "size"),
+                       (a.ctypes.data for a in (*out, *(kept or ())))))
     return simulate._Job(
         key0=cfg.seed, start=start, count=count, x0=x0, t_end=t_end,
         lam=lam, delta=delta, cap=cfg.cap, max_events=cfg.max_events,
-        explosive=False, threads=threads, eps=sampler.eps,
-        inv_pow=sampler.inv_pow, beta=sampler.beta, events=events,
-        **columns)
+        explosive=False, threads=threads, keep=keep, eps=sampler.eps,
+        inv_pow=sampler.inv_pow, beta=sampler.beta, **columns)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_kernel_records_only_in_each_paths_room(ref_spec, threads):
-    # path i records all its n_i events in a buffer of its own, and
-    # jumplm_take copies them, as (t, xi) pairs, to events[2 offsets[i] ..
-    # 2 offsets[i+1]], writes nothing outside the paths' rooms and frees
-    # every buffer; a path of 0 jumps holds none
+    # path i records all its n_i events in its thread's slab and keeps
+    # them, as 16 n_i bytes of (t, xi) pairs, in a buffer of its own;
+    # jumplm_take copies them one path after another to events[2
+    # offsets[i] .. 2 offsets[i+1]], writes nothing outside the paths'
+    # rooms and frees every buffer; a path of 0 jumps keeps none
     lib = simulate._kernel()
     cfg = simulate.EngineConfig(eps=1e-2, seed=11)
     x0, count = 40.0, 12
@@ -702,18 +745,19 @@ def test_kernel_records_only_in_each_paths_room(ref_spec, threads):
     for t_end in (1.0, 0.0):
         out = [np.empty(count, np.int8), *(np.empty(count) for _ in range(2)),
                np.empty(count, np.int64), np.empty(count)]
-        held = np.zeros(count, np.uintp)
+        held, size = np.zeros(count, np.uintp), np.zeros(count, np.int64)
         k = lib.jumplm_run_paths(_job(
             cfg, sampler, 5, count, x0, t_end, lam, delta, threads, out,
-            held.ctypes.data))
+            (held, size), True))
         counts = out[3].tolist()
         assert k == count and (min(counts) > 2 if t_end else
                                counts == [0] * count)
         assert np.all((held != 0) == (out[3] > 0))
+        assert size.tolist() == [16 * n for n in counts]
         offsets = np.array([7, *(7 + np.cumsum(counts))], np.int64)
         events = np.full(2 * offsets[-1] + 9, -7.5)
-        lib.jumplm_take(held.ctypes.data, offsets.ctypes.data, count,
-                        events.ctypes.data)
+        lib.jumplm_take(held.ctypes.data, size.ctypes.data, count,
+                        events[2 * offsets[0]:].ctypes.data)
         assert np.all(held == 0)
         assert np.all(events[:14] == -7.5)
         assert np.all(events[2 * offsets[-1]:] == -7.5)
@@ -725,12 +769,9 @@ def test_kernel_records_only_in_each_paths_room(ref_spec, threads):
                 [list(ev) for ev in scalar]
 
 
-# the jumps a recording path's kernel buffer holds before it first grows,
-# and the most it holds before it is mapped on its own
-_FIRST_ROOM, _MALLOC_ROOM = (
-    int(re.search(rf"#define {name} (\d+)",
-                  simulate._KERNEL_SOURCE.read_text()).group(1))
-    for name in ("FIRST_ROOM", "MALLOC_ROOM"))
+# the jumps a kernel thread's slab holds before it first grows
+_FIRST_ROOM = int(re.search(r"#define FIRST_ROOM (\d+)",
+                            simulate._KERNEL_SOURCE.read_text()).group(1))
 
 
 @pytest.mark.parametrize("name,explosive", [
@@ -747,7 +788,8 @@ _FIRST_ROOM, _MALLOC_ROOM = (
        t_end=st.sampled_from([0.0]) | st.floats(0.0, 2.0),
        max_events=st.sampled_from([10_000_000, 1, _FIRST_ROOM - 1,
                                    _FIRST_ROOM, _FIRST_ROOM + 1,
-                                   4 * _FIRST_ROOM + 1, _MALLOC_ROOM + 1]),
+                                   4 * _FIRST_ROOM + 1,
+                                   16 * _FIRST_ROOM + 1]),
        stop_delta=st.sampled_from([None] * 4 + [0.0, -1000.0]))
 @example(seed=1, start=0, count=10, threads=3, most=4, eps_index=1, x0=30.0,
          t_end=2.0, max_events=_FIRST_ROOM - 1, stop_delta=None)
@@ -762,12 +804,12 @@ def test_recorded_blocks_match_run_engine(name, explosive, tabulated_spec,
                                           eps_index, x0, t_end, max_events,
                                           stop_delta):
     # every path of a recorded block runs in the kernel once and records
-    # all its jumps, the scalar loop's bit for bit, in a buffer that grows
-    # as it runs: paths of 0 and 1 jumps, paths that end one short of, at
-    # and one past the buffer's first room, past two doublings of it and
-    # past its last room from malloc, blocks that take several calls, on 1
-    # to 3 threads.  A path the kernel stops where the scalar loop raises
-    # (a delta of 0, or one whose decay overflows) records none.
+    # all its jumps, the scalar loop's bit for bit, in its thread's slab,
+    # which grows as it runs: paths of 0 and 1 jumps, paths that end one
+    # short of, at and one past the slab's first room, past two and four
+    # doublings of it, blocks that take several calls, on 1 to 3 threads.
+    # A path the kernel stops where the scalar loop raises (a delta of 0,
+    # or one whose decay overflows) keeps none.
     lib = _CountingKernel(simulate._kernel(), most)
     spec, _, eps_values, fixed_x0 = _KERNEL_CASES[name]
     spec = spec or tabulated_spec
@@ -780,14 +822,14 @@ def test_recorded_blocks_match_run_engine(name, explosive, tabulated_spec,
         delta, t_end = stop_delta, 1.0 + t_end
     got = simulate._kernel_run(lib, spec, x0, t_end, cfg, start, count, lam,
                                delta, explosive, record=True, threads=threads)
-    assert sum(lib.runs) == count and lib.events == got.offsets[-1]
+    offsets = np.cumsum([0, *got.size]) // 8
+    assert sum(lib.runs) == count and lib.events == offsets[-1] // 2
     assert most is None or len(lib.runs) == -(-count // most)
     # the conservative loop raises at max_events, after the same jumps
     loose = cfg if explosive else dataclasses.replace(cfg,
                                                       max_events=10 ** 7)
     for i in range(count):
-        recorded = np.asarray(got.events)[
-            2 * got.offsets[i]:2 * got.offsets[i + 1]]
+        recorded = np.frombuffer(got.kept)[offsets[i]:offsets[i + 1]]
         if got.end[i] > simulate.END_MAX_EVENTS:
             assert got.n[i] == -1 and recorded.size == 0
             with pytest.raises(ArithmeticError):
@@ -1047,7 +1089,7 @@ def test_kernel_threads_block_spans_calls(ref_spec):
                np.full(16, -9.0), np.full(16, -9, np.int64),
                np.full(16, -9.0)]
         k = lib.jumplm_run_paths(_job(cfg, sampler, 3, 16, 1e5, 1.0, lam,
-                                      delta, threads, out, None))
+                                      delta, threads, out))
         assert 1 <= k <= 16 and (k < 16 or threads > 3)
         assert [a[:k].tobytes() for a in out] == [a[:k].tobytes()
                                                   for a in one[:5]]
@@ -1095,6 +1137,8 @@ def kernel_harness(tmp_path_factory):
     lib.harness_below_horizon.argtypes = [ptr, ptr, ptr, ptr, ptr,
                                           ctypes.c_int64]
     lib.harness_below_exp.restype = lib.harness_below_horizon.restype = None
+    lib.harness_format_rows.argtypes = [ptr, ctypes.c_int64, ptr]
+    lib.harness_format_rows.restype = ctypes.c_int64
     return lib
 
 
@@ -1271,23 +1315,24 @@ def _csv(path):
     return buf.getvalue()
 
 
-def _kernel_rows(events):
-    """The rows the kernel's formatter gives for (t, xi) pairs, held as a
-    block's events, as block_csvs has them formatted; None where it leaves
-    them to Python."""
-    rows = simulate._format_block(array.array("d", [v for ev in events
-                                                    for v in ev]),
-                                  array.array("q", [0, len(events)]))[0]
-    return None if rows is None else rows.decode("ascii")
+def _kernel_rows(harness, events):
+    """The rows the kernel's formatter gives for (t, xi) pairs, as the
+    thread that records a path for block_csvs formats them; None where it
+    leaves them to Python."""
+    pairs = array.array("d", [v for ev in events for v in ev])
+    text = ctypes.create_string_buffer(48 * len(events))
+    k = harness.harness_format_rows(pairs.buffer_info()[0], len(events),
+                                    text)
+    return None if k < 0 else text.raw[:k].decode("ascii")
 
 
-def _kernel_csv_rows(events):
+def _kernel_csv_rows(harness, events):
     """The rows export_path_csv writes for events, and what the kernel's
     formatter gave for them (None when it left them to Python)."""
     path = simulate.Path(x0=1.0, events=events, decay_rate=1.0, t_end=1.0,
                          eps=1e-2)
     rows = _csv(path).split("time,size\n", 1)[1]
-    return rows, _kernel_rows(events)
+    return rows, _kernel_rows(harness, events)
 
 
 def _in_kernel_range(v):
@@ -1310,19 +1355,19 @@ _FORMAT_EDGES = [0.0, -0.0, math.inf, -math.inf, -math.nan, 5e-324,
 @settings(max_examples=500, deadline=None)
 @given(t=st.floats(allow_nan=True, allow_infinity=True),
        xi=st.floats(allow_nan=True, allow_infinity=True))
-def test_kernel_rows_match_python_percent(t, xi):
+def test_kernel_rows_match_python_percent(kernel_harness, t, xi):
     # byte for byte "%.17g,%.17g\n" % event; the kernel formats every
     # event with 1e-16 < |v| < 1e17 and leaves the rest to Python
     for ev in [(t, xi), *((v, xi) for v in _FORMAT_EDGES),
                *((t, -v) for v in _FORMAT_EDGES)]:
-        rows, by_kernel = _kernel_csv_rows([ev])
+        rows, by_kernel = _kernel_csv_rows(kernel_harness, [ev])
         assert rows == _python_rows([ev])
         assert (by_kernel is not None) == all(map(_in_kernel_range, ev))
         if by_kernel is not None:
             assert by_kernel == rows
 
 
-def test_kernel_rows_match_python_on_a_sweep():
+def test_kernel_rows_match_python_on_a_sweep(kernel_harness):
     # some 80,000 doubles in one call: log-uniform on +-(1e-16, 1e17),
     # scaled integers, dyadic rationals, 50 ulps either side of 10^k and
     # values halfway between two 17-digit decimals
@@ -1350,25 +1395,37 @@ def test_kernel_rows_match_python_on_a_sweep():
         near, ties, np.negative(ties)])
     values = values[np.vectorize(_in_kernel_range)(values)]
     events = list(zip(values[0::2].tolist(), values[1::2].tolist()))
-    rows, by_kernel = _kernel_csv_rows(events)
+    rows, by_kernel = _kernel_csv_rows(kernel_harness, events)
     assert by_kernel == rows == _python_rows(events)
 
 
-def test_recorded_path_outside_kernel_range_is_formatted_by_python():
-    # path 1176 jumps to +inf: its rows come from Python's %, as they did
-    # before the kernel formatted any
+def test_recorded_path_outside_kernel_range_is_formatted_by_python(
+        kernel_harness):
+    # path 1176 jumps to +inf: its thread keeps its pairs, not its rows,
+    # and its rows come from Python's %, as they did before the kernel
+    # formatted any
     untilted = measure.untilted_spec(
         measure.LevyMeasureSpec.tilted_power(1.0, 1.01, 1.0))
     cfg = simulate.EngineConfig(eps=1e-2, seed=0)
     path = simulate.simulate_explosive_path(untilted, 1.0, 1.0, cfg, 1176)
     assert path.events[-1][1] == math.inf
-    assert _kernel_rows(path.events) is None
+    assert _kernel_rows(kernel_harness, path.events) is None
     assert _csv(path).endswith("time,size\n" + _python_rows(path.events))
+    lam, delta = simulate._rates(untilted, 1.0, 1.0, cfg.eps, True)
+    out = simulate._kernel_run(simulate._kernel(), untilted, 1.0, 1.0, cfg,
+                               1170, 10, lam, delta, True,
+                               record=simulate._KEEP_ROWS, threads=2)
+    alone = [simulate.simulate_explosive_path(untilted, 1.0, 1.0, cfg, i)
+             for i in range(1170, 1180)]
+    assert [k < 0 for k in out.size] == [
+        not all(_in_kernel_range(v) for ev in p.events for v in ev)
+        for p in alone]
+    assert out.size[6] == -16 * len(path.events)
     csvs = simulate.block_csvs(untilted, 1.0, 1.0, cfg, 1170, 10, True, 2)
     assert csvs[6] == _csv(path).encode()
 
 
-def test_hand_built_path_writes_the_same_csv(ref_spec):
+def test_hand_built_path_writes_the_same_csv(ref_spec, kernel_harness):
     # a Path built from the same fields holds nothing more, and its CSV,
     # formatted by Python, is the kernel's byte for byte
     untilted = measure.untilted_spec(ref_spec)
@@ -1382,10 +1439,34 @@ def test_hand_built_path_writes_the_same_csv(ref_spec):
         assert all(f.init for f in dataclasses.fields(path))
         assert dataclasses.replace(path) == path
         assert by_hand == path and repr(by_hand) == repr(path)
-        assert _kernel_rows(path.events) is not None
+        assert _kernel_rows(kernel_harness, path.events) is not None
         assert _csv(by_hand) == _csv(path)
         assert simulate.block_csvs(untilted, 1.0, t_end, cfg, i, 1, True) \
             == [_csv(by_hand).encode()]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_block_csvs_path_outgrows_the_slab_earlier_paths_left(threads):
+    # in one kernel call, paths 0 .. 13 make at most 13 jumps each, so
+    # every slab stays at its first room, and path 14 makes 110,129: the
+    # slab of the thread that runs it doubles 11 times, and so does the
+    # one under path 17 (79,557 jumps) where another thread runs it.
+    # Every CSV is export_path_csv's for the path run alone.
+    untilted = measure.untilted_spec(measure.reference_spec())
+    cfg = simulate.EngineConfig(eps=1e-2, seed=20261018, cap=1e8)
+    t_end = 2.0 * math.log(2.0)
+    lib = _CountingKernel(simulate._kernel())
+    with mock.patch.object(simulate, "_kernel", lambda: lib):
+        csvs = simulate.block_csvs(untilted, 1.0, t_end, cfg, 0, 21, True,
+                                   threads)
+    assert lib.runs == [21]
+    counts = []
+    for i, csv in enumerate(csvs):
+        path = simulate.simulate_explosive_path(untilted, 1.0, t_end, cfg, i)
+        assert csv == _csv(path).encode()
+        counts.append(len(path.events))
+    assert max(counts[:14]) <= _FIRST_ROOM < 2 ** 10 * _FIRST_ROOM < \
+        min(counts[14], counts[17])
 
 
 def _export_outcome(fn):
